@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import equilibrium, fixture_suite, hardness, verifier
 from .errors import OrdineqError, ParseError, UnsupportedSpace, ValidationError

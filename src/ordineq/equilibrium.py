@@ -8,11 +8,14 @@ that for a witness utility vector u, player i, and deviation a_i':
 
     sum_a u(o(a)) p(a)  >=  sum_{a_{-i}} u(o(a_i', a_{-i})) q_{-i}(a_{-i})
 
-Finite and total-order spaces contribute explicitly enumerable witnesses;
-partial orders and distribution orders are handled lazily by separation
-oracles inside a cutting-plane loop.  Witnesses come from finite families
-(upward-closed 0/1 vectors, or vertices of a fixed polytope) and an added
+Every type-space kind has one separation oracle, reached through
+`separate`, which returns the most violated constraint of a deviation over
+the kind's finite witness family: the listed types of a finite space, the
+threshold vectors of a total order, the upward-closed 0/1 vectors of a
+partial order, and the vertices of a distribution order's polytope.  The
+solver adds violated constraints in a cutting-plane loop; an added
 constraint can never be strictly violated again, so the loop terminates.
+The verifier calls the same oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from . import linprog
-from .errors import CapExceeded, UnsupportedSpace, ValidationError
+from .errors import UnsupportedSpace, ValidationError
 from .flow import ClosureInstance, closure_solve
 from .games import (
     DistributionOrder,
@@ -38,19 +41,10 @@ from .games import (
     opponents_profiles_of,
     profiles_of,
 )
-from .typespaces import enumerate_extreme_types, entails_preference
+from .typespaces import entails_preference
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-#: Above this many explicit incentive rows the solver generates them lazily
-#: (scan oracle) instead; the feasible set is identical either way.
-# Finite/total-order constraint families below this row count are added to
-# the LP up front; larger families go through the lazy scan oracle instead,
-# which typically needs only a handful of the rows.  The two routes define
-# the same feasible set, so this is purely a performance knob: the dense
-# exact-rational simplex degrades quickly past a few dozen rows.
-EXPLICIT_ROW_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -136,13 +130,6 @@ class VariableLayout:
         return MediatedProfile(p, tuple(q))
 
 
-@dataclass
-class Lp1Instance:
-    game: GameForm
-    layout: VariableLayout
-    constraints: list[IncentiveConstraint]
-
-
 def build_lp1(
     game: GameForm,
     constraints: Sequence[IncentiveConstraint],
@@ -209,37 +196,6 @@ def _as_constraint(game: GameForm, i: int, deviation: str, u: Mapping[str, Fract
     return IncentiveConstraint(i, deviation, tuple(u[o] for o in game.outcomes))
 
 
-def incentive_constraints_finite(
-    game: GameForm, spaces: Mapping[int, FiniteTypes]
-) -> list[IncentiveConstraint]:
-    """One constraint per (player, type, deviation)."""
-    out = []
-    for i, spec in sorted(spaces.items()):
-        for t in spec.types:
-            for a in game.action_sets[i]:
-                out.append(_as_constraint(game, i, a, t))
-    return out
-
-
-def incentive_constraints_total(
-    game: GameForm, spaces: Mapping[int, TotalOrder]
-) -> list[IncentiveConstraint]:
-    """Threshold-type constraints: one per (player, outcome, deviation).
-
-    The threshold type at outcome o gives utility 1 to outcomes weakly
-    preferred to o and 0 otherwise; instantiating the generic incentive
-    constraint on these types is exactly the stochastic-dominance system.
-    """
-    out = []
-    for i, spec in sorted(spaces.items()):
-        for k in range(1, len(spec.order) + 1):
-            top = set(spec.order[:k])
-            u = {o: (ONE if o in top else ZERO) for o in game.outcomes}
-            for a in game.action_sets[i]:
-                out.append(_as_constraint(game, i, a, u))
-    return out
-
-
 def _deviation_gain_coeffs(
     game: GameForm,
     i: int,
@@ -259,9 +215,40 @@ def _deviation_gain_coeffs(
     return v
 
 
+def separation_oracle_total(
+    game: GameForm,
+    spec: TotalOrder,
+    i: int,
+    deviation: str,
+    p: Mapping[Profile, Fraction],
+    q_i: Mapping[Profile, Fraction],
+) -> SeparationResult:
+    """Best threshold witness, by one scan over the order's prefixes.
+
+    The threshold vector of a prefix gives utility 1 to its outcomes and 0
+    to the rest; its gain is the prefix sum of the deviation-gain weights.
+    The first prefix of maximum gain is returned: it is the minimal
+    maximum-weight closure of the order's chain, the witness the closure
+    oracle would find.
+    """
+    v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
+    best = ZERO
+    best_k = 0
+    acc = ZERO
+    for k, o in enumerate(spec.order, start=1):
+        acc += v[o]
+        if acc > best:
+            best, best_k = acc, k
+    if best > 0:
+        top = set(spec.order[:best_k])
+        witness = {o: (ONE if o in top else ZERO) for o in game.outcomes}
+        return Violation(i, deviation, witness, best)
+    return None
+
+
 def separation_oracle_partial(
     game: GameForm,
-    spec: Union[PartialOrder, TotalOrder],
+    spec: PartialOrder,
     i: int,
     deviation: str,
     p: Mapping[Profile, Fraction],
@@ -274,11 +261,7 @@ def separation_oracle_partial(
     accepted set is exactly the 1-set of a consistent 0/1 vector.
     """
     v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
-    if isinstance(spec, TotalOrder):
-        pairs = tuple((spec.order[k], spec.order[k + 1]) for k in range(len(spec.order) - 1))
-    else:
-        pairs = spec.pairs
-    implications = tuple((b, a) for a, b in pairs if a != b)
+    implications = tuple((b, a) for a, b in spec.pairs if a != b)
     inst = ClosureInstance(items=game.outcomes, values=v, implications=implications)
     accepted, best = closure_solve(inst)
     if best > 0:
@@ -339,7 +322,8 @@ def separation_oracle_dist(
         upper=(ONE,) * n,
     )
     out = linprog.lp_solve(lp)
-    assert out.status == linprog.FEASIBLE
+    if out.status != linprog.FEASIBLE:
+        raise AssertionError(f"distribution oracle LP is {out.status}; 0 is always a witness")
     if out.objective_value > 0:
         witness = dict(zip(outcomes, out.assignment))
         return Violation(i, deviation, witness, out.objective_value)
@@ -348,18 +332,18 @@ def separation_oracle_dist(
 
 def _finite_scan_oracle(
     game: GameForm,
-    types: Sequence[Mapping[str, Fraction]],
+    spec: FiniteTypes,
     i: int,
     deviation: str,
     p: Mapping[Profile, Fraction],
     q_i: Mapping[Profile, Fraction],
 ) -> SeparationResult:
-    """Exhaustive scan over an explicit type list; used when the list is too
-    long to emit up front."""
+    """Exhaustive scan over the listed types; the first type of maximum
+    gain is the witness."""
     v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
     best = None
     best_u = None
-    for u in types:
+    for u in spec.types:
         gain = sum((w * u[o] for o, w in v.items() if w != 0), ZERO)
         if gain > 0 and (best is None or gain > best):
             best = gain
@@ -367,6 +351,31 @@ def _finite_scan_oracle(
     if best is not None:
         return Violation(i, deviation, dict(best_u), best)
     return None
+
+
+def separate(
+    game: GameForm,
+    spec: TypeSpaceSpec,
+    i: int,
+    deviation: str,
+    p: Mapping[Profile, Fraction],
+    q_i: Mapping[Profile, Fraction],
+) -> SeparationResult:
+    """The most violated incentive constraint of player i's deviation over
+    the witness family of the space, or None if no consistent type gains
+    by deviating."""
+    if isinstance(spec, FiniteTypes):
+        return _finite_scan_oracle(game, spec, i, deviation, p, q_i)
+    if isinstance(spec, TotalOrder):
+        return separation_oracle_total(game, spec, i, deviation, p, q_i)
+    if isinstance(spec, PartialOrder):
+        return separation_oracle_partial(game, spec, i, deviation, p, q_i)
+    if isinstance(spec, DistributionOrder):
+        return separation_oracle_dist(game, spec, i, deviation, p, q_i)
+    raise UnsupportedSpace(
+        f"no separation oracle for {type(spec).__name__}; preference-CNF "
+        "spaces are handled by the hardness module"
+    )
 
 
 def _check_spaces(game: GameForm, spaces: Sequence[TypeSpaceSpec]) -> None:
@@ -386,30 +395,12 @@ def solve(
 ) -> SolveResult:
     """Answer one of the four decision problems.
 
-    Explicitly enumerable witnesses (finite lists, total-order thresholds)
-    are added up front when small; everything else goes through the
-    cutting-plane loop.  All violated constraints found in a round are added
-    in a batch, sorted by (player, deviation) for reproducibility.
+    The LP starts with no incentive rows.  Each round asks every player's
+    oracle, for every deviation, for its most violated constraint; all of
+    them are added in a batch, sorted by (player, deviation) for
+    reproducibility, and the LP is solved again.
     """
     _check_spaces(game, spaces)
-
-    static: list[IncentiveConstraint] = []
-    oracles = []  # (player, callable(spec-bound oracle))
-    for i, spec in enumerate(spaces):
-        if isinstance(spec, FiniteTypes):
-            if len(spec.types) * len(game.action_sets[i]) <= EXPLICIT_ROW_LIMIT:
-                static.extend(incentive_constraints_finite(game, {i: spec}))
-            else:
-                oracles.append((i, "finite", tuple(spec.types)))
-        elif isinstance(spec, TotalOrder):
-            if len(spec.order) * len(game.action_sets[i]) <= EXPLICIT_ROW_LIMIT:
-                static.extend(incentive_constraints_total(game, {i: spec}))
-            else:
-                oracles.append((i, "partial", spec))
-        elif isinstance(spec, PartialOrder):
-            oracles.append((i, "partial", spec))
-        elif isinstance(spec, DistributionOrder):
-            oracles.append((i, "dist", spec))
 
     if isinstance(query, Eore):
         objective = None
@@ -432,36 +423,23 @@ def solve(
     else:
         raise ValidationError(f"unknown query {query!r}")
 
-    constraints = []
+    constraints: list[IncentiveConstraint] = []
     seen: set[tuple] = set()
-    for c in static:
-        key = (c.player, c.deviation, c.utility)
-        if key not in seen:
-            seen.add(key)
-            constraints.append(c)
-    witnesses_seen: set[tuple] = set()
 
     while True:
         lp, layout = build_lp1(game, constraints, objective=objective, fixed_p=fixed_p)
         out = linprog.lp_solve(lp)
         if out.status == linprog.INFEASIBLE:
             return SolveResult(answer=False)
-        assert out.status == linprog.FEASIBLE  # (p, q) polytope is bounded
+        if out.status != linprog.FEASIBLE:
+            raise AssertionError(f"master LP is {out.status}; the (p, q) polytope is bounded")
         profile = layout.decode(out.assignment)
-        q_full = [
-            {opp: profile.q[i].get(opp, ZERO) for opp in layout.q_profiles[i]}
-            for i in range(game.num_players)
-        ]
 
         violations: list[Violation] = []
-        for i, kind, spec in oracles:
+        for i, spec in enumerate(spaces):
+            q_i = {opp: profile.q[i].get(opp, ZERO) for opp in layout.q_profiles[i]}
             for a in game.action_sets[i]:
-                if kind == "partial":
-                    res = separation_oracle_partial(game, spec, i, a, profile.p, q_full[i])
-                elif kind == "dist":
-                    res = separation_oracle_dist(game, spec, i, a, profile.p, q_full[i])
-                else:
-                    res = _finite_scan_oracle(game, spec, i, a, profile.p, q_full[i])
+                res = separate(game, spec, i, a, profile.p, q_i)
                 if res is not None:
                     violations.append(res)
 
@@ -478,11 +456,11 @@ def solve(
         for v in violations:
             c = _as_constraint(game, v.player, v.deviation, v.witness)
             key = (c.player, c.deviation, c.utility)
-            if key in witnesses_seen or key in seen:
+            if key in seen:
                 raise AssertionError(
                     "separation oracle repeated a witness; cutting plane would not terminate"
                 )
-            witnesses_seen.add(key)
+            seen.add(key)
             constraints.append(c)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ValidationError
 
@@ -138,5 +138,6 @@ def closure_solve(inst: ClosureInstance) -> tuple[frozenset[str], Fraction]:
     cut_value, source_side = max_flow(net)
     accepted = frozenset(item for item in inst.items if index[item] in source_side)
     total = sum((inst.values.get(item, ZERO) for item in accepted), ZERO)
-    assert total == positive_total - cut_value
+    if total != positive_total - cut_value:
+        raise AssertionError(f"closure weight {total} disagrees with the min cut")
     return accepted, total

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .errors import ParseError, ValidationError
 from .games import (
@@ -35,7 +35,6 @@ from .games import (
     Profile,
     TotalOrder,
     TypeSpaceSpec,
-    opponents_profiles_of,
     profiles_of,
     validate_profile,
     validate_space,
@@ -58,6 +57,31 @@ def _rat(value: Any, where: str) -> Fraction:
         raise ParseError(f"{where}: {e}") from None
 
 
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _names(value: Any, where: str) -> tuple[str, ...]:
+    if not all(isinstance(x, str) for x in _list(value, where)):
+        raise ParseError(f"{where}: expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _pair(value: Any, where: str) -> tuple[str, str]:
+    pair = _names(value, where)
+    if len(pair) != 2:
+        raise ParseError(f"{where}: expected a pair of outcomes, got {value!r}")
+    return pair
+
+
+def _rat_map(value: Any, where: str) -> dict[str, Fraction]:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object of outcome -> rational, got {value!r}")
+    return {o: _rat(v, where) for o, v in value.items()}
+
+
 def _space_from_obj(obj: Any, k: int) -> TypeSpaceSpec:
     where = f"type_spaces[{k}]"
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -65,29 +89,37 @@ def _space_from_obj(obj: Any, k: int) -> TypeSpaceSpec:
     kind = obj["kind"]
     if kind == "finite":
         types = tuple(
-            {o: _rat(v, f"{where}.types[{t}]") for o, v in entry.items()}
-            for t, entry in enumerate(obj.get("types", []))
+            _rat_map(entry, f"{where}.types[{t}]")
+            for t, entry in enumerate(_list(obj.get("types", []), f"{where}.types"))
         )
         return FiniteTypes(types)
     if kind == "total_order":
-        return TotalOrder(tuple(obj.get("order", [])))
+        return TotalOrder(_names(obj.get("order", []), f"{where}.order"))
     if kind == "partial_order":
-        return PartialOrder(tuple((a, b) for a, b in obj.get("pairs", [])))
+        pairs = _list(obj.get("pairs", []), f"{where}.pairs")
+        return PartialOrder(
+            tuple(_pair(pair, f"{where}.pairs[{t}]") for t, pair in enumerate(pairs))
+        )
     if kind == "distribution_order":
         pairs = []
-        for t, (r1, r2) in enumerate(obj.get("pairs", [])):
+        for t, pair in enumerate(_list(obj.get("pairs", []), f"{where}.pairs")):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"{where}.pairs[{t}]: expected a pair of distributions")
             pairs.append(
-                (
-                    {o: _rat(v, f"{where}.pairs[{t}][0]") for o, v in r1.items()},
-                    {o: _rat(v, f"{where}.pairs[{t}][1]") for o, v in r2.items()},
-                )
+                tuple(_rat_map(r, f"{where}.pairs[{t}][{s}]") for s, r in enumerate(pair))
             )
         return DistributionOrder(tuple(pairs))
     if kind == "preference_cnf":
-        clauses = tuple(
-            tuple((a, b) for a, b in clause) for clause in obj.get("clauses", [])
+        clauses = _list(obj.get("clauses", []), f"{where}.clauses")
+        return PreferenceCnf(
+            tuple(
+                tuple(
+                    _pair(atom, f"{where}.clauses[{c}][{t}]")
+                    for t, atom in enumerate(_list(clause, f"{where}.clauses[{c}]"))
+                )
+                for c, clause in enumerate(clauses)
+            )
         )
-        return PreferenceCnf(clauses)
     raise ParseError(f"{where}: unknown kind {kind!r}")
 
 
@@ -133,25 +165,29 @@ def parse_game(text: str) -> tuple[GameForm, tuple[TypeSpaceSpec, ...], Optional
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
     players = doc["players"]
-    actions = doc["actions"]
+    actions = _list(doc["actions"], "actions")
     if not isinstance(players, int) or players != len(actions):
         raise ParseError("'players' must equal the number of action lists")
-    action_sets = tuple(tuple(a) for a in actions)
-    for i, acts in enumerate(action_sets):
+    action_sets = tuple(_names(a, f"actions[{i}]") for i, a in enumerate(actions))
+    for acts in action_sets:
         for a in acts:
             if PROFILE_KEY_SEP in a:
                 raise ParseError(f"action name {a!r} may not contain {PROFILE_KEY_SEP!r}")
-    outcomes = tuple(doc["outcomes"])
+    outcomes = _names(doc["outcomes"], "outcomes")
 
+    if not isinstance(doc["outcome_map"], dict):
+        raise ParseError("outcome_map: expected an object of profile -> outcome")
     mapping = {}
     for key, val in doc["outcome_map"].items():
         parts = tuple(key.split(PROFILE_KEY_SEP))
         if len(parts) != players:
             raise ParseError(f"outcome_map key {key!r} is not a {players}-player profile")
+        if not isinstance(val, str):
+            raise ParseError(f"outcome_map[{key!r}]: expected an outcome name, got {val!r}")
         mapping[parts] = val
     game = GameForm(action_sets, outcomes, mapping)  # raises ValidationError
 
-    raw_spaces = doc["type_spaces"]
+    raw_spaces = _list(doc["type_spaces"], "type_spaces")
     if len(raw_spaces) != players:
         raise ParseError("one type space per player required")
     spaces = tuple(_space_from_obj(obj, k) for k, obj in enumerate(raw_spaces))

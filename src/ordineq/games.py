@@ -8,7 +8,7 @@ Type spaces are per-player and may be heterogeneous.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 

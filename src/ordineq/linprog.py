@@ -329,7 +329,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
                     obj[j] -= A[i][j]
                 value += b[i]
         status, value = _simplex_min(A, b, obj, value, basis)
-        assert status == "optimal"  # phase 1 is bounded below by 0
+        if status != "optimal":
+            raise AssertionError(f"phase 1 is {status}; it is bounded below by 0")
         if value > 0:
             return LpOutcome(INFEASIBLE)
         # Pivot remaining artificials out of the basis; drop redundant rows.

@@ -5,6 +5,7 @@ Everything is derived from the seed so any failing trial is replayable.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,8 +13,11 @@ from .games import (
     DistributionOrder,
     FiniteTypes,
     GameForm,
+    MediatedProfile,
     PartialOrder,
     TotalOrder,
+    opponents_profiles_of,
+    profiles_of,
 )
 
 ZERO = Fraction(0)
@@ -38,8 +42,6 @@ def random_game(
         cells *= len(acts)
     n_out = rng.randint(2, min(max_outcomes, cells))
     outcomes = tuple(f"w{k}" for k in range(n_out))
-
-    import itertools
 
     profiles = list(itertools.product(*action_sets))
     rng.shuffle(profiles)
@@ -93,12 +95,6 @@ def _random_dist(rng: random.Random, outcomes) -> dict[str, Fraction]:
 
 def random_profile_point(rng: random.Random, game: GameForm):
     """Random exact (p, q) pair for oracle-equivalence trials."""
-    import itertools
-
-    from .games import opponents_profiles_of, profiles_of
-
-    from .games import MediatedProfile
-
     p = _random_profile_dist(rng, list(profiles_of(game)))
     q = tuple(
         _random_profile_dist(rng, list(opponents_profiles_of(game, i)))

@@ -133,6 +133,7 @@ def entails_preference(
             upper=(ONE,) * n,
         )
         out = linprog.lp_solve(lp)
-        assert out.status == linprog.FEASIBLE  # box polytope is never empty here
+        if out.status != linprog.FEASIBLE:
+            raise AssertionError(f"entailment LP is {out.status}; 0 is always feasible")
         return out.objective_value >= 0
     raise UnsupportedSpace("entailment for preference-CNF spaces is out of scope")

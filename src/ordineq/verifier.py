@@ -1,9 +1,11 @@
-"""Independent verification of mediated profiles.
+"""Verification of mediated profiles.
 
-This module is the project's ground truth: it never trusts the solver,
-recomputes every oracle from scratch, and for partial orders additionally
-cross-checks the closure oracle against direct enumeration of upward-closed
-0/1 vectors whenever the outcome set is small enough.
+The verifier never trusts the solver's answer: it checks every player and
+deviation of a profile with the same separation oracles the solver uses
+(`equilibrium.separate`).  It does not trust the order oracles unchecked
+either: their maximum gain is compared with the maximum over the
+enumerated 0/1 types, always for total orders (|O|+1 threshold vectors)
+and for partial orders whenever the outcome set is small enough.
 """
 
 from __future__ import annotations
@@ -12,34 +14,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .equilibrium import (
+# The two oracles are re-exported: timing tools that wrap them look them up
+# on each module that names them.
+from .equilibrium import (  # noqa: F401
     Violation,
     _deviation_gain_coeffs,
+    separate,
     separation_oracle_dist,
     separation_oracle_partial,
 )
-from .errors import UnsupportedSpace
 from .games import (
-    DistributionOrder,
-    FiniteTypes,
     GameForm,
     MediatedProfile,
     PartialOrder,
-    PreferenceCnf,
     Profile,
     TotalOrder,
     TypeSpaceSpec,
     opponents_profiles_of,
-    outcome_distribution,
     validate_profile,
 )
 from .typespaces import enumerate_extreme_types
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
-#: Up to this many outcomes the partial-order check is double-checked by
-#: enumerating every upward-closed 0/1 vector.
+#: Up to this many outcomes the partial-order oracle is cross-checked by
+#: enumerating every upward-closed 0/1 vector (2^|O| candidates).
 ENUM_CROSS_CHECK_LIMIT = 12
 
 
@@ -104,80 +103,41 @@ def averaging_dominates(
     return lhs, rhs, lhs <= rhs
 
 
-def _deviation_distribution(
-    game: GameForm, i: int, a: str, q_i: Mapping[Profile, Fraction]
-) -> dict[str, Fraction]:
-    d = {o: ZERO for o in game.outcomes}
-    for opp, w in q_i.items():
-        d[game.outcome_of(game.insert(i, a, opp))] += w
-    return d
-
-
 def verify(
     game: GameForm,
     spaces: Sequence[TypeSpaceSpec],
     profile: MediatedProfile,
 ) -> VerifyReport:
     """Check Definition-style robustness: for every player, deviation, and
-    consistent type, the on-path payoff weakly beats the deviation payoff."""
+    consistent type, the on-path payoff weakly beats the deviation payoff.
+
+    A violation reports the first violating player and deviation, with the
+    witness type of that deviation's maximum gain."""
     validate_profile(game, profile)
-    on_path = outcome_distribution(game, profile.p)
     for i, spec in enumerate(spaces):
         q_i = {opp: profile.q[i].get(opp, ZERO) for opp in opponents_profiles_of(game, i)}
         for a in game.action_sets[i]:
-            v = _check_one(game, spec, i, a, profile.p, q_i, on_path)
+            v = separate(game, spec, i, a, profile.p, q_i)
+            if isinstance(spec, TotalOrder) or (
+                isinstance(spec, PartialOrder) and len(game.outcomes) <= ENUM_CROSS_CHECK_LIMIT
+            ):
+                _cross_check(game, spec, i, a, profile.p, q_i, v)
             if v is not None:
                 return VerifyReport(v)
     return VerifyReport(None)
 
 
-def _check_one(game, spec, i, a, p, q_i, on_path) -> Optional[Violation]:
-    if isinstance(spec, FiniteTypes):
-        gain = _deviation_gain_coeffs(game, i, a, p, q_i)
-        for u in spec.types:
-            g = sum((w * u[o] for o, w in gain.items() if w != 0), ZERO)
-            if g > 0:
-                return Violation(i, a, dict(u), g)
-        return None
-    if isinstance(spec, TotalOrder):
-        dev = _deviation_distribution(game, i, a, q_i)
-        if stochastic_dominance(spec, on_path, dev):
-            return None
-        # First failing prefix yields the threshold-type witness and gap.
-        acc1 = acc2 = ZERO
-        for o in spec.order:
-            acc1 += on_path.get(o, ZERO)
-            acc2 += dev.get(o, ZERO)
-            if acc1 < acc2:
-                top = set(spec.order[: spec.order.index(o) + 1])
-                witness = {oo: (ONE if oo in top else ZERO) for oo in game.outcomes}
-                return Violation(i, a, witness, acc2 - acc1)
-        raise AssertionError("dominance check disagreed with prefix scan")
-    if isinstance(spec, PartialOrder):
-        res = separation_oracle_partial(game, spec, i, a, p, q_i)
-        if len(game.outcomes) <= ENUM_CROSS_CHECK_LIMIT:
-            brute = _brute_partial_max(game, spec, i, a, p, q_i)
-            oracle_max = res.amount if res is not None else ZERO
-            if brute != oracle_max:
-                raise AssertionError(
-                    f"closure oracle ({oracle_max}) disagrees with enumeration ({brute})"
-                )
-        return res
-    if isinstance(spec, DistributionOrder):
-        return separation_oracle_dist(game, spec, i, a, p, q_i)
-    if isinstance(spec, PreferenceCnf):
-        raise UnsupportedSpace(
-            "verify does not support preference-CNF; use the hardness module's "
-            "enumeration check (sound for violation only)"
-        )
-    raise UnsupportedSpace(type(spec).__name__)
-
-
-def _brute_partial_max(game, spec, i, a, p, q_i) -> Fraction:
+def _cross_check(game, spec, i, a, p, q_i, res: Optional[Violation]) -> None:
+    """Raise unless the oracle's maximum gain equals the maximum over the
+    enumerated 0/1 types of the space."""
     gain = _deviation_gain_coeffs(game, i, a, p, q_i)
-    best = ZERO  # the all-zero vector is always consistent
+    brute = ZERO  # the all-zero vector is always consistent
     for u in enumerate_extreme_types(spec, game.outcomes):
         g = sum((w * u[o] for o, w in gain.items() if w != 0), ZERO)
-        if g > best:
-            best = g
-    return best
+        if g > brute:
+            brute = g
+    oracle_max = res.amount if res is not None else ZERO
+    if brute != oracle_max:
+        raise AssertionError(
+            f"{type(spec).__name__} oracle ({oracle_max}) disagrees with enumeration ({brute})"
+        )

@@ -171,6 +171,45 @@ def test_bad_input_decimal_rational(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("actions",), 3),
+        (("actions",), [[1, 2], [3, 4]]),
+        (("outcome_map",), []),
+        (("outcomes",), 5),
+        (("type_spaces",), 5),
+        (("type_spaces", 0), {"kind": "finite", "types": ["x"]}),
+        (("type_spaces", 0), {"kind": "partial_order", "pairs": [["o1"]]}),
+        (("type_spaces", 0, "order"), 5),
+    ],
+    ids=[
+        "actions-int",
+        "action-names-int",
+        "outcome_map-list",
+        "outcomes-int",
+        "type_spaces-int",
+        "finite-type-str",
+        "partial-pair-short",
+        "order-int",
+    ],
+)
+def test_bad_input_wrong_field_type(tmp_path, capsys, path, value):
+    doc = json.loads(fixture_text("matching_pennies_symmetric.game"))
+    _set(doc, path, value)
+    bad = tmp_path / "bad.game"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["solve", "--game", str(bad), "--problem", "eore"])
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ")
+
+
 def test_output_is_deterministic(fixture_file, capsys):
     game = fixture_file("prisoners_dilemma_rich.game")
     argv = ["solve", "--game", game, "--problem", "eore"]

@@ -13,12 +13,15 @@ from ordineq.games import (
     GameForm,
     MediatedProfile,
     PartialOrder,
+    PreferenceCnf,
     TotalOrder,
     opponents_profiles_of,
+    outcome_distribution,
     profiles_of,
 )
-from ordineq.linprog import FEASIBLE, INFEASIBLE, lp_solve
+from ordineq.linprog import FEASIBLE, lp_solve
 from ordineq.randgen import random_game
+from ordineq.typespaces import enumerate_extreme_types
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,16 +48,39 @@ def test_base_lp_is_always_feasible():
     assert lp_solve(lp).status == FEASIBLE
 
 
-def test_finite_constraint_count():
+def test_finite_separation_none_iff_no_type_gains():
+    """The finite oracle reports a violation exactly when some listed type
+    gains by deviating, and then the largest such gain, with its type."""
     game, _, _ = load_game("matching_pennies_symmetric")
-    one_type = FiniteTypes(({"o1": ONE, "o2": ZERO},))
-    rows = eq.incentive_constraints_finite(game, {0: one_type, 1: one_type})
-    assert len(rows) == 4  # sum over players of |types| * |actions|
+    space = FiniteTypes(
+        (
+            {"o1": ONE, "o2": ZERO},
+            {"o1": ZERO, "o2": ONE},
+            {"o1": HALF, "o2": HALF},
+        )
+    )
+    rng = random.Random(5)
+    hits = misses = 0
+    for _ in range(60):
+        i = rng.randrange(2)
+        p = _random_point(rng, list(profiles_of(game)))
+        q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
+        for a in game.action_sets[i]:
+            gains = [deviation_gain(game, i, a, u, p, q_i) for u in space.types]
+            v = eq.separate(game, space, i, a, p, q_i)
+            if max(gains) <= 0:
+                assert v is None
+                misses += 1
+            else:
+                assert v.amount == max(gains)
+                assert v.witness == space.types[gains.index(max(gains))]
+                hits += 1
+    assert hits and misses
 
 
 def test_asymmetric_pennies_infeasible_with_proof_types():
     """The five-step nonexistence argument, replayed with the exact 0/1
-    witness types it uses, already makes the incentive LP infeasible."""
+    witness types it uses, already rules out every equilibrium."""
     game, _, _ = load_game("matching_pennies_asymmetric")
 
     def vec(ones):
@@ -74,42 +100,45 @@ def test_asymmetric_pennies_infeasible_with_proof_types():
             vec({"o21", "o12"}),
         )
     )
-    rows = eq.incentive_constraints_finite(game, {0: player1, 1: player2})
-    lp, _ = eq.build_lp1(game, rows)
-    assert lp_solve(lp).status == INFEASIBLE
+    assert eq.solve(game, (player1, player2), eq.Eore()).answer is False
 
 
 def test_single_outcome_game_trivially_feasible():
     game = GameForm(
         (("a1", "a2"), ("b1", "b2")),
         ("o",),
-        {p: "o" for p in profiles_of(GameForm(
-            (("a1", "a2"), ("b1", "b2")), ("o",),
-            {("a1", "b1"): "o", ("a1", "b2"): "o",
-             ("a2", "b1"): "o", ("a2", "b2"): "o"}))},
+        {("a1", "b1"): "o", ("a1", "b2"): "o", ("a2", "b1"): "o", ("a2", "b2"): "o"},
     )
     space = FiniteTypes(({"o": ONE},))
-    rows = eq.incentive_constraints_finite(game, {0: space, 1: space})
-    lp, _ = eq.build_lp1(game, rows)
-    assert lp_solve(lp).status == FEASIBLE
+    res = eq.solve(game, (space, space), eq.Eore())
+    assert res.answer
+    assert verifier.verify(game, (space, space), res.profile).is_equilibrium
 
 
-def test_total_order_constraint_count_and_feasibility():
+def test_total_order_feasibility_matches_dominance():
+    """The solver's yes on symmetric pennies is accepted by the verifier,
+    and its on-path outcome distribution stochastically dominates every
+    deviation's, checked by the reference prefix-sum test."""
     game, spaces, _ = load_game("matching_pennies_symmetric")
-    rows = eq.incentive_constraints_total(game, dict(enumerate(spaces)))
-    assert len(rows) == 8  # 2 players x 2 deviations x 2 thresholds
-    lp, layout = eq.build_lp1(game, rows)
-    out = lp_solve(lp)
-    assert out.status == FEASIBLE
-    profile = layout.decode(out.assignment)
-    assert verifier.verify(game, spaces, profile).is_equilibrium
+    res = eq.solve(game, spaces, eq.Eore())
+    assert res.answer
+    assert verifier.verify(game, spaces, res.profile).is_equilibrium
+    on_path = outcome_distribution(game, res.profile.p)
+    for i, spec in enumerate(spaces):
+        for a in game.action_sets[i]:
+            dev = {}
+            for opp, w in res.profile.q[i].items():
+                o = game.outcome_of(game.insert(i, a, opp))
+                dev[o] = dev.get(o, ZERO) + w
+            assert verifier.stochastic_dominance(spec, on_path, dev)
 
 
 def test_total_order_constraints_infeasible_for_asymmetric_pennies():
     game, spaces, _ = load_game("matching_pennies_asymmetric")
-    rows = eq.incentive_constraints_total(game, dict(enumerate(spaces)))
-    lp, _ = eq.build_lp1(game, rows)
-    assert lp_solve(lp).status == INFEASIBLE
+    assert eq.solve(game, spaces, eq.Eore()).answer is False
+    # With no equilibrium at all, no cell can carry on-path mass.
+    for cell in profiles_of(game):
+        assert eq.solve(game, spaces, eq.Sire(cell)).answer is False
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +234,43 @@ def test_partial_oracle_matches_up_set_brute_force():
             else:
                 assert v.amount == best
             trials += 1
+
+
+def test_total_oracle_matches_closure_and_enumeration():
+    """200 random (game, p, q, player, deviation) tuples: the prefix scan
+    returns the witness and amount of the closure oracle on the order's
+    chain, and the brute-force maximum over the threshold vectors."""
+    rng = random.Random(2027)
+    trials = hits = 0
+    while trials < 200:
+        game, spaces = random_game(
+            rng.randint(0, 10**9), max_actions=3, max_outcomes=6, kind="total_order"
+        )
+        for i, spec in enumerate(spaces):
+            p = _random_point(rng, list(profiles_of(game)))
+            q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
+            deviation = rng.choice(game.action_sets[i])
+            chain = PartialOrder(tuple(zip(spec.order, spec.order[1:])))
+            v = eq.separation_oracle_total(game, spec, i, deviation, p, q_i)
+            assert v == eq.separation_oracle_partial(game, chain, i, deviation, p, q_i)
+            best = max(
+                deviation_gain(game, i, deviation, u, p, q_i)
+                for u in enumerate_extreme_types(spec, game.outcomes)
+            )
+            if v is None:
+                assert best <= ZERO
+            else:
+                assert v.amount == best
+                hits += 1
+            trials += 1
+    assert hits
+
+
+def test_separate_rejects_preference_cnf():
+    game, spaces, _ = load_game("preference_cnf_example")
+    i = next(i for i, spec in enumerate(spaces) if isinstance(spec, PreferenceCnf))
+    with pytest.raises(UnsupportedSpace):
+        eq.separate(game, spaces[i], i, game.action_sets[i][0], {}, {})
 
 
 def _random_point(rng, support):
