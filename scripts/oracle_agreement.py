@@ -5,9 +5,12 @@ For each random partial-order game the existence question (and a robust
 social-welfare question) is answered twice: once with the lazy separation
 oracle over the partial order, and once with every 0/1 extreme type
 enumerated up front as a finite type list.  The two routes must agree on
-every trial; any disagreement is printed and counted.
+the answer and on the optimal value of every trial; any disagreement is
+printed and counted.
 
 Usage: python scripts/oracle_agreement.py [--trials N] [--seed S]
+       [--max-actions A] [--max-outcomes O]
+Exit status: 0 when every trial agrees, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from ordineq.randgen import random_game
 from ordineq.typespaces import FiniteTypes, enumerate_extreme_types
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-actions", type=int, default=2)
     ap.add_argument("--max-outcomes", type=int, default=4)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     disagreements = 0
     t0 = time.monotonic()
@@ -45,11 +48,13 @@ def main() -> int:
         for query in (equilibrium.Eore(), equilibrium.Sire(target)):
             lazy = equilibrium.solve(game, spaces, query)
             explicit = equilibrium.solve(game, finite, query)
-            if lazy.answer != explicit.answer:
+            got = (lazy.answer, lazy.value)
+            want = (explicit.answer, explicit.value)
+            if got != want:
                 disagreements += 1
                 print(
                     f"DISAGREE trial={args.seed + trial} query={query}: "
-                    f"lazy={lazy.answer} explicit={explicit.answer}"
+                    f"lazy={got} explicit={want}"
                 )
     dt = time.monotonic() - t0
     print(

@@ -212,6 +212,15 @@ def serialize_game(
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _distribution(value: Any, where: str) -> dict[Profile, Fraction]:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object of profile -> rational, got {value!r}")
+    return {
+        tuple(key.split(PROFILE_KEY_SEP)): _rat(val, f"{where}[{key}]")
+        for key, val in value.items()
+    }
+
+
 def parse_profile(text: str, game: GameForm) -> MediatedProfile:
     try:
         doc = json.loads(text)
@@ -219,21 +228,12 @@ def parse_profile(text: str, game: GameForm) -> MediatedProfile:
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict) or "p" not in doc or "q" not in doc:
         raise ParseError("profile document needs 'p' and 'q' fields")
-    if len(doc["q"]) != game.num_players:
+    q_docs = _list(doc["q"], "q")
+    if len(q_docs) != game.num_players:
         raise ParseError("'q' must have one distribution per player")
-
-    p = {}
-    for key, val in doc["p"].items():
-        prof = tuple(key.split(PROFILE_KEY_SEP))
-        p[prof] = _rat(val, f"p[{key}]")
-    q = []
-    for i, entry in enumerate(doc["q"]):
-        qi = {}
-        for key, val in entry.items():
-            prof = tuple(key.split(PROFILE_KEY_SEP))
-            qi[prof] = _rat(val, f"q[{i}][{key}]")
-        q.append(qi)
-    profile = MediatedProfile(p, tuple(q))
+    p = _distribution(doc["p"], "p")
+    q = tuple(_distribution(entry, f"q[{i}]") for i, entry in enumerate(q_docs))
+    profile = MediatedProfile(p, q)
     validate_profile(game, profile)  # raises ValidationError
     return profile
 

@@ -6,8 +6,14 @@ epsilon appears anywhere.  Every feasible answer is a basic (vertex)
 solution of the feasible polyhedron; the cutting-plane loop in
 `equilibrium` relies on that to bound the number of distinct witnesses.
 
-Problems here are desk-scale (tens of variables, at most a few hundred
-rows), so a dense tableau of Fractions is entirely adequate.
+The tableau is dense and exact: each row, with its right-hand side last,
+is a list of integer numerators over one positive row denominator, and the
+objective row being minimized is the tableau's last row.  One integer pivot
+serves the simplex loop, the drive-out of artificials and the objective
+update, so the arithmetic is plain integer work with one gcd reduction per
+row.  Fractions appear only where a `LinearProgram` is read and where the
+`LpOutcome` is built.  Problems here are desk-scale (tens of variables, at
+most a few hundred rows), so a dense tableau is entirely adequate.
 """
 
 from __future__ import annotations
@@ -92,24 +98,8 @@ def _validate(lp: LinearProgram) -> None:
             raise MalformedLp(f"{name} bounds length mismatch")
 
 
-def _pivot(A, b, basis, r, c) -> None:
-    piv = A[r][c]
-    inv = ONE / piv
-    A[r] = [v * inv for v in A[r]]
-    b[r] *= inv
-    row_r = A[r]
-    for i in range(len(A)):
-        if i == r:
-            continue
-        f = A[i][c]
-        if f != 0:
-            A[i] = [v - f * w for v, w in zip(A[i], row_r)]
-            b[i] -= f * b[r]
-    basis[r] = c
-
-
 def _int_row(values) -> tuple[list[int], int]:
-    """A list of Fractions as (numerators, shared positive denominator)."""
+    """A list of rationals as (numerators, shared positive denominator)."""
     den = 1
     for v in values:
         den = den * v.denominator // math.gcd(den, v.denominator)
@@ -129,84 +119,61 @@ def _reduce_row(nums: list[int], den: int) -> tuple[list[int], int]:
     return nums, den
 
 
-def _simplex_min(A, b, obj, value, basis):
-    """Run simplex on a min problem given reduced costs `obj`.
+def _pivot(T, basis, r, c) -> None:
+    """Make column c basic in row r: scale row r so its entry there is one
+    and eliminate the column from every other row of T, objective rows
+    included."""
+    nums, den = T[r]
+    pn = nums[c]
+    if pn > 0:
+        sr, sd = _reduce_row(nums, pn)
+    else:
+        sr, sd = _reduce_row([-v for v in nums], -pn)
+    T[r] = (sr, sd)
+    for i, (row, d) in enumerate(T):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            T[i] = _reduce_row([v * sd - f * s for v, s in zip(row, sr)], d * sd)
+    basis[r] = c
 
-    Returns ("optimal" | "unbounded", value).  Bland's rule: entering =
-    lowest-index column with negative reduced cost; leaving = lowest basis
-    index among minimum-ratio rows.
 
-    Internally each tableau row (with its right-hand side appended) is kept
-    as integer numerators over one shared positive denominator, so the hot
-    pivot loop is plain integer arithmetic with a single gcd reduction per
-    row instead of a gcd inside every Fraction operation.  The arithmetic
-    is still exact; A, b, obj, and basis are written back on return.
+def _simplex_min(T, basis) -> bool:
+    """Minimize the objective in the last row of T; False if unbounded.
+
+    The first len(basis) rows are the constraint rows; any rows between
+    them and the objective are carried along by every pivot.  The
+    objective row holds reduced costs and, last, minus the current value.
+    Bland's rule: entering = lowest-index column with negative reduced
+    cost; leaving = lowest basis index among minimum-ratio rows.
     """
-    m = len(A)
-    w = len(obj)
-    An, Ad = [], []
-    for i in range(m):
-        nums, den = _int_row(list(A[i]) + [b[i]])
-        An.append(nums)
-        Ad.append(den)
-    on, od = _int_row(list(obj) + [-value])
-
+    m = len(basis)
+    w = len(T[-1][0]) - 1
     while True:
+        on = T[-1][0]
         c = None
         for j in range(w):
             if on[j] < 0:
                 c = j
                 break
         if c is None:
-            break
+            return True
         r = None
         for i in range(m):
-            if An[i][c] > 0:
+            row = T[i][0]
+            if row[c] > 0:
                 if r is None:
-                    r = i
+                    r, best = i, row
                 else:
                     # compare b_i/a_ic with b_r/a_rc; denominators cancel
-                    lhs = An[i][w] * An[r][c]
-                    rhs = An[r][w] * An[i][c]
+                    lhs = row[w] * best[c]
+                    rhs = best[w] * row[c]
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                        r = i
+                        r, best = i, row
         if r is None:
-            # write back before reporting unboundedness
-            for i in range(m):
-                A[i] = [Fraction(v, Ad[i]) for v in An[i][:w]]
-                b[i] = Fraction(An[i][w], Ad[i])
-            return "unbounded", value
-
-        # scale row r so the pivot entry becomes one
-        pn = An[r][c]
-        if pn > 0:
-            sr, sd = An[r], pn
-        else:
-            sr, sd = [-v for v in An[r]], -pn
-        sr, sd = _reduce_row(sr, sd)
-        An[r], Ad[r] = sr, sd
-        for i in range(m):
-            if i == r:
-                continue
-            f = An[i][c]
-            if f:
-                row = An[i]
-                An[i], Ad[i] = _reduce_row(
-                    [v * sd - f * s for v, s in zip(row, sr)], Ad[i] * sd
-                )
-        f = on[c]
-        if f:
-            on, od = _reduce_row(
-                [v * sd - f * s for v, s in zip(on, sr)], od * sd
-            )
-        basis[r] = c
-
-    for i in range(m):
-        A[i] = [Fraction(v, Ad[i]) for v in An[i][:w]]
-        b[i] = Fraction(An[i][w], Ad[i])
-    for j in range(w):
-        obj[j] = Fraction(on[j], od)
-    return "optimal", Fraction(-on[w], od)
+            return False
+        _pivot(T, basis, r, c)
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
@@ -220,7 +187,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     #   x = shift + sum(sign * y_col) over its columns.
     col_terms: list[tuple[tuple[int, Fraction], ...]] = []
     shift: list[Fraction] = []
-    extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+    upper_rows: list[tuple[int, Fraction]] = []  # y_col <= bound
     ncols = 0
     for j in range(n):
         lo, up = lower[j], upper[j]
@@ -228,7 +195,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             if up is not None:
                 if up < lo:
                     return LpOutcome(INFEASIBLE)
-                extra_rows.append(({ncols: ONE}, LE, up - lo))
+                upper_rows.append((ncols, up - lo))
             col_terms.append(((ncols, ONE),))
             shift.append(lo)
             ncols += 1
@@ -241,11 +208,19 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             shift.append(ZERO)
             ncols += 2
 
-    rows: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhs: list[Fraction] = []
+    # Each row over the ncols columns, right-hand side last, as integers;
+    # rows with a negative right-hand side are negated, so rhs >= 0.
+    rows: list[tuple[list[int], int, str]] = []
+
+    def add_row(row: list[Fraction], rel: str) -> None:
+        nums, den = _int_row(row)
+        if nums[-1] < 0:
+            nums = [-v for v in nums]
+            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+        rows.append((nums, den, rel))
+
     for c in lp.constraints:
-        row = [ZERO] * ncols
+        row = [ZERO] * (ncols + 1)
         r = c.rhs
         for j, cf in enumerate(c.coeffs):
             if cf == 0:
@@ -253,126 +228,103 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
             r -= cf * shift[j]
             for col, sign in col_terms[j]:
                 row[col] += cf * sign
-        rows.append(row)
-        rels.append(c.rel)
-        rhs.append(r)
-    for sparse, rel, r in extra_rows:
-        row = [ZERO] * ncols
-        for col, cf in sparse.items():
-            row[col] = cf
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(r)
+        row[ncols] = r
+        add_row(row, c.rel)
+    for col, bound in upper_rows:
+        row = [ZERO] * (ncols + 1)
+        row[col] = ONE
+        row[ncols] = bound
+        add_row(row, LE)
 
-    # Internal objective: minimize.
-    obj_coeffs = [ZERO] * ncols
-    obj_offset = ZERO
+    # Standard form: slack for <=, surplus + artificial for >=, artificial
+    # for =.  Identity entries are the row denominator, i.e. one.
+    m = len(rows)
+    n_struct = ncols + sum(1 for _, _, rel in rows if rel != EQ)
+    total = n_struct + sum(1 for _, _, rel in rows if rel != LE)
+    pad = [0] * (total - ncols)
+    T = []
+    basis = [-1] * m
+    s = ncols
+    a = n_struct
+    for i, (nums, den, rel) in enumerate(rows):
+        row = nums[:ncols] + pad + nums[ncols:]
+        if rel == LE:
+            row[s] = den
+            basis[i] = s
+            s += 1
+        elif rel == GE:
+            row[s] = -den
+            row[a] = den
+            basis[i] = a
+            s += 1
+            a += 1
+        else:
+            row[a] = den
+            basis[i] = a
+            a += 1
+        T.append((row, den))
+
+    # Internal objective: minimize.  Its row rides along through phase 1
+    # and the drive-out; the initial basis of slacks and artificials has
+    # zero cost in it, so it starts out priced.
     negate_value = False
     if lp.objective is not None:
         coeffs, direction = lp.objective
         negate_value = direction == MAX
+        row = [ZERO] * (ncols + 1)
         for j, cf in enumerate(coeffs):
             if cf == 0:
                 continue
             if negate_value:
                 cf = -cf
-            obj_offset += cf * shift[j]
+            row[ncols] -= cf * shift[j]
             for col, sign in col_terms[j]:
-                obj_coeffs[col] += cf * sign
-
-    # Standard form: rhs >= 0, slack for <=, surplus + artificial for >=,
-    # artificial for =.
-    m = len(rows)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
-
-    slack_cols = sum(1 for rel in rels if rel != EQ)
-    n_struct = ncols + slack_cols
-    art_rows = [i for i, rel in enumerate(rels) if rel != LE]
-    total = n_struct + len(art_rows)
-
-    A = []
-    basis = [-1] * m
-    s = ncols
-    a = n_struct
-    for i in range(m):
-        row = rows[i] + [ZERO] * (total - ncols)
-        if rels[i] == LE:
-            row[s] = ONE
-            basis[i] = s
-            s += 1
-        elif rels[i] == GE:
-            row[s] = -ONE
-            row[a] = ONE
-            basis[i] = a
-            s += 1
-            a += 1
-        else:
-            row[a] = ONE
-            basis[i] = a
-            a += 1
-        A.append(row)
-    b = rhs[:]
+                row[col] += cf * sign
+        nums, den = _int_row(row)
+        T.append((nums[:ncols] + pad + nums[ncols:], den))
 
     # Phase 1: drive artificials to zero.
-    if art_rows:
-        obj = [ZERO] * total
-        for j in range(n_struct, total):
-            obj[j] = ONE
-        value = ZERO
+    if total > n_struct:
+        T.append(([0] * n_struct + [1] * (total - n_struct) + [0], 1))
         for i in range(m):
             if basis[i] >= n_struct:
-                for j in range(total):
-                    obj[j] -= A[i][j]
-                value += b[i]
-        status, value = _simplex_min(A, b, obj, value, basis)
-        if status != "optimal":
-            raise AssertionError(f"phase 1 is {status}; it is bounded below by 0")
-        if value > 0:
+                _pivot(T, basis, i, basis[i])  # price out the artificial
+        if not _simplex_min(T, basis):
+            raise AssertionError("phase 1 is unbounded; it is bounded below by 0")
+        if T.pop()[0][-1] < 0:  # minus a positive phase-1 value
             return LpOutcome(INFEASIBLE)
         # Pivot remaining artificials out of the basis; drop redundant rows.
         keep = []
         for i in range(m):
             if basis[i] >= n_struct:
-                c = next((j for j in range(n_struct) if A[i][j] != 0), None)
+                row = T[i][0]
+                c = next((j for j in range(n_struct) if row[j] != 0), None)
                 if c is None:
                     continue  # redundant row
-                _pivot(A, b, basis, i, c)
+                _pivot(T, basis, i, c)
             keep.append(i)
-        A = [A[i][:n_struct] for i in keep]
-        b = [b[i] for i in keep]
         basis = [basis[i] for i in keep]
-        total = n_struct
+        keep.extend(range(m, len(T)))
+        T = [(T[i][0][:n_struct] + T[i][0][-1:], T[i][1]) for i in keep]
 
     value = None
     if lp.objective is not None:
-        obj = obj_coeffs + [ZERO] * (total - ncols)
-        value = obj_offset
-        for i in range(len(A)):
-            cb = obj_coeffs[basis[i]] if basis[i] < ncols else ZERO
-            if cb != 0:
-                row_i = A[i]
-                for j in range(total):
-                    if row_i[j] != 0:
-                        obj[j] -= cb * row_i[j]
-                value += cb * b[i]
-        status, value = _simplex_min(A, b, obj, value, basis)
-        if status == "unbounded":
+        if not _simplex_min(T, basis):
             return LpOutcome(UNBOUNDED)
+        on, od = T[-1]
+        value = Fraction(-on[-1], od)
+        if negate_value:
+            value = -value
 
     y = [ZERO] * ncols
     for i, bi in enumerate(basis):
         if bi < ncols:
-            y[bi] = b[i]
+            nums, den = T[i]
+            y[bi] = Fraction(nums[-1], den)
     assignment = []
     for j in range(n):
         x = shift[j]
         for col, sign in col_terms[j]:
             x += sign * y[col]
         assignment.append(x)
-    if value is not None and negate_value:
-        value = -value
     return LpOutcome(FEASIBLE, tuple(assignment), value)

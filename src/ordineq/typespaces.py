@@ -75,21 +75,25 @@ def enumerate_extreme_types(
             top = set(spec.order[:k])
             vectors.append({o: (ONE if o in top else ZERO) for o in outcomes})
         return vectors
-    if isinstance(spec, PartialOrder):
-        # u(o) >= u(o') for o >= o': the 1-set must be upward closed.
-        def ok(u):
-            return all(u[a] >= u[b] for a, b in spec.pairs)
-
-    elif isinstance(spec, PreferenceCnf):
-
-        def ok(u):
-            return all(any(u[a] >= u[b] for a, b in clause) for clause in spec.clauses)
-
-    else:
+    if not isinstance(spec, (PartialOrder, PreferenceCnf)):
         raise UnsupportedSpace(f"cannot enumerate extreme types for {type(spec).__name__}")
-
     if 2 ** len(outcomes) > cap:
         raise CapExceeded(f"2^{len(outcomes)} candidate vectors exceed cap {cap}")
+    if isinstance(spec, PartialOrder):
+        # u(o) >= u(o') for o >= o': the 1-set must be upward closed.  The
+        # test runs on the candidate's bit mask over `outcomes`, so only
+        # accepted candidates become vectors.
+        bit = {o: 1 << k for k, o in enumerate(outcomes)}
+        links = [(bit[a], bit[b]) for a, b in spec.pairs]
+        return [
+            {o: (ONE if mask >> k & 1 else ZERO) for k, o in enumerate(outcomes)}
+            for mask in range(2 ** len(outcomes))
+            if all(mask & hi or not mask & lo for hi, lo in links)
+        ]
+
+    def ok(u):
+        return all(any(u[a] >= u[b] for a, b in clause) for clause in spec.clauses)
+
     vectors = []
     for mask in range(2 ** len(outcomes)):
         u = {o: (ONE if mask >> k & 1 else ZERO) for k, o in enumerate(outcomes)}

@@ -116,23 +116,26 @@ def verify(
     validate_profile(game, profile)
     for i, spec in enumerate(spaces):
         q_i = {opp: profile.q[i].get(opp, ZERO) for opp in opponents_profiles_of(game, i)}
+        extreme = None
+        if isinstance(spec, TotalOrder) or (
+            isinstance(spec, PartialOrder) and len(game.outcomes) <= ENUM_CROSS_CHECK_LIMIT
+        ):
+            extreme = enumerate_extreme_types(spec, game.outcomes)
         for a in game.action_sets[i]:
             v = separate(game, spec, i, a, profile.p, q_i)
-            if isinstance(spec, TotalOrder) or (
-                isinstance(spec, PartialOrder) and len(game.outcomes) <= ENUM_CROSS_CHECK_LIMIT
-            ):
-                _cross_check(game, spec, i, a, profile.p, q_i, v)
+            if extreme is not None:
+                _cross_check(game, spec, i, a, profile.p, q_i, v, extreme)
             if v is not None:
                 return VerifyReport(v)
     return VerifyReport(None)
 
 
-def _cross_check(game, spec, i, a, p, q_i, res: Optional[Violation]) -> None:
-    """Raise unless the oracle's maximum gain equals the maximum over the
-    enumerated 0/1 types of the space."""
+def _cross_check(game, spec, i, a, p, q_i, res: Optional[Violation], extreme) -> None:
+    """Raise unless the oracle's maximum gain equals the maximum over
+    `extreme`, the enumerated 0/1 types of the space."""
     gain = _deviation_gain_coeffs(game, i, a, p, q_i)
     brute = ZERO  # the all-zero vector is always consistent
-    for u in enumerate_extreme_types(spec, game.outcomes):
+    for u in extreme:
         g = sum((w * u[o] for o, w in gain.items() if w != 0), ZERO)
         if g > brute:
             brute = g

@@ -67,8 +67,9 @@ def solve_square_system(rows, rhs):
 # nonempty).
 
 
-def lp_brute_force(lp: LinearProgram):
-    """Return (status, best_value) by enumerating candidate vertices.
+def lp_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:
+    """Every feasible point where n linearly independent constraint or
+    bound hyperplanes are tight, i.e. every vertex of the feasible region.
 
     Requires finite lower and upper bounds on every variable.
     """
@@ -96,26 +97,28 @@ def lp_brute_force(lp: LinearProgram):
             lp.lower[j] <= x[j] <= lp.upper[j] for j in range(n)
         )
 
-    best = None
-    found = False
+    vertices = []
     for combo in itertools.combinations(range(len(hyperplanes)), n):
         rows = [hyperplanes[k][0] for k in combo]
         rhs = [hyperplanes[k][1] for k in combo]
         x = solve_square_system(rows, rhs)
-        if x is None or not feasible(x):
-            continue
-        found = True
-        if lp.objective is not None:
-            coeffs, direction = lp.objective
-            val = sum(a * v for a, v in zip(coeffs, x))
-            if best is None:
-                best = val
-            elif direction == MAX:
-                best = max(best, val)
-            else:
-                best = min(best, val)
-    status = FEASIBLE if found else INFEASIBLE
-    return status, best
+        if x is not None and feasible(x):
+            vertices.append(x)
+    return vertices
+
+
+def lp_brute_force(lp: LinearProgram):
+    """Return (status, best_value) by enumerating candidate vertices.
+
+    Requires finite lower and upper bounds on every variable.
+    """
+    vertices = lp_vertices(lp)
+    status = FEASIBLE if vertices else INFEASIBLE
+    if lp.objective is None or not vertices:
+        return status, None
+    coeffs, direction = lp.objective
+    values = [sum(a * v for a, v in zip(coeffs, x)) for x in vertices]
+    return status, max(values) if direction == MAX else min(values)
 
 
 def random_boxed_lp(rng: random.Random, max_vars=3, max_rows=5) -> LinearProgram:

@@ -210,6 +210,22 @@ def test_bad_input_wrong_field_type(tmp_path, capsys, path, value):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", []), ("q", 5), ("q", [[], {}])],
+    ids=["p-list", "q-int", "q-entry-list"],
+)
+def test_bad_profile_wrong_field_type(fixture_file, tmp_path, capsys, field, value):
+    game = fixture_file("matching_pennies_symmetric.game")
+    doc = json.loads(fixture_text("matching_pennies_symmetric_eq.profile"))
+    doc[field] = value
+    bad = tmp_path / "bad.profile"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["verify", "--game", game, "--profile", str(bad)])
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ")
+
+
 def test_output_is_deterministic(fixture_file, capsys):
     game = fixture_file("prisoners_dilemma_rich.game")
     argv = ["solve", "--game", game, "--problem", "eore"]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lp_brute_force, random_boxed_lp
+from conftest import lp_brute_force, lp_vertices, random_boxed_lp
 from ordineq.errors import MalformedLp
 from ordineq.linprog import (
     EQ,
@@ -59,17 +59,24 @@ def test_unbounded_detected():
 
 
 def test_equality_constraint():
-    lp = LinearProgram(
-        num_vars=2,
-        constraints=(constraint([1, 1], EQ, 1),),
-        objective=((ONE, -ONE), MAX),
-        lower=(ZERO, ZERO),
-        upper=(None, None),
-    )
-    out = lp_solve(lp)
-    assert out.status == FEASIBLE
-    assert out.assignment == (ONE, ZERO)
-    assert out.objective_value == ONE
+    cases = [
+        ((constraint([1, 1], EQ, 1),), (ONE, -ONE), (None, None)),
+        # the second row repeats the first: phase 1 leaves its artificial
+        # basic in an all-zero structural row, which must be dropped
+        ((constraint([1, 1], EQ, 1), constraint([2, 2], EQ, 2)), (ONE, ZERO), (ONE, ONE)),
+    ]
+    for constraints, objective, upper in cases:
+        lp = LinearProgram(
+            num_vars=2,
+            constraints=constraints,
+            objective=(objective, MAX),
+            lower=(ZERO, ZERO),
+            upper=upper,
+        )
+        out = lp_solve(lp)
+        assert out.status == FEASIBLE
+        assert out.assignment == (ONE, ZERO)
+        assert out.objective_value == ONE
 
 
 def test_free_variable_minimization():
@@ -131,7 +138,8 @@ def _check_assignment(lp, out):
 
 def test_agrees_with_vertex_enumeration_on_random_lps():
     """1000 random small box-bounded LPs: status and optimal value must
-    match a brute force that enumerates candidate vertices."""
+    match a brute force that enumerates candidate vertices, and every
+    feasible answer must be one of those vertices."""
     rng = random.Random(20260826)
     for trial in range(1000):
         lp = random_boxed_lp(rng)
@@ -140,6 +148,7 @@ def test_agrees_with_vertex_enumeration_on_random_lps():
         assert out.status == status, f"trial {trial}: {out.status} != {status}"
         if status == FEASIBLE:
             _check_assignment(lp, out)
+            assert out.assignment in lp_vertices(lp), f"trial {trial}: not a vertex"
             if lp.objective is not None:
                 assert out.objective_value == best, f"trial {trial}"
                 coeffs, _ = lp.objective

@@ -1,0 +1,20 @@
+"""The command-line scripts under scripts/, run in-process."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_oracle_agreement_has_no_disagreements(capsys):
+    """The lazy partial-order oracle and the explicit extreme-type lists
+    give the same answer and optimal value on 200 random games."""
+    spec = importlib.util.spec_from_file_location(
+        "oracle_agreement", SCRIPTS / "oracle_agreement.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    code = script.main(["--trials", "200", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "200 games x 2 queries: 0 disagreements" in out

@@ -5,11 +5,13 @@ import pytest
 
 from conftest import brute_verify, point_profile
 from ordineq import verifier
+from ordineq.equilibrium import Violation
 from ordineq.errors import UnsupportedSpace
 from ordineq.fixture_suite import load_game, load_profile
 from ordineq.games import (
     GameForm,
     MediatedProfile,
+    PartialOrder,
     TotalOrder,
     outcome_distribution,
     profiles_of,
@@ -185,6 +187,27 @@ def test_verify_rejects_preference_cnf_spaces():
     game, spaces, _ = load_game("preference_cnf_example")
     profile = point_profile(game, ("row_o0", "col_1"))
     with pytest.raises(UnsupportedSpace):
+        verifier.verify(game, spaces, profile)
+
+
+@pytest.mark.parametrize("as_partial", [False, True])
+def test_cross_check_catches_a_wrong_order_oracle(monkeypatch, as_partial):
+    """An oracle that overstates the gain of each player's last deviation is
+    caught: the enumerated types serve every deviation of the player."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    if as_partial:
+        spaces = tuple(PartialOrder(tuple(zip(s.order, s.order[1:]))) for s in spaces)
+    profile = load_profile("matching_pennies_symmetric_eq", game)
+    true_separate = verifier.separate
+
+    def wrong(game, spec, i, a, p, q_i):
+        v = true_separate(game, spec, i, a, p, q_i)
+        if a != game.action_sets[i][-1]:
+            return v
+        return Violation(i, a, {o: ONE for o in game.outcomes}, ONE)
+
+    monkeypatch.setattr(verifier, "separate", wrong)
+    with pytest.raises(AssertionError, match="disagrees with enumeration"):
         verifier.verify(game, spaces, profile)
 
 
