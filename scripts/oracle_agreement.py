@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Cross-check the cutting-plane solver against explicit extreme-type LPs.
 
-For each random partial-order game the existence question (and a robust
+For each random game, once with partial-order spaces and once with
+preference-CNF spaces, the existence question (and a robust
 social-welfare question) is answered twice: once with the lazy separation
-oracle over the partial order, and once with every 0/1 extreme type
-enumerated up front as a finite type list.  The two routes must agree on
-the answer and on the optimal value of every trial; any disagreement is
-printed and counted.
+oracle over the space, and once with every 0/1 extreme type enumerated up
+front as a finite type list.  The two routes must agree on the answer and
+on the optimal value of every trial; any disagreement is printed and
+counted, per space kind.
 
 Usage: python scripts/oracle_agreement.py [--trials N] [--seed S]
        [--max-actions A] [--max-outcomes O]
@@ -23,14 +24,11 @@ from ordineq.randgen import random_game
 from ordineq.typespaces import FiniteTypes, enumerate_extreme_types
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-actions", type=int, default=2)
-    ap.add_argument("--max-outcomes", type=int, default=4)
-    args = ap.parse_args(argv)
+KINDS = ("partial_order", "preference_cnf")
 
+
+def _agreement(kind: str, args) -> int:
+    """Run every trial for one space kind; return its disagreement count."""
     disagreements = 0
     t0 = time.monotonic()
     for trial in range(args.trials):
@@ -38,7 +36,7 @@ def main(argv=None) -> int:
             seed=args.seed + trial,
             max_actions=args.max_actions,
             max_outcomes=args.max_outcomes,
-            kind="partial_order",
+            kind=kind,
         )
         finite = tuple(
             FiniteTypes(tuple(enumerate_extreme_types(s, game.outcomes)))
@@ -53,14 +51,26 @@ def main(argv=None) -> int:
             if got != want:
                 disagreements += 1
                 print(
-                    f"DISAGREE trial={args.seed + trial} query={query}: "
+                    f"DISAGREE {kind} trial={args.seed + trial} query={query}: "
                     f"lazy={got} explicit={want}"
                 )
     dt = time.monotonic() - t0
     print(
-        f"{args.trials} games x 2 queries: {disagreements} disagreements "
+        f"{kind}: {args.trials} games x 2 queries: {disagreements} disagreements "
         f"({dt:.2f}s)"
     )
+    return disagreements
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--trials", type=int, default=200)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--max-actions", type=int, default=2)
+    ap.add_argument("--max-outcomes", type=int, default=4)
+    args = ap.parse_args(argv)
+
+    disagreements = sum(_agreement(kind, args) for kind in KINDS)
     return 1 if disagreements else 0
 
 

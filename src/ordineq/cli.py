@@ -67,9 +67,6 @@ def _cmd_solve(args) -> int:
         if res.answer == "no":
             _emit({"answer": "no"})
             return EXIT_NO
-        if res.answer == "cap_exceeded":
-            sys.stderr.write("extreme-type enumeration cap exceeded\n")
-            return EXIT_BAD_INPUT
         out = {
             "answer": "yes" if res.definitive else "yes_over_extreme_types",
             "profile": _profile_obj(res.profile),

@@ -8,18 +8,20 @@ that for a witness utility vector u, player i, and deviation a_i':
 
     sum_a u(o(a)) p(a)  >=  sum_{a_{-i}} u(o(a_i', a_{-i})) q_{-i}(a_{-i})
 
-Every type-space kind has one separation oracle, reached through
-`separate`, which returns the most violated constraint of a deviation over
-the kind's finite witness family: the listed types of a finite space, the
-threshold vectors of a total order, the upward-closed 0/1 vectors of a
-partial order, and the vertices of a distribution order's polytope.  The
-solver adds violated constraints in a cutting-plane loop; an added
-constraint can never be strictly violated again, so the loop terminates.
-The verifier calls the same oracles.
+Each of the five type-space kinds has one separation oracle, reached
+through `separate`, which returns the most violated constraint of a
+deviation over the kind's finite witness family: the listed types of a
+finite space, the threshold vectors of a total order, the upward-closed 0/1
+vectors of a partial order, the vertices of a distribution order's
+polytope, and the 0/1 models of a preference CNF.  The solver adds violated
+constraints in a cutting-plane loop; an added constraint can never be
+strictly violated again, so the loop terminates.  The verifier calls the
+same oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -353,6 +355,86 @@ def _finite_scan_oracle(
     return None
 
 
+def best_cnf_model(
+    spec: PreferenceCnf, outcomes: Sequence[str], weights: Mapping[str, Fraction]
+) -> Optional[tuple[Fraction, dict[str, Fraction]]]:
+    """The largest sum of `weights[o] * u(o)` over the 0/1 models u of the
+    CNF, with a model attaining it, or None if no model has a positive sum.
+
+    Over 0/1 utilities the atom (a >= b) is the Boolean clause
+    u_a or not u_b, so the models are assignments of one variable per
+    outcome.  A depth-first branch and bound assigns the variables in order
+    of decreasing |weight|, each first to the value its weight's sign
+    prefers, on integer weights over one common denominator.  A partial
+    assignment is pruned when it falsifies a clause, or when its value plus
+    the remaining positive weights does not beat the best model so far.
+    The all-zero vector satisfies every nonempty clause, so the search only
+    looks for a positive value; a space with an empty clause has no model.
+    """
+    if any(not clause for clause in spec.clauses):
+        return None
+    n = len(outcomes)
+    idx = {o: k for k, o in enumerate(outcomes)}
+    gains = [weights.get(o, ZERO) for o in outcomes]
+    denom = math.lcm(*(x.denominator for x in gains))
+    w = [x.numerator * (denom // x.denominator) for x in gains]
+    # falsified[k][bit]: the clauses with a literal on u_k that u_k = bit
+    # makes false; live[c]: the literals of clause c not yet false.
+    falsified = [([], []) for _ in range(n)]
+    for c, clause in enumerate(spec.clauses):
+        for a, b in clause:
+            falsified[idx[a]][0].append(c)
+            falsified[idx[b]][1].append(c)
+    live = [2 * len(clause) for clause in spec.clauses]
+    order = sorted(range(n), key=lambda k: -abs(w[k]))
+    rest = [0] * (n + 1)  # rest[t]: the positive weights from order[t] on
+    for t in range(n - 1, -1, -1):
+        rest[t] = rest[t + 1] + max(w[order[t]], 0)
+    u = [0] * n
+    best, best_u = 0, None
+
+    def search(t: int, value: int) -> None:
+        nonlocal best, best_u
+        if value + rest[t] <= best:
+            return
+        if t == n:
+            best, best_u = value, u[:]
+            return
+        k = order[t]
+        for bit in (1, 0) if w[k] > 0 else (0, 1):
+            hit = falsified[k][bit]
+            for c in hit:
+                live[c] -= 1
+            if all(live[c] for c in hit):
+                u[k] = bit
+                search(t + 1, value + bit * w[k])
+            for c in hit:
+                live[c] += 1
+
+    search(0, 0)
+    if best_u is None:
+        return None
+    return Fraction(best, denom), {o: (ONE if b else ZERO) for o, b in zip(outcomes, best_u)}
+
+
+def separation_oracle_cnf(
+    game: GameForm,
+    spec: PreferenceCnf,
+    i: int,
+    deviation: str,
+    p: Mapping[Profile, Fraction],
+    q_i: Mapping[Profile, Fraction],
+) -> SeparationResult:
+    """Best 0/1 model of the CNF, by branch and bound (`best_cnf_model`);
+    no model is listed up front."""
+    v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
+    found = best_cnf_model(spec, game.outcomes, v)
+    if found is None:
+        return None
+    amount, witness = found
+    return Violation(i, deviation, witness, amount)
+
+
 def separate(
     game: GameForm,
     spec: TypeSpaceSpec,
@@ -372,20 +454,9 @@ def separate(
         return separation_oracle_partial(game, spec, i, deviation, p, q_i)
     if isinstance(spec, DistributionOrder):
         return separation_oracle_dist(game, spec, i, deviation, p, q_i)
-    raise UnsupportedSpace(
-        f"no separation oracle for {type(spec).__name__}; preference-CNF "
-        "spaces are handled by the hardness module"
-    )
-
-
-def _check_spaces(game: GameForm, spaces: Sequence[TypeSpaceSpec]) -> None:
-    if len(spaces) != game.num_players:
-        raise ValidationError("one type space per player required")
-    for spec in spaces:
-        if isinstance(spec, PreferenceCnf):
-            raise UnsupportedSpace(
-                "preference-CNF spaces are handled by the hardness module"
-            )
+    if isinstance(spec, PreferenceCnf):
+        return separation_oracle_cnf(game, spec, i, deviation, p, q_i)
+    raise UnsupportedSpace(f"no separation oracle for {type(spec).__name__}")
 
 
 def solve(
@@ -400,7 +471,8 @@ def solve(
     them are added in a batch, sorted by (player, deviation) for
     reproducibility, and the LP is solved again.
     """
-    _check_spaces(game, spaces)
+    if len(spaces) != game.num_players:
+        raise ValidationError("one type space per player required")
 
     if isinstance(query, Eore):
         objective = None

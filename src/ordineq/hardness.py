@@ -1,10 +1,15 @@
-"""SAT-to-preference-CNF reduction and a desk-scale existence checker for
-games with a preference-CNF type space.
+"""SAT-to-preference-CNF reduction and the existence check for games with
+a preference-CNF type space.
 
 The reduction maps a CNF over m boolean variables to a (m+2) x 2 game with
 outcomes {o0, o1, o_x1..o_xm}: literal +x_i becomes the atom
 (o_xi >= o1) and literal -x_i becomes (o0 >= o_xi).  The reduced game has
 a robust equilibrium exactly when the formula is unsatisfiable.
+
+The existence check solves the game over the CNF space itself.  The
+space's witness family is its 0/1 models, which the CNF separation oracle
+searches by branch and bound instead of listing all 2^|O| candidates; the
+problem stays coNP-hard, but an instance no longer costs 2^|O| up front.
 """
 
 from __future__ import annotations
@@ -14,19 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .equilibrium import Eore, SolveResult, solve
+from .equilibrium import Eore, best_cnf_model, solve
 from .errors import CapExceeded, ParseError, UnsupportedSpace, ValidationError
 from .games import (
-    FiniteTypes,
     GameForm,
     MediatedProfile,
     PreferenceCnf,
     TotalOrder,
     TypeSpaceSpec,
 )
-from .typespaces import DEFAULT_CAP, enumerate_extreme_types
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 SAT_BRUTE_CAP = 20
@@ -148,18 +150,17 @@ def reduce_sat(f: CnfFormula) -> tuple[GameForm, tuple[TypeSpaceSpec, ...]]:
 
 @dataclass(frozen=True)
 class CnfExistenceResult:
-    """`answer` is "yes_over_extreme_types", "no", or "cap_exceeded".
+    """`answer` is "yes_over_extreme_types" or "no".
 
-    A "no" is definitive: a finite set of consistent types already blocks
-    every profile.  A yes only certifies that no 0/1 type blocks it, unless
-    `definitive` is set, which happens when the game has the reduction shape
-    and the 0/1 enumeration shows o0 >= o1 is entailed (making the top-left
-    cell a pure unmediated equilibrium).
+    A "no" is definitive: the finitely many 0/1 models that the solver added
+    as cuts already block every profile.  A yes certifies that no 0/1 model
+    of the CNF blocks the profile; it is marked `definitive` when the game
+    has the reduction shape and no model prefers o1 to o0 (making the
+    top-left cell a pure unmediated equilibrium).
     """
 
     answer: str
     profile: Optional[MediatedProfile] = None
-    witness_types: Optional[tuple] = None
     definitive: bool = False
 
 
@@ -193,42 +194,29 @@ def _is_reduction_shape(game: GameForm, cnf: PreferenceCnf) -> bool:
 
 
 def check_cnf_existence(
-    game: GameForm,
-    spaces: Sequence[TypeSpaceSpec],
-    cap: int = DEFAULT_CAP,
+    game: GameForm, spaces: Sequence[TypeSpaceSpec]
 ) -> CnfExistenceResult:
-    """Existence check over the 0/1 types of a preference-CNF space.
+    """Existence check over the 0/1 models of a preference-CNF space.
 
-    Exactly one player's space must be a PreferenceCnf; it is replaced by
-    the finite list of satisfying 0/1 vectors and the game is solved for
-    existence over that finite space.
+    Exactly one player's space must be a PreferenceCnf; the game is solved
+    for existence over the spaces as given.
     """
     cnf_players = [i for i, s in enumerate(spaces) if isinstance(s, PreferenceCnf)]
     if len(cnf_players) != 1:
         raise UnsupportedSpace("exactly one preference-CNF space expected")
-    cnf_i = cnf_players[0]
-    cnf = spaces[cnf_i]
-    try:
-        extreme = enumerate_extreme_types(cnf, game.outcomes, cap=cap)
-    except CapExceeded:
-        return CnfExistenceResult("cap_exceeded")
-
-    replaced = list(spaces)
-    replaced[cnf_i] = FiniteTypes(tuple(extreme))
-    result: SolveResult = solve(game, replaced, Eore())
+    cnf = spaces[cnf_players[0]]
+    result = solve(game, spaces, Eore())
     if not result.answer:
-        # A finite set of consistent types already blocks every profile, so
-        # nonexistence over the 0/1 types is nonexistence outright.
-        return CnfExistenceResult(
-            "no", witness_types=tuple(extreme), definitive=True
-        )
+        # Finitely many consistent types already block every profile, so
+        # nonexistence over the 0/1 models is nonexistence outright.
+        return CnfExistenceResult("no", definitive=True)
 
     definitive = False
     if _is_reduction_shape(game, cnf):
         # Over the reduction, UNSAT <=> no satisfying 0/1 vector prefers o1
         # to o0 <=> no consistent vector at all does, and then the top-left
         # cell is a pure unmediated equilibrium.
-        definitive = all(u["o1"] <= u["o0"] for u in extreme)
+        definitive = best_cnf_model(cnf, game.outcomes, {"o1": ONE, "o0": -ONE}) is None
     return CnfExistenceResult(
         "yes_over_extreme_types", profile=result.profile, definitive=definitive
     )

@@ -15,6 +15,7 @@ from .games import (
     GameForm,
     MediatedProfile,
     PartialOrder,
+    PreferenceCnf,
     TotalOrder,
     opponents_profiles_of,
     profiles_of,
@@ -77,6 +78,16 @@ def _random_space(rng: random.Random, outcomes, kind: str):
         for _ in range(rng.randint(0, 3)):
             pairs.append((_random_dist(rng, outcomes), _random_dist(rng, outcomes)))
         return DistributionOrder(tuple(pairs))
+    if kind == "preference_cnf":
+        # Atoms are drawn with replacement, so clauses may repeat an atom or
+        # hold a tautology (o, o); one clause in twenty is empty.
+        clauses = []
+        for _ in range(rng.randint(0, n)):
+            size = 0 if rng.random() < 0.05 else rng.randint(1, 3)
+            clauses.append(
+                tuple((rng.choice(outcomes), rng.choice(outcomes)) for _ in range(size))
+            )
+        return PreferenceCnf(tuple(clauses))
     if kind == "finite":
         types = tuple(
             {o: Fraction(rng.randint(0, 4), 4) for o in outcomes}

@@ -1,10 +1,14 @@
-"""Extreme-type enumeration, entailment, and feasibility per type space.
+"""Consistency, extreme-type enumeration and entailment for the five
+type-space kinds.
 
 A 0/1 utility vector is an "extreme type".  For total orders these are the
 threshold vectors; for partial orders, indicator vectors of upward-closed
-sets; for preference-CNF, the 0/1 vectors satisfying the formula.  The
-enumeration is exhaustive within the 0/1 class or raises CapExceeded --
-silent truncation would break soundness downstream.
+sets; for preference-CNF, the 0/1 models of the formula, where the atom
+(a >= b) reads as the Boolean clause u_a or not u_b.  The enumeration is
+exhaustive within the 0/1 class or raises CapExceeded -- silent truncation
+would break soundness downstream.  The solver never enumerates: its
+oracles search these families lazily, and the enumeration serves the
+verifier's cross-check, `ordineq enumerate-types` and the tests.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 The verifier never trusts the solver's answer: it checks every player and
 deviation of a profile with the same separation oracles the solver uses
-(`equilibrium.separate`).  It does not trust the order oracles unchecked
-either: their maximum gain is compared with the maximum over the
+(`equilibrium.separate`).  It does not trust the order and CNF oracles
+unchecked either: their maximum gain is compared with the maximum over the
 enumerated 0/1 types, always for total orders (|O|+1 threshold vectors)
-and for partial orders whenever the outcome set is small enough.
+and for partial orders and preference CNFs whenever the outcome set is
+small enough.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .games import (
     GameForm,
     MediatedProfile,
     PartialOrder,
+    PreferenceCnf,
     Profile,
     TotalOrder,
     TypeSpaceSpec,
@@ -37,8 +39,9 @@ from .typespaces import enumerate_extreme_types
 
 ZERO = Fraction(0)
 
-#: Up to this many outcomes the partial-order oracle is cross-checked by
-#: enumerating every upward-closed 0/1 vector (2^|O| candidates).
+#: Up to this many outcomes the partial-order and CNF oracles are
+#: cross-checked by enumerating every consistent 0/1 vector (2^|O|
+#: candidates).
 ENUM_CROSS_CHECK_LIMIT = 12
 
 
@@ -118,7 +121,8 @@ def verify(
         q_i = {opp: profile.q[i].get(opp, ZERO) for opp in opponents_profiles_of(game, i)}
         extreme = None
         if isinstance(spec, TotalOrder) or (
-            isinstance(spec, PartialOrder) and len(game.outcomes) <= ENUM_CROSS_CHECK_LIMIT
+            isinstance(spec, (PartialOrder, PreferenceCnf))
+            and len(game.outcomes) <= ENUM_CROSS_CHECK_LIMIT
         ):
             extreme = enumerate_extreme_types(spec, game.outcomes)
         for a in game.action_sets[i]:
@@ -134,7 +138,7 @@ def _cross_check(game, spec, i, a, p, q_i, res: Optional[Violation], extreme) ->
     """Raise unless the oracle's maximum gain equals the maximum over
     `extreme`, the enumerated 0/1 types of the space."""
     gain = _deviation_gain_coeffs(game, i, a, p, q_i)
-    brute = ZERO  # the all-zero vector is always consistent
+    brute = ZERO  # no violation; the all-zero vector, if consistent, gains 0
     for u in extreme:
         g = sum((w * u[o] for o, w in gain.items() if w != 0), ZERO)
         if g > brute:

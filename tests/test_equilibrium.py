@@ -1,12 +1,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from conftest import deviation_gain, upward_closed_vectors
 from ordineq import equilibrium as eq
 from ordineq import verifier
-from ordineq.errors import UnsupportedSpace
 from ordineq.fixture_suite import load_game
 from ordineq.games import (
     FiniteTypes,
@@ -20,8 +17,8 @@ from ordineq.games import (
     profiles_of,
 )
 from ordineq.linprog import FEASIBLE, lp_solve
-from ordineq.randgen import random_game
-from ordineq.typespaces import enumerate_extreme_types
+from ordineq.randgen import random_game, random_profile_point
+from ordineq.typespaces import enumerate_extreme_types, satisfies_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -266,11 +263,62 @@ def test_total_oracle_matches_closure_and_enumeration():
     assert hits
 
 
-def test_separate_rejects_preference_cnf():
+def test_cnf_oracle_matches_enumeration():
+    """200 random (CNF, p, q, player, deviation) tuples, plus an empty
+    clause, no clauses, a unit clause and repeated atoms on each game: the
+    branch-and-bound oracle's amount is the brute-force maximum over the
+    enumerated 0/1 models, it returns None exactly when that maximum is
+    not positive, and its witness is a model."""
+    rng = random.Random(2029)
+    hits = misses = 0
+    for _ in range(200):
+        game, spaces = random_game(
+            rng.randint(0, 10**9), max_actions=3, max_outcomes=8, kind="preference_cnf"
+        )
+        a, b, c = (rng.choice(game.outcomes) for _ in range(3))
+        specs = spaces + (
+            PreferenceCnf(()),
+            PreferenceCnf((((a, b),), (), ((b, c),))),
+            PreferenceCnf((((a, b),), ((b, c), (b, c), (c, a)), ((a, b), (c, a)))),
+        )
+        point = random_profile_point(rng, game)
+        for spec in specs:
+            i = rng.randrange(game.num_players)
+            deviation = rng.choice(game.action_sets[i])
+            v = eq.separate(game, spec, i, deviation, point.p, point.q[i])
+            best = max(
+                (
+                    deviation_gain(game, i, deviation, u, point.p, point.q[i])
+                    for u in enumerate_extreme_types(spec, game.outcomes)
+                ),
+                default=None,
+            )
+            if v is None:
+                assert best is None or best <= ZERO
+                misses += 1
+            else:
+                assert v.amount == best
+                assert satisfies_space(v.witness, spec, game.outcomes)
+                hits += 1
+    assert hits > 100 and misses > 100
+
+
+def test_separate_preference_cnf_matches_enumeration():
     game, spaces, _ = load_game("preference_cnf_example")
     i = next(i for i, spec in enumerate(spaces) if isinstance(spec, PreferenceCnf))
-    with pytest.raises(UnsupportedSpace):
-        eq.separate(game, spaces[i], i, game.action_sets[i][0], {}, {})
+    models = enumerate_extreme_types(spaces[i], game.outcomes)
+    rng = random.Random(31)
+    hits = 0
+    for _ in range(40):
+        point = random_profile_point(rng, game)
+        for deviation in game.action_sets[i]:
+            v = eq.separate(game, spaces[i], i, deviation, point.p, point.q[i])
+            best = max(
+                deviation_gain(game, i, deviation, u, point.p, point.q[i]) for u in models
+            )
+            assert (ZERO if v is None else v.amount) == best
+            hits += v is not None
+    assert hits
 
 
 def _random_point(rng, support):
@@ -285,10 +333,22 @@ def _random_point(rng, support):
 # solve() on the bundled games
 
 
-def test_solve_rejects_preference_cnf():
+def test_solve_preference_cnf_matches_extreme_types():
+    """Over the fixture's satisfiable CNF and over the same game with the
+    unsatisfiable clause (o0 >= o1) added, solving over the CNF space gives
+    the answer and value of solving over its enumerated 0/1 models."""
     game, spaces, _ = load_game("preference_cnf_example")
-    with pytest.raises(UnsupportedSpace):
-        eq.solve(game, spaces, eq.Eore())
+    cnf, order = spaces
+    answers = set()
+    for spec in (cnf, PreferenceCnf(cnf.clauses + ((("o0", "o1"),),))):
+        models = FiniteTypes(tuple(enumerate_extreme_types(spec, game.outcomes)))
+        queries = [eq.Eore()] + [eq.Sire(cell) for cell in profiles_of(game)]
+        for query in queries:
+            lazy = eq.solve(game, (spec, order), query)
+            explicit = eq.solve(game, (models, order), query)
+            assert (lazy.answer, lazy.value) == (explicit.answer, explicit.value)
+            answers.add(lazy.answer)
+    assert answers == {False, True}
 
 
 def test_existence_answers_on_fixtures():

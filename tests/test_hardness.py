@@ -123,6 +123,26 @@ def test_satisfiable_formula_yields_definitive_no():
     assert res.definitive
 
 
+def test_formula_with_an_empty_clause_yields_definitive_equilibrium():
+    f = parse_dimacs("p cnf 2 2\n1 2 0\n0\n")
+    game, spaces = reduce_sat(f)
+    res = check_cnf_existence(game, spaces)
+    assert res.answer == "yes_over_extreme_types"
+    assert res.definitive
+
+
+def test_formulas_beyond_twenty_outcomes_get_an_answer():
+    """24 variables give 26 outcomes and 2^26 candidate 0/1 vectors; the
+    lazy oracle answers without listing them."""
+    m = 24
+    contradiction = CnfFormula(m, ((1,), (-1,)) + tuple((v, -v) for v in range(2, m + 1)))
+    res = check_cnf_existence(*reduce_sat(contradiction))
+    assert (res.answer, res.definitive) == ("yes_over_extreme_types", True)
+    all_true = CnfFormula(m, tuple((v,) for v in range(1, m + 1)))
+    res = check_cnf_existence(*reduce_sat(all_true))
+    assert (res.answer, res.definitive) == ("no", True)
+
+
 def test_vacuous_formula_is_satisfiable_hence_no():
     f = CnfFormula(1, ())
     game, spaces = reduce_sat(f)

@@ -7,8 +7,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_oracle_agreement_has_no_disagreements(capsys):
-    """The lazy partial-order oracle and the explicit extreme-type lists
-    give the same answer and optimal value on 200 random games."""
+    """The lazy partial-order and preference-CNF oracles and the explicit
+    extreme-type lists give the same answer and optimal value on 200 random
+    games of each kind."""
     spec = importlib.util.spec_from_file_location(
         "oracle_agreement", SCRIPTS / "oracle_agreement.py"
     )
@@ -17,4 +18,5 @@ def test_oracle_agreement_has_no_disagreements(capsys):
     code = script.main(["--trials", "200", "--seed", "0"])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "200 games x 2 queries: 0 disagreements" in out
+    for kind in ("partial_order", "preference_cnf"):
+        assert f"{kind}: 200 games x 2 queries: 0 disagreements" in out

@@ -5,18 +5,21 @@ import pytest
 
 from conftest import brute_verify, point_profile
 from ordineq import verifier
-from ordineq.equilibrium import Violation
-from ordineq.errors import UnsupportedSpace
+from ordineq.cli import EXIT_NO, EXIT_YES, run_cli
+from ordineq.equilibrium import Eore, Violation, solve
 from ordineq.fixture_suite import load_game, load_profile
+from ordineq.gamedoc import serialize_game, serialize_profile
 from ordineq.games import (
     GameForm,
     MediatedProfile,
     PartialOrder,
+    PreferenceCnf,
     TotalOrder,
     outcome_distribution,
     profiles_of,
 )
 from ordineq.randgen import random_game, random_profile_point
+from ordineq.typespaces import satisfies_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -183,11 +186,32 @@ def test_verify_accepts_pure_sustained_profiles():
     assert verifier.verify(game, spaces, profile).is_equilibrium
 
 
-def test_verify_rejects_preference_cnf_spaces():
+def test_verify_preference_cnf_spaces(tmp_path, capsys):
+    """The fixture's CNF has a model with u(o1) > u(o0), which beats a point
+    mass on o0; with the clause (o0 >= o1) added, the solver's profile is
+    accepted.  `ordineq verify` exits 3 and 0 on the two."""
     game, spaces, _ = load_game("preference_cnf_example")
-    profile = point_profile(game, ("row_o0", "col_1"))
-    with pytest.raises(UnsupportedSpace):
-        verifier.verify(game, spaces, profile)
+    cnf, order = spaces
+    beaten = point_profile(game, ("row_o0", "col_1"))
+    report = verifier.verify(game, spaces, beaten)
+    assert not report.is_equilibrium
+    assert satisfies_space(report.violation.witness, cnf, game.outcomes)
+
+    robust = (PreferenceCnf(cnf.clauses + ((("o0", "o1"),),)), order)
+    res = solve(game, robust, Eore())
+    assert res.answer
+    assert verifier.verify(game, robust, res.profile).is_equilibrium
+
+    for name, doc_spaces, profile, code in (
+        ("beaten", spaces, beaten, EXIT_NO),
+        ("robust", robust, res.profile, EXIT_YES),
+    ):
+        game_path = tmp_path / f"{name}.game"
+        game_path.write_text(serialize_game(game, doc_spaces, name=name))
+        profile_path = tmp_path / f"{name}.profile"
+        profile_path.write_text(serialize_profile(profile))
+        argv = ["verify", "--game", str(game_path), "--profile", str(profile_path)]
+        assert run_cli(argv) == code, capsys.readouterr()
 
 
 @pytest.mark.parametrize("as_partial", [False, True])
