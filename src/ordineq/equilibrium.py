@@ -8,15 +8,18 @@ that for a witness utility vector u, player i, and deviation a_i':
 
     sum_a u(o(a)) p(a)  >=  sum_{a_{-i}} u(o(a_i', a_{-i})) q_{-i}(a_{-i})
 
-Each of the five type-space kinds has one separation oracle, reached
-through `separate`, which returns the most violated constraint of a
-deviation over the kind's finite witness family: the listed types of a
-finite space, the threshold vectors of a total order, the upward-closed 0/1
-vectors of a partial order, the vertices of a distribution order's
-polytope, and the 0/1 models of a preference CNF.  The solver adds violated
-constraints in a cutting-plane loop; an added constraint can never be
-strictly violated again, so the loop terminates.  The verifier calls the
-same oracles.
+RHS - LHS is linear in u: its per-outcome weights are the deviation's
+gain vector, which `gain_vectors` builds once per (player, deviation) from
+the on-path outcome distribution.  Each of the five type-space kinds has
+one separation oracle of that vector alone, reached through
+`separate(spec, outcomes, gain)`: it returns the largest gain over the
+kind's finite witness family, with a witness attaining it.  The families
+are the listed types of a finite space, the threshold vectors of a total
+order, the upward-closed 0/1 vectors of a partial order, the vertices of a
+distribution order's polytope, and the 0/1 models of a preference CNF.
+The solver adds violated constraints in a cutting-plane loop; an added
+constraint can never be strictly violated again, so the loop terminates.
+The verifier calls the same oracles on the same gain vectors.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ from .games import (
     TotalOrder,
     TypeSpaceSpec,
     opponents_profiles_of,
+    outcome_distribution,
     profiles_of,
+    validate_space,
 )
-from .typespaces import entails_preference
+from .typespaces import entails_preference, optimize_over_distribution_order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,15 +61,9 @@ class IncentiveConstraint:
     utility: tuple[Fraction, ...]  # indexed by game.outcomes
 
 
-@dataclass(frozen=True)
-class Violation:
-    player: int
-    deviation: str
-    witness: dict[str, Fraction]
-    amount: Fraction  # RHS - LHS at the current point, strictly positive
-
-
-SeparationResult = Optional[Violation]  # None = no violation
+#: An oracle's answer: the largest gain (strictly positive) with a witness
+#: type attaining it, or None when no consistent type gains.
+Hit = Optional[tuple[Fraction, dict[str, Fraction]]]
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,10 @@ class VariableLayout:
         self.game = game
         self.profiles = tuple(profiles_of(game))
         self.p_index = {prof: k for k, prof in enumerate(self.profiles)}
-        self.q_profiles = []
         self.q_index = []
         base = len(self.profiles)
         for i in range(game.num_players):
             opp = tuple(opponents_profiles_of(game, i))
-            self.q_profiles.append(opp)
             self.q_index.append({prof: base + k for k, prof in enumerate(opp)})
             base += len(opp)
         self.num_vars = base
@@ -194,170 +191,98 @@ def incentive_row(
     return row
 
 
-def _as_constraint(game: GameForm, i: int, deviation: str, u: Mapping[str, Fraction]):
-    return IncentiveConstraint(i, deviation, tuple(u[o] for o in game.outcomes))
-
-
-def _deviation_gain_coeffs(
-    game: GameForm,
-    i: int,
-    deviation: str,
-    p: Mapping[Profile, Fraction],
-    q_i: Mapping[Profile, Fraction],
-) -> dict[str, Fraction]:
-    """Per-outcome weight of (deviation payoff - on-path payoff) as a linear
-    function of the utility vector."""
-    v = {o: ZERO for o in game.outcomes}
-    for prof, w in p.items():
-        if w != 0:
-            v[game.outcome_of(prof)] -= w
-    for opp, w in q_i.items():
-        if w != 0:
-            v[game.outcome_of(game.insert(i, deviation, opp))] += w
-    return v
+def gain_vectors(game: GameForm, profile: MediatedProfile) -> list[dict[str, dict[str, Fraction]]]:
+    """`gain_vectors(game, profile)[i][a]` maps each outcome to its weight
+    in player i's gain from deviating to a (deviation payoff minus on-path
+    payoff) as a linear function of the utility vector.  The on-path
+    outcome distribution is computed once for every player and deviation."""
+    minus_on_path = {o: -w for o, w in outcome_distribution(game, profile.p).items()}
+    gains = []
+    for i, q_i in enumerate(profile.q):
+        by_action = {}
+        for a in game.action_sets[i]:
+            v = dict(minus_on_path)
+            for opp, w in q_i.items():
+                if w != 0:
+                    v[game.outcome_of(game.insert(i, a, opp))] += w
+            by_action[a] = v
+        gains.append(by_action)
+    return gains
 
 
 def separation_oracle_total(
-    game: GameForm,
-    spec: TotalOrder,
-    i: int,
-    deviation: str,
-    p: Mapping[Profile, Fraction],
-    q_i: Mapping[Profile, Fraction],
-) -> SeparationResult:
+    spec: TotalOrder, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
+) -> Hit:
     """Best threshold witness, by one scan over the order's prefixes.
 
     The threshold vector of a prefix gives utility 1 to its outcomes and 0
-    to the rest; its gain is the prefix sum of the deviation-gain weights.
-    The first prefix of maximum gain is returned: it is the minimal
-    maximum-weight closure of the order's chain, the witness the closure
-    oracle would find.
+    to the rest; its gain is the prefix sum of the gain weights.  The first
+    prefix of maximum gain is returned: it is the minimal maximum-weight
+    closure of the order's chain, the witness the closure oracle would find.
     """
-    v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
     best = ZERO
     best_k = 0
     acc = ZERO
     for k, o in enumerate(spec.order, start=1):
-        acc += v[o]
+        acc += gain[o]
         if acc > best:
             best, best_k = acc, k
     if best > 0:
         top = set(spec.order[:best_k])
-        witness = {o: (ONE if o in top else ZERO) for o in game.outcomes}
-        return Violation(i, deviation, witness, best)
+        return best, {o: (ONE if o in top else ZERO) for o in outcomes}
     return None
 
 
 def separation_oracle_partial(
-    game: GameForm,
-    spec: PartialOrder,
-    i: int,
-    deviation: str,
-    p: Mapping[Profile, Fraction],
-    q_i: Mapping[Profile, Fraction],
-) -> SeparationResult:
+    spec: PartialOrder, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
+) -> Hit:
     """Best 0/1 upward-closed witness, via maximum-weight closure.
 
-    Item values are the per-outcome deviation-gain weights; accepting the
-    item for o' forces accepting the item for o whenever o >= o', so the
-    accepted set is exactly the 1-set of a consistent 0/1 vector.
+    Item values are the gain weights; accepting the item for o' forces
+    accepting the item for o whenever o >= o', so the accepted set is
+    exactly the 1-set of a consistent 0/1 vector.
     """
-    v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
     implications = tuple((b, a) for a, b in spec.pairs if a != b)
-    inst = ClosureInstance(items=game.outcomes, values=v, implications=implications)
+    inst = ClosureInstance(items=outcomes, values=gain, implications=implications)
     accepted, best = closure_solve(inst)
     if best > 0:
-        witness = {o: (ONE if o in accepted else ZERO) for o in game.outcomes}
-        return Violation(i, deviation, witness, best)
+        return best, {o: (ONE if o in accepted else ZERO) for o in outcomes}
     return None
 
 
-def distribution_shadow_partial(spec: DistributionOrder) -> PartialOrder:
-    """Pure-outcome shadow of distribution constraints for the 0/1 oracle.
-
-    A pair (delta_o, r2) restricted to 0/1 utilities says: u(o) = 0 forces
-    u = 0 on the support of r2, i.e. the partial-order pairs (o, o') for
-    every o' in supp(r2).  Pairs whose left side is not a point mass have no
-    closure representation and are dropped; the 0/1 check is then a strict
-    relaxation, which is exactly the property the LP oracle exists to fix.
-    """
-    pairs = []
-    for r1, r2 in spec.pairs:
-        support1 = [o for o, w in r1.items() if w != 0]
-        if len(support1) != 1:
-            continue
-        o = support1[0]
-        for o2, w in r2.items():
-            if w != 0 and o2 != o:
-                pairs.append((o, o2))
-    return PartialOrder(tuple(pairs))
-
-
 def separation_oracle_dist(
-    game: GameForm,
-    spec: DistributionOrder,
-    i: int,
-    deviation: str,
-    p: Mapping[Profile, Fraction],
-    q_i: Mapping[Profile, Fraction],
-) -> SeparationResult:
+    spec: DistributionOrder, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
+) -> Hit:
     """Best witness in [0,1]^O under the distribution-pair constraints,
     via an exact LP; the returned witness is a vertex of that polytope."""
-    v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
-    outcomes = game.outcomes
-    idx = {o: k for k, o in enumerate(outcomes)}
-    n = len(outcomes)
-    rows = []
-    for r1, r2 in spec.pairs:
-        row = [ZERO] * n
-        for o, w in r1.items():
-            row[idx[o]] += w
-        for o, w in r2.items():
-            row[idx[o]] -= w
-        rows.append(linprog.constraint(row, linprog.GE, ZERO))
-    objective = tuple(v[o] for o in outcomes)
-    lp = linprog.LinearProgram(
-        num_vars=n,
-        constraints=tuple(rows),
-        objective=(objective, linprog.MAX),
-        lower=(ZERO,) * n,
-        upper=(ONE,) * n,
+    out = optimize_over_distribution_order(
+        spec, outcomes, tuple(gain[o] for o in outcomes), linprog.MAX
     )
-    out = linprog.lp_solve(lp)
-    if out.status != linprog.FEASIBLE:
-        raise AssertionError(f"distribution oracle LP is {out.status}; 0 is always a witness")
     if out.objective_value > 0:
-        witness = dict(zip(outcomes, out.assignment))
-        return Violation(i, deviation, witness, out.objective_value)
+        return out.objective_value, dict(zip(outcomes, out.assignment))
     return None
 
 
 def _finite_scan_oracle(
-    game: GameForm,
-    spec: FiniteTypes,
-    i: int,
-    deviation: str,
-    p: Mapping[Profile, Fraction],
-    q_i: Mapping[Profile, Fraction],
-) -> SeparationResult:
+    spec: FiniteTypes, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
+) -> Hit:
     """Exhaustive scan over the listed types; the first type of maximum
     gain is the witness."""
-    v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
     best = None
     best_u = None
     for u in spec.types:
-        gain = sum((w * u[o] for o, w in v.items() if w != 0), ZERO)
-        if gain > 0 and (best is None or gain > best):
-            best = gain
+        g = sum((w * u[o] for o, w in gain.items() if w != 0), ZERO)
+        if g > 0 and (best is None or g > best):
+            best = g
             best_u = u
     if best is not None:
-        return Violation(i, deviation, dict(best_u), best)
+        return best, dict(best_u)
     return None
 
 
 def best_cnf_model(
-    spec: PreferenceCnf, outcomes: Sequence[str], weights: Mapping[str, Fraction]
-) -> Optional[tuple[Fraction, dict[str, Fraction]]]:
+    spec: PreferenceCnf, outcomes: tuple[str, ...], weights: Mapping[str, Fraction]
+) -> Hit:
     """The largest sum of `weights[o] * u(o)` over the 0/1 models u of the
     CNF, with a model attaining it, or None if no model has a positive sum.
 
@@ -417,45 +342,20 @@ def best_cnf_model(
     return Fraction(best, denom), {o: (ONE if b else ZERO) for o, b in zip(outcomes, best_u)}
 
 
-def separation_oracle_cnf(
-    game: GameForm,
-    spec: PreferenceCnf,
-    i: int,
-    deviation: str,
-    p: Mapping[Profile, Fraction],
-    q_i: Mapping[Profile, Fraction],
-) -> SeparationResult:
-    """Best 0/1 model of the CNF, by branch and bound (`best_cnf_model`);
-    no model is listed up front."""
-    v = _deviation_gain_coeffs(game, i, deviation, p, q_i)
-    found = best_cnf_model(spec, game.outcomes, v)
-    if found is None:
-        return None
-    amount, witness = found
-    return Violation(i, deviation, witness, amount)
-
-
-def separate(
-    game: GameForm,
-    spec: TypeSpaceSpec,
-    i: int,
-    deviation: str,
-    p: Mapping[Profile, Fraction],
-    q_i: Mapping[Profile, Fraction],
-) -> SeparationResult:
-    """The most violated incentive constraint of player i's deviation over
-    the witness family of the space, or None if no consistent type gains
-    by deviating."""
+def separate(spec: TypeSpaceSpec, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]) -> Hit:
+    """The largest gain `sum_o gain[o] * u(o)` over the witness family of
+    the space, with a witness u attaining it, or None if no consistent type
+    gains."""
     if isinstance(spec, FiniteTypes):
-        return _finite_scan_oracle(game, spec, i, deviation, p, q_i)
+        return _finite_scan_oracle(spec, outcomes, gain)
     if isinstance(spec, TotalOrder):
-        return separation_oracle_total(game, spec, i, deviation, p, q_i)
+        return separation_oracle_total(spec, outcomes, gain)
     if isinstance(spec, PartialOrder):
-        return separation_oracle_partial(game, spec, i, deviation, p, q_i)
+        return separation_oracle_partial(spec, outcomes, gain)
     if isinstance(spec, DistributionOrder):
-        return separation_oracle_dist(game, spec, i, deviation, p, q_i)
+        return separation_oracle_dist(spec, outcomes, gain)
     if isinstance(spec, PreferenceCnf):
-        return separation_oracle_cnf(game, spec, i, deviation, p, q_i)
+        return best_cnf_model(spec, outcomes, gain)
     raise UnsupportedSpace(f"no separation oracle for {type(spec).__name__}")
 
 
@@ -466,13 +366,17 @@ def solve(
 ) -> SolveResult:
     """Answer one of the four decision problems.
 
-    The LP starts with no incentive rows.  Each round asks every player's
-    oracle, for every deviation, for its most violated constraint; all of
-    them are added in a batch, sorted by (player, deviation) for
-    reproducibility, and the LP is solved again.
+    Every space is first validated against the game's outcomes.  The LP
+    starts with no incentive rows.  Each round builds the gain vector of
+    every player's every deviation at the LP's point and asks the player's
+    oracle for its most violated constraint; all of them are added in a
+    batch, sorted by (player, deviation) for reproducibility, and the LP is
+    solved again.
     """
     if len(spaces) != game.num_players:
         raise ValidationError("one type space per player required")
+    for spec in spaces:
+        validate_space(spec, game.outcomes)
 
     if isinstance(query, Eore):
         objective = None
@@ -496,7 +400,7 @@ def solve(
         raise ValidationError(f"unknown query {query!r}")
 
     constraints: list[IncentiveConstraint] = []
-    seen: set[tuple] = set()
+    seen: set[IncentiveConstraint] = set()
 
     while True:
         lp, layout = build_lp1(game, constraints, objective=objective, fixed_p=fixed_p)
@@ -507,15 +411,15 @@ def solve(
             raise AssertionError(f"master LP is {out.status}; the (p, q) polytope is bounded")
         profile = layout.decode(out.assignment)
 
-        violations: list[Violation] = []
-        for i, spec in enumerate(spaces):
-            q_i = {opp: profile.q[i].get(opp, ZERO) for opp in layout.q_profiles[i]}
-            for a in game.action_sets[i]:
-                res = separate(game, spec, i, a, profile.p, q_i)
-                if res is not None:
-                    violations.append(res)
+        cuts: list[IncentiveConstraint] = []
+        for i, gains in enumerate(gain_vectors(game, profile)):
+            for a, gain in gains.items():
+                hit = separate(spaces[i], game.outcomes, gain)
+                if hit is not None:
+                    _, witness = hit
+                    cuts.append(IncentiveConstraint(i, a, tuple(witness[o] for o in game.outcomes)))
 
-        if not violations:
+        if not cuts:
             if isinstance(query, (Eore, Aare)):
                 return SolveResult(answer=True, profile=profile)
             if isinstance(query, Sire):
@@ -524,15 +428,13 @@ def solve(
             ok = out.objective_value >= query.objective.threshold
             return SolveResult(ok, profile if ok else None, out.objective_value)
 
-        violations.sort(key=lambda v: (v.player, v.deviation))
-        for v in violations:
-            c = _as_constraint(game, v.player, v.deviation, v.witness)
-            key = (c.player, c.deviation, c.utility)
-            if key in seen:
+        cuts.sort(key=lambda c: (c.player, c.deviation))
+        for c in cuts:
+            if c in seen:
                 raise AssertionError(
                     "separation oracle repeated a witness; cutting plane would not terminate"
                 )
-            seen.add(key)
+            seen.add(c)
             constraints.append(c)
 
 

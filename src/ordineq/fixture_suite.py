@@ -1,20 +1,11 @@
-"""Bundled games and their expected behavior.
-
-Expectations only assert properties that hold for every equilibrium of the
-game (existence, zero-mass cells, mixing requirements), never a unique
-solution: LP answers are basic solutions but not canonical.
-"""
+"""Bundled example games and profiles, read from the package's
+`fixtures` directory."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
-from . import equilibrium, verifier
 from .gamedoc import parse_game, parse_profile
-
-ZERO = Fraction(0)
 
 GAME_NAMES = (
     "coordination_ordinal",
@@ -25,12 +16,6 @@ GAME_NAMES = (
     "prisoners_dilemma_rich",
     "distribution_preference",
     "preference_cnf_example",
-)
-
-PROFILE_NAMES = (
-    "coordination_eq",
-    "matching_pennies_symmetric_eq",
-    "prisoners_dilemma_rich_eq",
 )
 
 
@@ -50,93 +35,3 @@ def load_profile(name: str, game):
 
 def fixture_text(filename: str) -> str:
     return _read(filename)
-
-
-@dataclass
-class FixtureCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def run_fixture_suite() -> list[FixtureCheck]:
-    """Run every bundled expectation; failures become report entries."""
-    report: list[FixtureCheck] = []
-
-    def check(name: str, fn):
-        try:
-            ok, detail = fn()
-        except Exception as e:  # report, don't crash the suite
-            ok, detail = False, f"{type(e).__name__}: {e}"
-        report.append(FixtureCheck(name, ok, detail))
-
-    def eore_answer(game_name: str):
-        game, spaces, _ = load_game(game_name)
-        return equilibrium.solve(game, spaces, equilibrium.Eore())
-
-    check(
-        "matching_pennies_asymmetric: no equilibrium exists",
-        lambda: (not eore_answer("matching_pennies_asymmetric").answer, ""),
-    )
-    check(
-        "matching_pennies_symmetric: equilibrium exists",
-        lambda: (eore_answer("matching_pennies_symmetric").answer, ""),
-    )
-
-    def pd_structure():
-        game, spaces, _ = load_game("prisoners_dilemma_rich")
-        res = equilibrium.solve(game, spaces, equilibrium.Eore())
-        if not res.answer:
-            return False, "expected an equilibrium"
-        p = res.profile.p
-        bad = [prof for prof, w in p.items() if w != 0 and game.outcome_of(prof) in ("o_dc", "o_cd")]
-        if bad:
-            return False, f"on-path mass on excluded outcomes: {bad}"
-        cc = sum(
-            (w for prof, w in p.items() if game.outcome_of(prof) in ("o_cc1", "o_cc2")),
-            ZERO,
-        )
-        if cc <= 0:
-            return False, "no on-path mass on cooperative outcomes"
-        for i in range(2):
-            for opp, w in res.profile.q[i].items():
-                if w != 0 and opp[0] in ("c1", "c2"):
-                    return False, f"punishment q[{i}] uses a cooperative action"
-        return True, ""
-
-    check("prisoners_dilemma_rich: equilibrium structure", pd_structure)
-
-    def dist_vs_zero_one():
-        game, spaces, _ = load_game("distribution_preference")
-        p = {("Top", "Left"): Fraction(1)}
-        q1 = {("Center",): Fraction(1, 2), ("Right",): Fraction(1, 2)}
-        shadow = equilibrium.distribution_shadow_partial(spaces[0])
-        closure_res = equilibrium.separation_oracle_partial(
-            game, shadow, 0, "Down", p, q1
-        )
-        lp_res = equilibrium.separation_oracle_dist(game, spaces[0], 0, "Down", p, q1)
-        ok = closure_res is None and lp_res is not None
-        return ok, "" if ok else "expected 0/1 oracle silent, LP oracle violated"
-
-    check("distribution_preference: LP oracle beats 0/1 oracle", dist_vs_zero_one)
-
-    def verified(game_name: str, profile_name: str):
-        game, spaces, _ = load_game(game_name)
-        prof = load_profile(profile_name, game)
-        rep = verifier.verify(game, spaces, prof)
-        return rep.is_equilibrium, "" if rep.is_equilibrium else str(rep.violation)
-
-    check(
-        "matching_pennies_symmetric: bundled profile verifies",
-        lambda: verified("matching_pennies_symmetric", "matching_pennies_symmetric_eq"),
-    )
-    check(
-        "prisoners_dilemma_rich: bundled profile verifies",
-        lambda: verified("prisoners_dilemma_rich", "prisoners_dilemma_rich_eq"),
-    )
-    check(
-        "coordination_ordinal: bundled profile verifies",
-        lambda: verified("coordination_ordinal", "coordination_eq"),
-    )
-
-    return report

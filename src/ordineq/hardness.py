@@ -89,10 +89,10 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def sat_brute(f: CnfFormula, cap: int = SAT_BRUTE_CAP) -> bool:
+def sat_brute(f: CnfFormula) -> bool:
     """Exhaustive satisfiability check; ground truth for the reduction tests."""
-    if f.num_vars > cap:
-        raise CapExceeded(f"{f.num_vars} variables exceed brute-force cap {cap}")
+    if f.num_vars > SAT_BRUTE_CAP:
+        raise CapExceeded(f"{f.num_vars} variables exceed brute-force cap {SAT_BRUTE_CAP}")
     if any(not clause for clause in f.clauses):
         return False
     for bits in itertools.product((False, True), repeat=f.num_vars):

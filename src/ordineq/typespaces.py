@@ -66,12 +66,12 @@ def _order_pairs(spec) -> tuple[tuple[str, str], ...]:
 
 
 def enumerate_extreme_types(
-    spec: TypeSpaceSpec, outcomes: tuple[str, ...], cap: int = DEFAULT_CAP
+    spec: TypeSpaceSpec, outcomes: tuple[str, ...]
 ) -> list[dict[str, Fraction]]:
     """All 0/1 utility vectors consistent with the space.
 
     TotalOrder yields the |O|+1 threshold vectors directly; PartialOrder and
-    PreferenceCnf filter the 2^|O| candidates (subject to `cap`).
+    PreferenceCnf filter the 2^|O| candidates, at most DEFAULT_CAP of them.
     """
     if isinstance(spec, TotalOrder):
         vectors = []
@@ -81,8 +81,8 @@ def enumerate_extreme_types(
         return vectors
     if not isinstance(spec, (PartialOrder, PreferenceCnf)):
         raise UnsupportedSpace(f"cannot enumerate extreme types for {type(spec).__name__}")
-    if 2 ** len(outcomes) > cap:
-        raise CapExceeded(f"2^{len(outcomes)} candidate vectors exceed cap {cap}")
+    if 2 ** len(outcomes) > DEFAULT_CAP:
+        raise CapExceeded(f"2^{len(outcomes)} candidate vectors exceed cap {DEFAULT_CAP}")
     if isinstance(spec, PartialOrder):
         # u(o) >= u(o') for o >= o': the 1-set must be upward closed.  The
         # test runs on the candidate's bit mask over `outcomes`, so only
@@ -120,28 +120,41 @@ def entails_preference(
         return (o, o2) in closure
     if isinstance(spec, DistributionOrder):
         # Minimize u(o) - u(o2) over the constraint polytope; entailed iff min >= 0.
-        idx = {name: k for k, name in enumerate(outcomes)}
-        n = len(outcomes)
-        constraints = []
-        for r1, r2 in spec.pairs:
-            row = [ZERO] * n
-            for name, w in r1.items():
-                row[idx[name]] += w
-            for name, w in r2.items():
-                row[idx[name]] -= w
-            constraints.append(linprog.constraint(row, linprog.GE, ZERO))
-        objective = [ZERO] * n
-        objective[idx[o]] = ONE
-        objective[idx[o2]] -= ONE
-        lp = linprog.LinearProgram(
-            num_vars=n,
-            constraints=tuple(constraints),
-            objective=(tuple(objective), linprog.MIN),
-            lower=(ZERO,) * n,
-            upper=(ONE,) * n,
-        )
-        out = linprog.lp_solve(lp)
-        if out.status != linprog.FEASIBLE:
-            raise AssertionError(f"entailment LP is {out.status}; 0 is always feasible")
+        objective = [ZERO] * len(outcomes)
+        objective[outcomes.index(o)] = ONE
+        objective[outcomes.index(o2)] -= ONE
+        out = optimize_over_distribution_order(spec, outcomes, tuple(objective), linprog.MIN)
         return out.objective_value >= 0
     raise UnsupportedSpace("entailment for preference-CNF spaces is out of scope")
+
+
+def optimize_over_distribution_order(
+    spec: DistributionOrder,
+    outcomes: tuple[str, ...],
+    objective: tuple[Fraction, ...],
+    direction: str,
+) -> linprog.LpOutcome:
+    """Optimize `objective` (indexed by `outcomes`) over the utility vectors
+    u in [0,1]^O that satisfy the space: one row r1·u - r2·u >= 0 per pair.
+    The polytope contains 0 and is bounded, so the optimum always exists."""
+    idx = {name: k for k, name in enumerate(outcomes)}
+    n = len(outcomes)
+    rows = []
+    for r1, r2 in spec.pairs:
+        row = [ZERO] * n
+        for name, w in r1.items():
+            row[idx[name]] += w
+        for name, w in r2.items():
+            row[idx[name]] -= w
+        rows.append(linprog.constraint(row, linprog.GE, ZERO))
+    lp = linprog.LinearProgram(
+        num_vars=n,
+        constraints=tuple(rows),
+        objective=(objective, direction),
+        lower=(ZERO,) * n,
+        upper=(ONE,) * n,
+    )
+    out = linprog.lp_solve(lp)
+    if out.status != linprog.FEASIBLE:
+        raise AssertionError(f"distribution-order LP is {out.status}; 0 is always feasible")
+    return out

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from ordineq.games import (
+    DistributionOrder,
     GameForm,
     MediatedProfile,
     PartialOrder,
@@ -201,6 +202,17 @@ def deviation_gain(game: GameForm, i, deviation, u, p, q_i):
     return deviate - on_path
 
 
+def gain_vector(game: GameForm, i, deviation, p, q_i):
+    """Per-outcome weights of the deviation gain: `deviation_gain` at each
+    outcome's unit vector, which by linearity determines it everywhere."""
+    return {
+        o: deviation_gain(
+            game, i, deviation, {o2: ONE if o2 == o else ZERO for o2 in game.outcomes}, p, q_i
+        )
+        for o in game.outcomes
+    }
+
+
 def brute_verify(game: GameForm, spaces, profile: MediatedProfile):
     """Independent equilibrium check: scan every extreme type of every
     player against every deviation.  Supports the space kinds for which
@@ -222,6 +234,75 @@ def brute_verify(game: GameForm, spaces, profile: MediatedProfile):
                 if deviation_gain(game, i, a, u, profile.p, q_i) > 0:
                     return False
     return True
+
+
+def distribution_shadow_partial(spec: DistributionOrder) -> PartialOrder:
+    """Pure-outcome shadow of distribution constraints for the 0/1 oracle.
+
+    A pair (delta_o, r2) restricted to 0/1 utilities says: u(o) = 0 forces
+    u = 0 on the support of r2, i.e. the partial-order pairs (o, o') for
+    every o' in supp(r2).  Pairs whose left side is not a point mass have no
+    closure representation and are dropped; the 0/1 check is then a strict
+    relaxation, which is exactly the property the LP oracle exists to fix.
+    """
+    pairs = []
+    for r1, r2 in spec.pairs:
+        support1 = [o for o, w in r1.items() if w != 0]
+        if len(support1) != 1:
+            continue
+        o = support1[0]
+        for o2, w in r2.items():
+            if w != 0 and o2 != o:
+                pairs.append((o, o2))
+    return PartialOrder(tuple(pairs))
+
+
+# ---------------------------------------------------------------------------
+# Stochastic dominance, best responses and the averaging lemma
+
+
+def stochastic_dominance(order: TotalOrder, d1, d2) -> bool:
+    """d1 dominates d2: every upper-set prefix of the order gets at least as
+    much mass under d1 as under d2."""
+    acc1 = acc2 = ZERO
+    for o in order.order:
+        acc1 += d1.get(o, ZERO)
+        acc2 += d2.get(o, ZERO)
+        if acc1 < acc2:
+            return False
+    return True
+
+
+def best_response_value(game: GameForm, i, u, q_i):
+    """Best expected utility player i can get against punishment q_{-i}."""
+    best = None
+    for a in game.action_sets[i]:
+        val = sum(
+            (w * u[game.outcome_of(game.insert(i, a, opp))] for opp, w in q_i.items()),
+            ZERO,
+        )
+        if best is None or val > best:
+            best = val
+    return best
+
+
+def averaging_dominates(game: GameForm, i, u, rounds):
+    """Compare punishing with the round-average distribution vs. the original
+    round sequence: (value vs average, mean of per-round values, lhs <= rhs).
+
+    The comparison always holds: the best-response value is a maximum of
+    linear functions of q, hence convex.  This is the convexity step of the
+    folk theorem: averaged punishments are never weaker.
+    """
+    m = len(rounds)
+    avg = {}
+    for q in rounds:
+        for opp, w in q.items():
+            avg[opp] = avg.get(opp, ZERO) + w
+    avg = {opp: w / m for opp, w in avg.items()}
+    lhs = best_response_value(game, i, u, avg)
+    rhs = sum((best_response_value(game, i, u, q) for q in rounds), ZERO) / m
+    return lhs, rhs, lhs <= rhs
 
 
 def point_profile(game: GameForm, cell) -> MediatedProfile:

@@ -10,9 +10,12 @@ import random
 from fractions import Fraction
 
 from conftest import (
+    averaging_dominates,
     brute_verify,
     closure_brute_force,
     deviation_gain,
+    distribution_shadow_partial,
+    gain_vector,
     point_profile,
 )
 from ordineq import equilibrium as eq
@@ -88,6 +91,7 @@ def test_criterion_3_cooperation_structure():
     paper_profile = load_profile("prisoners_dilemma_rich_eq", game)
     results.append(eq.solve(game, spaces, eq.Aare(dict(paper_profile.p))))
     ok = all(r.answer for r in results)
+    ok = ok and verifier.verify(game, spaces, paper_profile).is_equilibrium
     punish_actions = {"d1", "d2"}
     for r in results:
         profile = r.profile
@@ -110,8 +114,8 @@ def test_criterion_3_cooperation_structure():
                     ok = ok and all(a in punish_actions for a in opp)
     _report(
         3,
-        "rich dilemma: no defect-vs-cooperate mass, cooperative mass positive,"
-        " punishments on d-rows only",
+        "rich dilemma: the bundled profile verifies; no defect-vs-cooperate"
+        " mass, cooperative mass positive, punishments on d-rows only",
         ok,
     )
 
@@ -120,13 +124,15 @@ def test_criterion_4_oracle_separation():
     game, spaces, _ = load_game("distribution_preference")
     p = {("Top", "Left"): ONE}
     q1 = {("Center",): HALF, ("Right",): HALF}
-    shadow = eq.distribution_shadow_partial(spaces[0])
-    zero_one = eq.separation_oracle_partial(game, shadow, 0, "Down", p, q1)
-    lp = eq.separation_oracle_dist(game, spaces[0], 0, "Down", p, q1)
-    ok = zero_one is None and lp is not None and lp.amount >= Fraction(1, 20)
+    gain = gain_vector(game, 0, "Down", p, q1)
+    shadow = distribution_shadow_partial(spaces[0])
+    zero_one = eq.separation_oracle_partial(shadow, game.outcomes, gain)
+    lp = eq.separation_oracle_dist(spaces[0], game.outcomes, gain)
+    ok = zero_one is None and lp is not None and lp[0] >= Fraction(1, 20)
     if ok:
         # the reported gap is achieved by the witness, exactly
-        ok = deviation_gain(game, 0, "Down", lp.witness, p, q1) == lp.amount
+        amount, witness = lp
+        ok = deviation_gain(game, 0, "Down", witness, p, q1) == amount
         # and the hand-built certificate (9/20 on path, deviation worth 1/2)
         # is feasible, so the optimum is at least 1/20
         hand = dict.fromkeys(game.outcomes, ZERO)
@@ -342,7 +348,7 @@ def test_criterion_10_averaging():
             rounds.append(
                 {o: w / total for o, w in zip(opponents, weights) if w != 0}
             )
-        lhs, rhs, holds = verifier.averaging_dominates(game, i, u, rounds)
+        lhs, rhs, holds = averaging_dominates(game, i, u, rounds)
         ok = ok and holds and lhs <= rhs
     _report(
         10,

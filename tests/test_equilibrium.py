@@ -1,9 +1,18 @@
 import random
 from fractions import Fraction
 
-from conftest import deviation_gain, upward_closed_vectors
+import pytest
+
+from conftest import (
+    deviation_gain,
+    distribution_shadow_partial,
+    gain_vector,
+    stochastic_dominance,
+    upward_closed_vectors,
+)
 from ordineq import equilibrium as eq
 from ordineq import verifier
+from ordineq.errors import UnknownOutcome, ValidationError
 from ordineq.fixture_suite import load_game
 from ordineq.games import (
     FiniteTypes,
@@ -64,13 +73,14 @@ def test_finite_separation_none_iff_no_type_gains():
         q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
         for a in game.action_sets[i]:
             gains = [deviation_gain(game, i, a, u, p, q_i) for u in space.types]
-            v = eq.separate(game, space, i, a, p, q_i)
+            v = eq.separate(space, game.outcomes, gain_vector(game, i, a, p, q_i))
             if max(gains) <= 0:
                 assert v is None
                 misses += 1
             else:
-                assert v.amount == max(gains)
-                assert v.witness == space.types[gains.index(max(gains))]
+                amount, witness = v
+                assert amount == max(gains)
+                assert witness == space.types[gains.index(max(gains))]
                 hits += 1
     assert hits and misses
 
@@ -127,7 +137,7 @@ def test_total_order_feasibility_matches_dominance():
             for opp, w in res.profile.q[i].items():
                 o = game.outcome_of(game.insert(i, a, opp))
                 dev[o] = dev.get(o, ZERO) + w
-            assert verifier.stochastic_dominance(spec, on_path, dev)
+            assert stochastic_dominance(spec, on_path, dev)
 
 
 def test_total_order_constraints_infeasible_for_asymmetric_pennies():
@@ -146,20 +156,22 @@ def test_partial_oracle_silent_on_zero_one_shadow():
     game, spaces, _ = load_game("distribution_preference")
     p = {("Top", "Left"): ONE}
     q1 = {("Center",): HALF, ("Right",): HALF}
-    shadow = eq.distribution_shadow_partial(spaces[0])
+    shadow = distribution_shadow_partial(spaces[0])
     assert set(shadow.pairs) == {("o11", "o22"), ("o11", "o23")}
-    assert eq.separation_oracle_partial(game, shadow, 0, "Down", p, q1) is None
+    gain = gain_vector(game, 0, "Down", p, q1)
+    assert eq.separation_oracle_partial(shadow, game.outcomes, gain) is None
 
 
 def test_dist_oracle_finds_the_gap():
     game, spaces, _ = load_game("distribution_preference")
     p = {("Top", "Left"): ONE}
     q1 = {("Center",): HALF, ("Right",): HALF}
-    v = eq.separation_oracle_dist(game, spaces[0], 0, "Down", p, q1)
+    v = eq.separation_oracle_dist(spaces[0], game.outcomes, gain_vector(game, 0, "Down", p, q1))
     assert v is not None
-    assert v.amount >= Fraction(1, 20)
+    amount, witness = v
+    assert amount >= Fraction(1, 20)
     # the reported amount is exactly the deviation gain of its witness
-    assert deviation_gain(game, 0, "Down", v.witness, p, q1) == v.amount
+    assert deviation_gain(game, 0, "Down", witness, p, q1) == amount
 
 
 def test_oracle_silent_when_deviation_changes_nothing():
@@ -167,10 +179,8 @@ def test_oracle_silent_when_deviation_changes_nothing():
     # q_{-1} and p produce the same outcome distribution under the deviation
     p = {("Top", "Left"): ONE}
     q1 = {("Left",): ONE}
-    assert (
-        eq.separation_oracle_partial(game, PartialOrder(()), 0, "Top", p, q1)
-        is None
-    )
+    gain = gain_vector(game, 0, "Top", p, q1)
+    assert eq.separation_oracle_partial(PartialOrder(()), game.outcomes, gain) is None
 
 
 def test_partial_oracle_reproduces_nonexistence_witness():
@@ -181,14 +191,15 @@ def test_partial_oracle_reproduces_nonexistence_witness():
     spec = PartialOrder(
         (("o12", "o11"), ("o21", "o11"), ("o22", "o11"))
     )
-    v = eq.separation_oracle_partial(game, spec, 1, "Right", p, q2)
+    v = eq.separation_oracle_partial(spec, game.outcomes, gain_vector(game, 1, "Right", p, q2))
     assert v is not None
+    amount, witness = v
     # the maximizing up-set avoids o11 and contains the escape outcome o12;
     # filling in the other two outcomes changes nothing, so both the minimal
     # witness and the all-but-o11 vector are maximizers
-    assert v.witness["o11"] == ZERO
-    assert v.witness["o12"] == ONE
-    assert v.amount == ONE
+    assert witness["o11"] == ZERO
+    assert witness["o12"] == ONE
+    assert amount == ONE
 
 
 def test_constant_utility_constraints_mean_no_violation():
@@ -204,7 +215,8 @@ def test_constant_utility_constraints_mean_no_violation():
         q = {("Left",): Fraction(rng.randint(0, 4), 4)}
         q[("Right",)] = ONE - q[("Left",)]
         for a in game.action_sets[0]:
-            assert eq.separation_oracle_partial(game, spec, 0, a, p, q) is None
+            gain = gain_vector(game, 0, a, p, q)
+            assert eq.separation_oracle_partial(spec, game.outcomes, gain) is None
 
 
 def test_partial_oracle_matches_up_set_brute_force():
@@ -221,7 +233,8 @@ def test_partial_oracle_matches_up_set_brute_force():
             p = _random_point(rng, list(profiles_of(game)))
             q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
             deviation = rng.choice(game.action_sets[i])
-            v = eq.separation_oracle_partial(game, spec, i, deviation, p, q_i)
+            gain = gain_vector(game, i, deviation, p, q_i)
+            v = eq.separation_oracle_partial(spec, game.outcomes, gain)
             best = max(
                 deviation_gain(game, i, deviation, u, p, q_i)
                 for u in upward_closed_vectors(game.outcomes, spec.pairs)
@@ -229,7 +242,7 @@ def test_partial_oracle_matches_up_set_brute_force():
             if v is None:
                 assert best <= ZERO
             else:
-                assert v.amount == best
+                assert v[0] == best
             trials += 1
 
 
@@ -248,8 +261,9 @@ def test_total_oracle_matches_closure_and_enumeration():
             q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
             deviation = rng.choice(game.action_sets[i])
             chain = PartialOrder(tuple(zip(spec.order, spec.order[1:])))
-            v = eq.separation_oracle_total(game, spec, i, deviation, p, q_i)
-            assert v == eq.separation_oracle_partial(game, chain, i, deviation, p, q_i)
+            gain = gain_vector(game, i, deviation, p, q_i)
+            v = eq.separation_oracle_total(spec, game.outcomes, gain)
+            assert v == eq.separation_oracle_partial(chain, game.outcomes, gain)
             best = max(
                 deviation_gain(game, i, deviation, u, p, q_i)
                 for u in enumerate_extreme_types(spec, game.outcomes)
@@ -257,7 +271,7 @@ def test_total_oracle_matches_closure_and_enumeration():
             if v is None:
                 assert best <= ZERO
             else:
-                assert v.amount == best
+                assert v[0] == best
                 hits += 1
             trials += 1
     assert hits
@@ -285,7 +299,8 @@ def test_cnf_oracle_matches_enumeration():
         for spec in specs:
             i = rng.randrange(game.num_players)
             deviation = rng.choice(game.action_sets[i])
-            v = eq.separate(game, spec, i, deviation, point.p, point.q[i])
+            gain = gain_vector(game, i, deviation, point.p, point.q[i])
+            v = eq.separate(spec, game.outcomes, gain)
             best = max(
                 (
                     deviation_gain(game, i, deviation, u, point.p, point.q[i])
@@ -297,8 +312,9 @@ def test_cnf_oracle_matches_enumeration():
                 assert best is None or best <= ZERO
                 misses += 1
             else:
-                assert v.amount == best
-                assert satisfies_space(v.witness, spec, game.outcomes)
+                amount, witness = v
+                assert amount == best
+                assert satisfies_space(witness, spec, game.outcomes)
                 hits += 1
     assert hits > 100 and misses > 100
 
@@ -312,11 +328,12 @@ def test_separate_preference_cnf_matches_enumeration():
     for _ in range(40):
         point = random_profile_point(rng, game)
         for deviation in game.action_sets[i]:
-            v = eq.separate(game, spaces[i], i, deviation, point.p, point.q[i])
+            gain = gain_vector(game, i, deviation, point.p, point.q[i])
+            v = eq.separate(spaces[i], game.outcomes, gain)
             best = max(
                 deviation_gain(game, i, deviation, u, point.p, point.q[i]) for u in models
             )
-            assert (ZERO if v is None else v.amount) == best
+            assert (ZERO if v is None else v[0]) == best
             hits += v is not None
     assert hits
 
@@ -349,6 +366,16 @@ def test_solve_preference_cnf_matches_extreme_types():
             assert (lazy.answer, lazy.value) == (explicit.answer, explicit.value)
             answers.add(lazy.answer)
     assert answers == {False, True}
+
+
+def test_solve_validates_its_spaces():
+    """A total order that leaves out an outcome, and a listed type over an
+    outcome the game lacks, are rejected before any LP is solved."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    with pytest.raises(ValidationError):
+        eq.solve(game, (TotalOrder(("o1",)), spaces[1]), eq.Eore())
+    with pytest.raises(UnknownOutcome):
+        eq.solve(game, (FiniteTypes(({"o11": ONE + ONE},)), spaces[1]), eq.Eore())
 
 
 def test_existence_answers_on_fixtures():

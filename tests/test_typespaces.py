@@ -119,9 +119,11 @@ def test_extreme_type_count_matches_up_set_enumeration():
 
 
 def test_enumeration_cap_is_hard():
-    outcomes = tuple(f"w{k}" for k in range(6))
+    """2^21 candidates exceed DEFAULT_CAP; the enumeration raises before it
+    lists any."""
+    outcomes = tuple(f"w{k}" for k in range(21))
     with pytest.raises(CapExceeded):
-        enumerate_extreme_types(PartialOrder(()), outcomes, cap=16)
+        enumerate_extreme_types(PartialOrder(()), outcomes)
 
 
 def test_enumeration_rejects_unsupported_kinds():

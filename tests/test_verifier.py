@@ -3,10 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_verify, point_profile
+from conftest import (
+    averaging_dominates,
+    best_response_value,
+    brute_verify,
+    gain_vector,
+    point_profile,
+    stochastic_dominance,
+)
 from ordineq import verifier
 from ordineq.cli import EXIT_NO, EXIT_YES, run_cli
-from ordineq.equilibrium import Eore, Violation, solve
+from ordineq.equilibrium import Eore, solve
 from ordineq.fixture_suite import load_game, load_profile
 from ordineq.gamedoc import serialize_game, serialize_profile
 from ordineq.games import (
@@ -33,14 +40,14 @@ HALF = Fraction(1, 2)
 def test_dominance_is_reflexive():
     order = TotalOrder(("a", "b", "c"))
     d = {"a": HALF, "b": Fraction(1, 4), "c": Fraction(1, 4)}
-    assert verifier.stochastic_dominance(order, d, d)
+    assert stochastic_dominance(order, d, d)
 
 
 def test_dominance_point_masses():
     order = TotalOrder(("a", "b"))
     da, db = {"a": ONE}, {"b": ONE}
-    assert verifier.stochastic_dominance(order, da, db)
-    assert not verifier.stochastic_dominance(order, db, da)
+    assert stochastic_dominance(order, da, db)
+    assert not stochastic_dominance(order, db, da)
 
 
 def test_dominance_incomparable_mixtures():
@@ -53,10 +60,10 @@ def test_dominance_incomparable_mixtures():
     # gives d1 1/2 vs d2 0, while the o_dd11 prefix gives d1 1/2 vs d2 1/2
     # and the o_cc2 prefix gives d1 1 vs d2 1/2 -- yet neither dominates the
     # other once the o_dd11-only prefix is reached from d2's side.
-    assert not verifier.stochastic_dominance(order, d2, d1)
+    assert not stochastic_dominance(order, d2, d1)
     # and d1 does dominate d2 here iff every prefix agrees; check directly
     expected = _prefix_dominates(order.order, d1, d2)
-    assert verifier.stochastic_dominance(order, d1, d2) == expected
+    assert stochastic_dominance(order, d1, d2) == expected
 
 
 def _prefix_dominates(order, d1, d2):
@@ -78,7 +85,7 @@ def test_dominance_agrees_with_prefix_brute_force():
         spec = TotalOrder(tuple(order))
         d1 = _random_dist(rng, outcomes)
         d2 = _random_dist(rng, outcomes)
-        assert verifier.stochastic_dominance(spec, d1, d2) == _prefix_dominates(
+        assert stochastic_dominance(spec, d1, d2) == _prefix_dominates(
             tuple(order), d1, d2
         )
 
@@ -99,28 +106,28 @@ def test_best_response_point_mass():
     game, _, _ = load_game("matching_pennies_asymmetric")
     u = {"o11": ONE, "o12": ZERO, "o21": ZERO, "o22": ONE}
     # against Left, playing Top reaches o11
-    assert verifier.best_response_value(game, 0, u, {("Left",): ONE}) == ONE
+    assert best_response_value(game, 0, u, {("Left",): ONE}) == ONE
 
 
 def test_best_response_against_pure_punishment():
     game, _, _ = load_game("matching_pennies_asymmetric")
     u = {"o11": ONE, "o12": ZERO, "o21": ZERO, "o22": ONE}
     # punished with Right, player 1 answers Bottom and still collects o22
-    assert verifier.best_response_value(game, 0, u, {("Right",): ONE}) == ONE
+    assert best_response_value(game, 0, u, {("Right",): ONE}) == ONE
 
 
 def test_best_response_expectation():
     game, _, _ = load_game("matching_pennies_asymmetric")
     u = {"o11": ONE, "o12": ZERO, "o21": ZERO, "o22": ZERO}
     q = {("Left",): HALF, ("Right",): HALF}
-    assert verifier.best_response_value(game, 0, u, q) == HALF
+    assert best_response_value(game, 0, u, q) == HALF
 
 
 def test_averaging_single_round_is_equality():
     game, _, _ = load_game("matching_pennies_symmetric")
     u = {"o1": ONE, "o2": ZERO}
     q = {("Left",): HALF, ("Right",): HALF}
-    lhs, rhs, holds = verifier.averaging_dominates(game, 0, u, [q])
+    lhs, rhs, holds = averaging_dominates(game, 0, u, [q])
     assert lhs == rhs and holds
 
 
@@ -128,7 +135,7 @@ def test_averaging_equal_rounds_is_equality():
     game, _, _ = load_game("matching_pennies_symmetric")
     u = {"o1": ONE, "o2": ZERO}
     q = {("Left",): Fraction(1, 4), ("Right",): Fraction(3, 4)}
-    lhs, rhs, holds = verifier.averaging_dominates(game, 0, u, [q, q, q])
+    lhs, rhs, holds = averaging_dominates(game, 0, u, [q, q, q])
     assert lhs == rhs and holds
 
 
@@ -138,7 +145,7 @@ def test_averaging_mixes_beat_alternation():
     u = {"o1": ZERO, "o2": ONE}  # o2 = mismatch cells
     q1 = {("Left",): ONE}
     q2 = {("Right",): ONE}
-    lhs, rhs, holds = verifier.averaging_dominates(game, 0, u, [q1, q2])
+    lhs, rhs, holds = averaging_dominates(game, 0, u, [q1, q2])
     assert lhs == HALF
     assert rhs == ONE
     assert holds
@@ -173,11 +180,9 @@ def test_verify_rejects_the_distribution_profile_with_gap():
     # gap 1/20 and the LP optimum improves it to 1/10
     from ordineq import equilibrium as eq
 
-    down = eq.separation_oracle_dist(
-        game, spaces[0], 0, "Down", profile.p,
-        {("Center",): HALF, ("Right",): HALF},
-    )
-    assert down is not None and down.amount == Fraction(1, 10)
+    gain = gain_vector(game, 0, "Down", profile.p, {("Center",): HALF, ("Right",): HALF})
+    down = eq.separation_oracle_dist(spaces[0], game.outcomes, gain)
+    assert down is not None and down[0] == Fraction(1, 10)
 
 
 def test_verify_accepts_pure_sustained_profiles():
@@ -217,18 +222,21 @@ def test_verify_preference_cnf_spaces(tmp_path, capsys):
 @pytest.mark.parametrize("as_partial", [False, True])
 def test_cross_check_catches_a_wrong_order_oracle(monkeypatch, as_partial):
     """An oracle that overstates the gain of each player's last deviation is
-    caught: the enumerated types serve every deviation of the player."""
+    caught: the enumerated types serve every deviation of the player.  The
+    oracle sees only the gain vector, so it tells the deviations apart by
+    counting its calls, which come in player and action order."""
     game, spaces, _ = load_game("matching_pennies_symmetric")
     if as_partial:
         spaces = tuple(PartialOrder(tuple(zip(s.order, s.order[1:]))) for s in spaces)
     profile = load_profile("matching_pennies_symmetric_eq", game)
     true_separate = verifier.separate
+    calls = iter([(i, a) for i, actions in enumerate(game.action_sets) for a in actions])
 
-    def wrong(game, spec, i, a, p, q_i):
-        v = true_separate(game, spec, i, a, p, q_i)
+    def wrong(spec, outcomes, gain):
+        i, a = next(calls)
         if a != game.action_sets[i][-1]:
-            return v
-        return Violation(i, a, {o: ONE for o in game.outcomes}, ONE)
+            return true_separate(spec, outcomes, gain)
+        return ONE, {o: ONE for o in outcomes}
 
     monkeypatch.setattr(verifier, "separate", wrong)
     with pytest.raises(AssertionError, match="disagrees with enumeration"):
@@ -270,6 +278,6 @@ def test_total_order_verdict_equals_dominance_everywhere():
                 for opp, w in profile.q[i].items():
                     o = game.outcome_of(game.insert(i, a, opp))
                     dev[o] = dev.get(o, ZERO) + w
-                if not verifier.stochastic_dominance(spec, on_path, dev):
+                if not stochastic_dominance(spec, on_path, dev):
                     expected = False
         assert got == expected
