@@ -19,7 +19,9 @@ order, the upward-closed 0/1 vectors of a partial order, the vertices of a
 distribution order's polytope, and the 0/1 models of a preference CNF.
 The solver adds violated constraints in a cutting-plane loop; an added
 constraint can never be strictly violated again, so the loop terminates.
-The verifier calls the same oracles on the same gain vectors.
+The verifier calls the same oracles on the same gain vectors, and
+`entails_preference`, which `find_pure_unmediated` asks of every
+unilateral deviation, is one oracle call on the gain vector e_o2 - e_o.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from . import linprog
-from .errors import UnsupportedSpace, ValidationError
+from .errors import UnknownOutcome, UnsupportedSpace, ValidationError
 from .flow import ClosureInstance, closure_solve
 from .games import (
     DistributionOrder,
@@ -46,9 +48,8 @@ from .games import (
     opponents_profiles_of,
     outcome_distribution,
     profiles_of,
-    validate_space,
+    validate_spaces,
 )
-from .typespaces import entails_preference, optimize_over_distribution_order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -167,12 +168,7 @@ def build_lp1(
             coeffs[layout.p_index[prof]] = Fraction(w)
         obj = (tuple(coeffs), direction)
 
-    lp = linprog.LinearProgram(
-        num_vars=n,
-        constraints=tuple(rows),
-        objective=obj,
-        lower=(ZERO,) * n,
-    )
+    lp = linprog.LinearProgram(num_vars=n, constraints=tuple(rows), objective=obj)
     return lp, layout
 
 
@@ -254,16 +250,33 @@ def separation_oracle_dist(
     spec: DistributionOrder, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
 ) -> Hit:
     """Best witness in [0,1]^O under the distribution-pair constraints,
-    via an exact LP; the returned witness is a vertex of that polytope."""
-    out = optimize_over_distribution_order(
-        spec, outcomes, tuple(gain[o] for o in outcomes), linprog.MAX
-    )
+    via an exact LP: one row r1·u - r2·u >= 0 per pair, then u(o) <= 1 per
+    outcome.  The polytope contains 0 and is bounded, so the optimum exists;
+    the returned witness is a vertex of it."""
+    idx = {name: k for k, name in enumerate(outcomes)}
+    n = len(outcomes)
+    rows = []
+    for r1, r2 in spec.pairs:
+        row = [ZERO] * n
+        for name, w in r1.items():
+            row[idx[name]] += w
+        for name, w in r2.items():
+            row[idx[name]] -= w
+        rows.append(linprog.constraint(row, linprog.GE, ZERO))
+    for k in range(n):
+        row = [ZERO] * n
+        row[k] = ONE
+        rows.append(linprog.constraint(row, linprog.LE, ONE))
+    objective = (tuple(gain[o] for o in outcomes), linprog.MAX)
+    out = linprog.lp_solve(linprog.LinearProgram(n, tuple(rows), objective))
+    if out.status != linprog.FEASIBLE:
+        raise AssertionError(f"distribution-order LP is {out.status}; 0 is always feasible")
     if out.objective_value > 0:
         return out.objective_value, dict(zip(outcomes, out.assignment))
     return None
 
 
-def _finite_scan_oracle(
+def finite_scan_oracle(
     spec: FiniteTypes, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
 ) -> Hit:
     """Exhaustive scan over the listed types; the first type of maximum
@@ -347,7 +360,7 @@ def separate(spec: TypeSpaceSpec, outcomes: tuple[str, ...], gain: Mapping[str, 
     the space, with a witness u attaining it, or None if no consistent type
     gains."""
     if isinstance(spec, FiniteTypes):
-        return _finite_scan_oracle(spec, outcomes, gain)
+        return finite_scan_oracle(spec, outcomes, gain)
     if isinstance(spec, TotalOrder):
         return separation_oracle_total(spec, outcomes, gain)
     if isinstance(spec, PartialOrder):
@@ -373,10 +386,7 @@ def solve(
     batch, sorted by (player, deviation) for reproducibility, and the LP is
     solved again.
     """
-    if len(spaces) != game.num_players:
-        raise ValidationError("one type space per player required")
-    for spec in spaces:
-        validate_space(spec, game.outcomes)
+    validate_spaces(game, spaces)
 
     if isinstance(query, Eore):
         objective = None
@@ -438,6 +448,21 @@ def solve(
             constraints.append(c)
 
 
+def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str, ...]) -> bool:
+    """True iff every utility vector consistent with the space has
+    u(o) >= u(o2): iff no witness gains from the swap, gain e_o2 - e_o.
+    The 0/1 witnesses suffice for orders, whose polytope's vertices are the
+    up-set indicator vectors (Stanley, "Two poset polytopes", 1986)."""
+    if isinstance(spec, PreferenceCnf):
+        raise UnsupportedSpace("entailment for preference-CNF spaces is out of scope")
+    if o not in outcomes or o2 not in outcomes:
+        raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
+    gain = dict.fromkeys(outcomes, ZERO)
+    gain[o2] += ONE
+    gain[o] -= ONE
+    return separate(spec, outcomes, gain) is None
+
+
 def find_pure_unmediated(
     game: GameForm, spaces: Sequence[TypeSpaceSpec]
 ) -> list[Profile]:
@@ -446,6 +471,7 @@ def find_pure_unmediated(
     for spec in spaces:
         if isinstance(spec, PreferenceCnf):
             raise UnsupportedSpace("entailment for preference-CNF spaces is out of scope")
+    validate_spaces(game, spaces)
     result = []
     for prof in profiles_of(game):
         o = game.outcome_of(prof)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import UnknownOutcome, ValidationError
 
@@ -75,32 +75,6 @@ def outcome_distribution(game: GameForm, dist: Mapping[Profile, Fraction]) -> di
     return out
 
 
-def partial_order_closure(
-    pairs: Mapping | list | tuple, outcomes: tuple[str, ...]
-) -> frozenset[tuple[str, str]]:
-    """Smallest reflexive-transitive relation over `outcomes` containing
-    `pairs`.  Cycles are legal (they entail utility equality)."""
-    known = set(outcomes)
-    succ: dict[str, set[str]] = {o: set() for o in outcomes}
-    for a, b in pairs:
-        if a not in known or b not in known:
-            raise UnknownOutcome(f"pair ({a},{b}) references unknown outcome")
-        succ[a].add(b)  # a >= b
-    closure = set()
-    for start in outcomes:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        for v in seen:
-            closure.add((start, v))
-    return frozenset(closure)
-
-
 @dataclass(frozen=True)
 class FiniteTypes:
     """Explicit list of utility vectors, each outcome -> Fraction in [0,1]."""
@@ -139,18 +113,32 @@ class PreferenceCnf:
 TypeSpaceSpec = Union[FiniteTypes, TotalOrder, PartialOrder, DistributionOrder, PreferenceCnf]
 
 
+def validate_spaces(game: GameForm, spaces: Sequence[TypeSpaceSpec]) -> None:
+    """One valid type space per player."""
+    if len(spaces) != game.num_players:
+        raise ValidationError("one type space per player required")
+    for spec in spaces:
+        validate_space(spec, game.outcomes)
+
+
 def validate_space(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> None:
     known = set(outcomes)
     if isinstance(spec, FiniteTypes):
+        # Key sets and integer ranges only: listed spaces can hold thousands
+        # of types, and this runs on every solve and verify.
         for t in spec.types:
+            if t.keys() != known:
+                for o in t:
+                    if o not in known:
+                        raise UnknownOutcome(f"type references unknown outcome {o!r}")
+                raise ValidationError(f"type missing outcomes {sorted(known - t.keys())}")
             for o, u in t.items():
-                if o not in known:
-                    raise UnknownOutcome(f"type references unknown outcome {o!r}")
-                if not (ZERO <= u <= ONE):
+                try:
+                    ok = 0 <= u.numerator <= u.denominator
+                except AttributeError:
+                    raise ValidationError(f"utility {u!r} for {o!r} is not rational") from None
+                if not ok:
                     raise ValidationError(f"utility {u} for {o!r} outside [0,1]")
-            missing = known - set(t)
-            if missing:
-                raise ValidationError(f"type missing outcomes {sorted(missing)}")
     elif isinstance(spec, TotalOrder):
         if sorted(spec.order) != sorted(outcomes):
             raise ValidationError("total order must be an exact permutation of the outcomes")

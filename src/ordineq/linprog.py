@@ -1,5 +1,6 @@
 """Exact linear programming over rationals.
 
+Every variable is nonnegative; an upper bound or any other limit is a row.
 A dense two-phase simplex with Bland's rule for both the entering and the
 leaving variable, so termination is unconditional (no cycling) and no
 epsilon appears anywhere.  Every feasible answer is a basic (vertex)
@@ -26,7 +27,6 @@ from typing import Optional, Sequence
 from .errors import MalformedLp
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LE = "<="
 EQ = "="
@@ -58,7 +58,7 @@ def constraint(coeffs: Sequence, rel: str, rhs) -> Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """num_vars variables; per-variable bounds are optional (None = free side).
+    """num_vars variables, each >= 0.
 
     objective is (coefficient vector, "max" | "min") or None for pure
     feasibility problems.
@@ -67,8 +67,6 @@ class LinearProgram:
     num_vars: int
     constraints: tuple[Constraint, ...]
     objective: Optional[tuple[tuple[Fraction, ...], str]] = None
-    lower: Optional[tuple[Optional[Fraction], ...]] = None
-    upper: Optional[tuple[Optional[Fraction], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,6 @@ def _validate(lp: LinearProgram) -> None:
             raise MalformedLp("objective length mismatch")
         if direction not in (MAX, MIN):
             raise MalformedLp(f"bad objective direction {direction!r}")
-    for name, bnd in (("lower", lp.lower), ("upper", lp.upper)):
-        if bnd is not None and len(bnd) != n:
-            raise MalformedLp(f"{name} bounds length mismatch")
 
 
 def _int_row(values) -> tuple[list[int], int]:
@@ -179,62 +174,18 @@ def _simplex_min(T, basis) -> bool:
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve an exact LP: feasibility, or optimization when an objective is set."""
     _validate(lp)
-    n = lp.num_vars
-    lower = lp.lower if lp.lower is not None else (None,) * n
-    upper = lp.upper if lp.upper is not None else (None,) * n
+    ncols = lp.num_vars
 
-    # Substitute each variable by nonnegative columns:
-    #   x = shift + sum(sign * y_col) over its columns.
-    col_terms: list[tuple[tuple[int, Fraction], ...]] = []
-    shift: list[Fraction] = []
-    upper_rows: list[tuple[int, Fraction]] = []  # y_col <= bound
-    ncols = 0
-    for j in range(n):
-        lo, up = lower[j], upper[j]
-        if lo is not None:
-            if up is not None:
-                if up < lo:
-                    return LpOutcome(INFEASIBLE)
-                upper_rows.append((ncols, up - lo))
-            col_terms.append(((ncols, ONE),))
-            shift.append(lo)
-            ncols += 1
-        elif up is not None:
-            col_terms.append(((ncols, -ONE),))
-            shift.append(up)
-            ncols += 1
-        else:
-            col_terms.append(((ncols, ONE), (ncols + 1, -ONE)))
-            shift.append(ZERO)
-            ncols += 2
-
-    # Each row over the ncols columns, right-hand side last, as integers;
-    # rows with a negative right-hand side are negated, so rhs >= 0.
+    # Each row, right-hand side last, as integers; rows with a negative
+    # right-hand side are negated, so rhs >= 0.
     rows: list[tuple[list[int], int, str]] = []
-
-    def add_row(row: list[Fraction], rel: str) -> None:
-        nums, den = _int_row(row)
+    for c in lp.constraints:
+        nums, den = _int_row([*c.coeffs, c.rhs])
+        rel = c.rel
         if nums[-1] < 0:
             nums = [-v for v in nums]
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
         rows.append((nums, den, rel))
-
-    for c in lp.constraints:
-        row = [ZERO] * (ncols + 1)
-        r = c.rhs
-        for j, cf in enumerate(c.coeffs):
-            if cf == 0:
-                continue
-            r -= cf * shift[j]
-            for col, sign in col_terms[j]:
-                row[col] += cf * sign
-        row[ncols] = r
-        add_row(row, c.rel)
-    for col, bound in upper_rows:
-        row = [ZERO] * (ncols + 1)
-        row[col] = ONE
-        row[ncols] = bound
-        add_row(row, LE)
 
     # Standard form: slack for <=, surplus + artificial for >=, artificial
     # for =.  Identity entries are the row denominator, i.e. one.
@@ -271,16 +222,9 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     if lp.objective is not None:
         coeffs, direction = lp.objective
         negate_value = direction == MAX
-        row = [ZERO] * (ncols + 1)
-        for j, cf in enumerate(coeffs):
-            if cf == 0:
-                continue
-            if negate_value:
-                cf = -cf
-            row[ncols] -= cf * shift[j]
-            for col, sign in col_terms[j]:
-                row[col] += cf * sign
-        nums, den = _int_row(row)
+        nums, den = _int_row([*coeffs, ZERO])
+        if negate_value:
+            nums = [-v for v in nums]
         T.append((nums[:ncols] + pad + nums[ncols:], den))
 
     # Phase 1: drive artificials to zero.
@@ -316,15 +260,9 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         if negate_value:
             value = -value
 
-    y = [ZERO] * ncols
+    x = [ZERO] * ncols
     for i, bi in enumerate(basis):
         if bi < ncols:
             nums, den = T[i]
-            y[bi] = Fraction(nums[-1], den)
-    assignment = []
-    for j in range(n):
-        x = shift[j]
-        for col, sign in col_terms[j]:
-            x += sign * y[col]
-        assignment.append(x)
-    return LpOutcome(FEASIBLE, tuple(assignment), value)
+            x[bi] = Fraction(nums[-1], den)
+    return LpOutcome(FEASIBLE, tuple(x), value)

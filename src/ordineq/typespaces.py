@@ -1,5 +1,4 @@
-"""Consistency, extreme-type enumeration and entailment for the five
-type-space kinds.
+"""Consistency and extreme-type enumeration for the five type-space kinds.
 
 A 0/1 utility vector is an "extreme type".  For total orders these are the
 threshold vectors; for partial orders, indicator vectors of upward-closed
@@ -8,7 +7,9 @@ sets; for preference-CNF, the 0/1 models of the formula, where the atom
 exhaustive within the 0/1 class or raises CapExceeded -- silent truncation
 would break soundness downstream.  The solver never enumerates: its
 oracles search these families lazily, and the enumeration serves the
-verifier's cross-check, `ordineq enumerate-types` and the tests.
+verifier's cross-check, `ordineq enumerate-types` and the tests.  The
+largest value of a linear function of u over a space, which also decides
+entailment, is `equilibrium.separate`'s question.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from . import linprog
 from .errors import CapExceeded, UnknownOutcome, UnsupportedSpace
 from .games import (
     DistributionOrder,
@@ -25,7 +25,6 @@ from .games import (
     PreferenceCnf,
     TotalOrder,
     TypeSpaceSpec,
-    partial_order_closure,
 )
 
 ZERO = Fraction(0)
@@ -83,78 +82,21 @@ def enumerate_extreme_types(
         raise UnsupportedSpace(f"cannot enumerate extreme types for {type(spec).__name__}")
     if 2 ** len(outcomes) > DEFAULT_CAP:
         raise CapExceeded(f"2^{len(outcomes)} candidate vectors exceed cap {DEFAULT_CAP}")
-    if isinstance(spec, PartialOrder):
-        # u(o) >= u(o') for o >= o': the 1-set must be upward closed.  The
-        # test runs on the candidate's bit mask over `outcomes`, so only
-        # accepted candidates become vectors.
-        bit = {o: 1 << k for k, o in enumerate(outcomes)}
-        links = [(bit[a], bit[b]) for a, b in spec.pairs]
-        return [
-            {o: (ONE if mask >> k & 1 else ZERO) for k, o in enumerate(outcomes)}
-            for mask in range(2 ** len(outcomes))
-            if all(mask & hi or not mask & lo for hi, lo in links)
-        ]
-
-    def ok(u):
-        return all(any(u[a] >= u[b] for a, b in clause) for clause in spec.clauses)
-
-    vectors = []
-    for mask in range(2 ** len(outcomes)):
-        u = {o: (ONE if mask >> k & 1 else ZERO) for k, o in enumerate(outcomes)}
-        if ok(u):
-            vectors.append(u)
-    return vectors
-
-
-def entails_preference(
-    spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str, ...]
-) -> bool:
-    """True iff every utility vector consistent with the space has u(o) >= u(o2)."""
-    known = set(outcomes)
-    if o not in known or o2 not in known:
-        raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
-    if isinstance(spec, FiniteTypes):
-        return all(t[o] >= t[o2] for t in spec.types)
-    if isinstance(spec, (TotalOrder, PartialOrder)):
-        closure = partial_order_closure(_order_pairs(spec), outcomes)
-        return (o, o2) in closure
-    if isinstance(spec, DistributionOrder):
-        # Minimize u(o) - u(o2) over the constraint polytope; entailed iff min >= 0.
-        objective = [ZERO] * len(outcomes)
-        objective[outcomes.index(o)] = ONE
-        objective[outcomes.index(o2)] -= ONE
-        out = optimize_over_distribution_order(spec, outcomes, tuple(objective), linprog.MIN)
-        return out.objective_value >= 0
-    raise UnsupportedSpace("entailment for preference-CNF spaces is out of scope")
-
-
-def optimize_over_distribution_order(
-    spec: DistributionOrder,
-    outcomes: tuple[str, ...],
-    objective: tuple[Fraction, ...],
-    direction: str,
-) -> linprog.LpOutcome:
-    """Optimize `objective` (indexed by `outcomes`) over the utility vectors
-    u in [0,1]^O that satisfy the space: one row r1·u - r2·u >= 0 per pair.
-    The polytope contains 0 and is bounded, so the optimum always exists."""
-    idx = {name: k for k, name in enumerate(outcomes)}
-    n = len(outcomes)
-    rows = []
-    for r1, r2 in spec.pairs:
-        row = [ZERO] * n
-        for name, w in r1.items():
-            row[idx[name]] += w
-        for name, w in r2.items():
-            row[idx[name]] -= w
-        rows.append(linprog.constraint(row, linprog.GE, ZERO))
-    lp = linprog.LinearProgram(
-        num_vars=n,
-        constraints=tuple(rows),
-        objective=(objective, direction),
-        lower=(ZERO,) * n,
-        upper=(ONE,) * n,
-    )
-    out = linprog.lp_solve(lp)
-    if out.status != linprog.FEASIBLE:
-        raise AssertionError(f"distribution-order LP is {out.status}; 0 is always feasible")
-    return out
+    # A partial-order pair is a unit clause.  Over a candidate's bit mask,
+    # a clause holds iff one of its atoms (a, b) has a's bit set or b's bit
+    # clear: iff the mask meets the OR of its left bits, or misses part of
+    # the OR of its right bits.  An empty clause never holds.
+    clauses = spec.clauses if isinstance(spec, PreferenceCnf) else tuple((p,) for p in spec.pairs)
+    bit = {o: 1 << k for k, o in enumerate(outcomes)}
+    masks = []
+    for clause in clauses:
+        left = right = 0
+        for a, b in clause:
+            left |= bit[a]
+            right |= bit[b]
+        masks.append((left, right))
+    return [
+        {o: (ONE if mask >> k & 1 else ZERO) for k, o in enumerate(outcomes)}
+        for mask in range(2 ** len(outcomes))
+        if all(mask & left or mask & right != right for left, right in masks)
+    ]

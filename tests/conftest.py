@@ -20,9 +20,9 @@ from ordineq.games import (
     PartialOrder,
     TotalOrder,
     opponents_profiles_of,
-    partial_order_closure,
     profiles_of,
 )
+from ordineq.errors import UnknownOutcome
 from ordineq.linprog import (
     EQ,
     GE,
@@ -63,27 +63,25 @@ def solve_square_system(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# LP brute force by vertex enumeration (valid for box-bounded programs,
-# where the feasible region is a polytope and hence has a vertex iff it is
+# LP brute force by vertex enumeration (valid for bounded programs, where
+# the feasible region is a polytope and hence has a vertex iff it is
 # nonempty).
 
 
 def lp_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:
     """Every feasible point where n linearly independent constraint or
-    bound hyperplanes are tight, i.e. every vertex of the feasible region.
+    nonnegativity hyperplanes are tight, i.e. every vertex of the feasible
+    region.
 
-    Requires finite lower and upper bounds on every variable.
+    Requires the rows to bound every variable.
     """
     n = lp.num_vars
-    assert lp.lower is not None and lp.upper is not None
     hyperplanes = []  # (coeffs, rhs) rows whose tightness can define a vertex
     for c in lp.constraints:
         hyperplanes.append((c.coeffs, c.rhs))
     for j in range(n):
-        assert lp.lower[j] is not None and lp.upper[j] is not None
         unit = tuple(ONE if k == j else ZERO for k in range(n))
-        hyperplanes.append((unit, lp.lower[j]))
-        hyperplanes.append((unit, lp.upper[j]))
+        hyperplanes.append((unit, ZERO))
 
     def feasible(x):
         for c in lp.constraints:
@@ -94,9 +92,7 @@ def lp_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:
                 return False
             if c.rel == EQ and lhs != c.rhs:
                 return False
-        return all(
-            lp.lower[j] <= x[j] <= lp.upper[j] for j in range(n)
-        )
+        return all(v >= 0 for v in x)
 
     vertices = []
     for combo in itertools.combinations(range(len(hyperplanes)), n):
@@ -111,7 +107,7 @@ def lp_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:
 def lp_brute_force(lp: LinearProgram):
     """Return (status, best_value) by enumerating candidate vertices.
 
-    Requires finite lower and upper bounds on every variable.
+    Requires the rows to bound every variable.
     """
     vertices = lp_vertices(lp)
     status = FEASIBLE if vertices else INFEASIBLE
@@ -123,34 +119,50 @@ def lp_brute_force(lp: LinearProgram):
 
 
 def random_boxed_lp(rng: random.Random, max_vars=3, max_rows=5) -> LinearProgram:
-    """Small random LP with finite box bounds on every variable."""
+    """Small random LP whose last rows are x_j <= b_j, one per variable."""
     n = rng.randint(1, max_vars)
     m = rng.randint(0, max_rows)
-    lower, upper = [], []
-    for _ in range(n):
-        a, b = sorted(rng.randint(-3, 3) for _ in range(2))
-        lower.append(Fraction(a))
-        upper.append(Fraction(b))
     constraints = []
     for _ in range(m):
         coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
         rel = rng.choice((LE, GE, EQ))
         constraints.append(make_constraint(coeffs, rel, Fraction(rng.randint(-4, 4))))
+    for j in range(n):
+        unit = tuple(ONE if k == j else ZERO for k in range(n))
+        constraints.append(make_constraint(unit, LE, rng.randint(0, 3)))
     objective = None
     if rng.random() < 0.7:
         coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
         objective = (coeffs, rng.choice((MAX, MIN)))
-    return LinearProgram(
-        num_vars=n,
-        constraints=tuple(constraints),
-        objective=objective,
-        lower=tuple(lower),
-        upper=tuple(upper),
-    )
+    return LinearProgram(num_vars=n, constraints=tuple(constraints), objective=objective)
 
 
 # ---------------------------------------------------------------------------
 # Closure brute force
+
+
+def partial_order_closure(pairs, outcomes: tuple[str, ...]) -> frozenset[tuple[str, str]]:
+    """Smallest reflexive-transitive relation over `outcomes` containing
+    `pairs`.  Cycles are legal (they entail utility equality)."""
+    known = set(outcomes)
+    succ: dict[str, set[str]] = {o: set() for o in outcomes}
+    for a, b in pairs:
+        if a not in known or b not in known:
+            raise UnknownOutcome(f"pair ({a},{b}) references unknown outcome")
+        succ[a].add(b)  # a >= b
+    closure = set()
+    for start in outcomes:
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in succ[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        for v in seen:
+            closure.add((start, v))
+    return frozenset(closure)
 
 
 def closure_brute_force(items, values, implications):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from conftest import (
     deviation_gain,
     distribution_shadow_partial,
     gain_vector,
+    lp_vertices,
+    partial_order_closure,
     stochastic_dominance,
     upward_closed_vectors,
 )
@@ -25,7 +28,7 @@ from ordineq.games import (
     outcome_distribution,
     profiles_of,
 )
-from ordineq.linprog import FEASIBLE, lp_solve
+from ordineq.linprog import FEASIBLE, GE, LE, LinearProgram, constraint, lp_solve
 from ordineq.randgen import random_game, random_profile_point
 from ordineq.typespaces import enumerate_extreme_types, satisfies_space
 
@@ -378,6 +381,16 @@ def test_solve_validates_its_spaces():
         eq.solve(game, (FiniteTypes(({"o11": ONE + ONE},)), spaces[1]), eq.Eore())
 
 
+def test_find_pure_unmediated_validates_its_spaces():
+    """The probes `solve` rejects are rejected here too, instead of reading
+    the order as entailing every preference or ending in a KeyError."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    with pytest.raises(ValidationError):
+        eq.find_pure_unmediated(game, (TotalOrder(("o1",)), spaces[1]))
+    with pytest.raises(UnknownOutcome):
+        eq.find_pure_unmediated(game, (FiniteTypes(({"o11": ONE + ONE},)), spaces[1]))
+
+
 def test_existence_answers_on_fixtures():
     no_game, no_spaces, _ = load_game("matching_pennies_asymmetric")
     assert not eq.solve(no_game, no_spaces, eq.Eore()).answer
@@ -438,6 +451,38 @@ def test_dist_solve_reports_nonexistence():
 
 # ---------------------------------------------------------------------------
 # Pure unmediated equilibria
+
+
+def test_entailment_matches_closure_and_polytope_vertices():
+    """Orders entail exactly their transitive closure; a distribution order
+    entails u(o) >= u(o2) iff u(o) - u(o2) is nonnegative at every vertex of
+    its polytope in [0,1]^O."""
+    rng = random.Random(43)
+    for kind in ("total_order", "partial_order"):
+        for _ in range(30):
+            game, spaces = random_game(rng.randint(0, 10**9), max_outcomes=6, kind=kind)
+            outcomes = game.outcomes
+            for spec in spaces:
+                if isinstance(spec, TotalOrder):
+                    closure = partial_order_closure(tuple(zip(spec.order, spec.order[1:])), outcomes)
+                else:
+                    closure = partial_order_closure(spec.pairs, outcomes)
+                for o, o2 in itertools.product(outcomes, repeat=2):
+                    assert eq.entails_preference(spec, o, o2, outcomes) == ((o, o2) in closure)
+    for _ in range(15):
+        game, spaces = random_game(rng.randint(0, 10**9), max_outcomes=4, kind="distribution_order")
+        outcomes = game.outcomes
+        n = len(outcomes)
+        for spec in spaces:
+            rows = []
+            for r1, r2 in spec.pairs:
+                rows.append(constraint([r1.get(o, ZERO) - r2.get(o, ZERO) for o in outcomes], GE, 0))
+            for k in range(n):
+                rows.append(constraint([ONE if j == k else ZERO for j in range(n)], LE, 1))
+            vertices = lp_vertices(LinearProgram(n, tuple(rows)))
+            for (k, o), (k2, o2) in itertools.product(enumerate(outcomes), repeat=2):
+                expected = min(v[k] - v[k2] for v in vertices) >= 0
+                assert eq.entails_preference(spec, o, o2, outcomes) == expected
 
 
 def test_pure_equilibria_of_the_coordination_game():

@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from ordineq.errors import ValidationError
+from conftest import partial_order_closure
+from ordineq.errors import UnknownOutcome, ValidationError
 from ordineq.fixture_suite import GAME_NAMES, fixture_text, load_game
 from ordineq.gamedoc import parse_game, serialize_game
 from ordineq.games import (
+    FiniteTypes,
     GameForm,
     MediatedProfile,
     opponents_profiles_of,
     outcome_distribution,
-    partial_order_closure,
     profiles_of,
     validate_profile,
+    validate_space,
 )
 
 ZERO = Fraction(0)
@@ -174,3 +176,19 @@ def test_profile_masses_validated():
     )
     with pytest.raises(ValidationError):
         validate_profile(game, negative)
+
+
+def test_finite_types_validated():
+    outcomes = ("a", "b")
+    validate_space(FiniteTypes(({"a": ZERO, "b": ONE}, {"b": ONE / 2, "a": 1})), outcomes)
+    with pytest.raises(UnknownOutcome):
+        validate_space(FiniteTypes(({"a": ZERO, "b": ONE, "c": ONE},)), outcomes)
+    for bad in (
+        {"a": ZERO},
+        {"a": ZERO, "b": Fraction(3, 2)},
+        {"a": -ONE / 2, "b": ZERO},
+        {"a": ZERO, "b": 0.5},
+        {"a": "1", "b": ZERO},
+    ):
+        with pytest.raises(ValidationError):
+            validate_space(FiniteTypes((bad,)), outcomes)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import upward_closed_vectors
+from ordineq.equilibrium import entails_preference
 from ordineq.errors import CapExceeded, UnsupportedSpace
 from ordineq.fixture_suite import load_game
 from ordineq.games import (
@@ -14,11 +15,8 @@ from ordineq.games import (
     PreferenceCnf,
     TotalOrder,
 )
-from ordineq.typespaces import (
-    entails_preference,
-    enumerate_extreme_types,
-    satisfies_space,
-)
+from ordineq.randgen import random_game
+from ordineq.typespaces import enumerate_extreme_types, satisfies_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -116,6 +114,32 @@ def test_extreme_type_count_matches_up_set_enumeration():
         got = enumerate_extreme_types(spec, outcomes)
         expected = upward_closed_vectors(outcomes, pairs)
         assert len(got) == len(expected)
+
+
+@pytest.mark.parametrize("kind", ["partial_order", "preference_cnf"])
+def test_enumeration_is_complete(kind):
+    """The enumeration lists every 0/1 vector the space accepts, each once.
+    The CNF spaces include an empty clause (no model) and repeated atoms."""
+    rng = random.Random(41)
+    for _ in range(30):
+        game, spaces = random_game(rng.randint(0, 10**9), max_outcomes=7, kind=kind)
+        outcomes = game.outcomes
+        extra = ()
+        if kind == "preference_cnf":
+            a, b = outcomes[:2]
+            extra = (
+                PreferenceCnf(spaces[0].clauses + ((),)),
+                PreferenceCnf(spaces[0].clauses + (((a, b), (a, b), (b, a)), ((b, a), (b, a)))),
+            )
+        for spec in spaces + extra:
+            got = [tuple(u[o] for o in outcomes) for u in enumerate_extreme_types(spec, outcomes)]
+            expected = {
+                bits
+                for bits in itertools.product((ZERO, ONE), repeat=len(outcomes))
+                if satisfies_space(dict(zip(outcomes, bits)), spec, outcomes)
+            }
+            assert len(got) == len(set(got))
+            assert set(got) == expected
 
 
 def test_enumeration_cap_is_hard():

@@ -13,10 +13,12 @@ from conftest import (
 )
 from ordineq import verifier
 from ordineq.cli import EXIT_NO, EXIT_YES, run_cli
+from ordineq.errors import UnknownOutcome, ValidationError
 from ordineq.equilibrium import Eore, solve
 from ordineq.fixture_suite import load_game, load_profile
 from ordineq.gamedoc import serialize_game, serialize_profile
 from ordineq.games import (
+    FiniteTypes,
     GameForm,
     MediatedProfile,
     PartialOrder,
@@ -217,6 +219,17 @@ def test_verify_preference_cnf_spaces(tmp_path, capsys):
         profile_path.write_text(serialize_profile(profile))
         argv = ["verify", "--game", str(game_path), "--profile", str(profile_path)]
         assert run_cli(argv) == code, capsys.readouterr()
+
+
+def test_verify_validates_its_spaces():
+    """The bundled 50/50 profile is not reported robust against an order
+    that leaves out o2, or against a type over an outcome the game lacks."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    profile = load_profile("matching_pennies_symmetric_eq", game)
+    with pytest.raises(ValidationError):
+        verifier.verify(game, (TotalOrder(("o1",)), spaces[1]), profile)
+    with pytest.raises(UnknownOutcome):
+        verifier.verify(game, (FiniteTypes(({"o11": ONE + ONE},)), spaces[1]), profile)
 
 
 @pytest.mark.parametrize("as_partial", [False, True])
