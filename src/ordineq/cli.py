@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Machine-readable JSON goes to stdout; human diagnostics to stderr.
-Exit codes: 0 = yes/verified, 3 = no/violated, 2 = non-definitive
-(yes over extreme 0/1 types only), 64 = usage error, 65 = bad input.
+Exit codes: 0 = yes/verified, 3 = no/violated, 64 = usage error,
+65 = bad input.  Every answer is exact for every utility vector consistent
+with the type spaces, preference CNFs included.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from .gamedoc import (
     serialize_game,
     serialize_profile,
 )
-from .games import ObjectiveSpec, PreferenceCnf
+from .games import ObjectiveSpec
 from .rational import rational_parse, rational_render
 from .typespaces import enumerate_extreme_types
 
 EXIT_YES = 0
-EXIT_NON_DEFINITIVE = 2
 EXIT_NO = 3
 EXIT_USAGE = 64
 EXIT_BAD_INPUT = 65
@@ -56,23 +56,6 @@ def _parse_rat_map(path: str, label: str) -> dict:
 
 def _cmd_solve(args) -> int:
     game, spaces, _ = _load_game(args.game)
-
-    if any(isinstance(s, PreferenceCnf) for s in spaces):
-        if args.problem != "eore":
-            sys.stderr.write(
-                "only the existence problem is supported for preference-CNF spaces\n"
-            )
-            return EXIT_USAGE
-        res = hardness.check_cnf_existence(game, spaces)
-        if res.answer == "no":
-            _emit({"answer": "no"})
-            return EXIT_NO
-        out = {
-            "answer": "yes" if res.definitive else "yes_over_extreme_types",
-            "profile": _profile_obj(res.profile),
-        }
-        _emit(out)
-        return EXIT_YES if res.definitive else EXIT_NON_DEFINITIVE
 
     if args.problem == "eore":
         query = equilibrium.Eore()

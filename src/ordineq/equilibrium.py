@@ -16,7 +16,9 @@ one separation oracle of that vector alone, reached through
 kind's finite witness family, with a witness attaining it.  The families
 are the listed types of a finite space, the threshold vectors of a total
 order, the upward-closed 0/1 vectors of a partial order, the vertices of a
-distribution order's polytope, and the 0/1 models of a preference CNF.
+distribution order's polytope, and the 0/1 models of a preference CNF,
+which attain the maximum of every gain over the whole CNF set
+(`best_cnf_model` has the proof).
 The solver adds violated constraints in a cutting-plane loop; an added
 constraint can never be strictly violated again, so the loop terminates.
 The verifier calls the same oracles on the same gain vectors, and
@@ -45,6 +47,7 @@ from .games import (
     Profile,
     TotalOrder,
     TypeSpaceSpec,
+    check_distribution,
     opponents_profiles_of,
     outcome_distribution,
     profiles_of,
@@ -299,6 +302,21 @@ def best_cnf_model(
     """The largest sum of `weights[o] * u(o)` over the 0/1 models u of the
     CNF, with a model attaining it, or None if no model has a positive sum.
 
+    For weights that sum to zero, as every gain vector's do, this is also
+    the largest sum over every consistent utility vector in [0,1]^O, and a
+    consistent vector anywhere has a positive sum only if some model does;
+    so a cutting plane over the models is exact.  Proof: the consistent
+    set is the union, over the branches beta that pick one atom (a, b) per
+    clause, of the cones C_beta = {u : u_a >= u_b for each picked atom}.
+    Adding a constant to u keeps it in C_beta and, the weights summing to
+    zero, keeps its sum; scaling u by a positive factor keeps it in C_beta
+    and scales its sum.  So every u in C_beta maps into the polytope
+    C_beta ∩ [0,1]^O with the sign of its sum kept.  That polytope is cut
+    out by difference rows and unit bounds, a totally unimodular matrix
+    with integer right-hand sides (Hoffman & Kruskal 1956), so its vertices
+    are 0/1 vectors; each satisfies beta, so it is a model, and the linear
+    sum is largest at one of them.
+
     Over 0/1 utilities the atom (a >= b) is the Boolean clause
     u_a or not u_b, so the models are assignments of one variable per
     outcome.  A depth-first branch and bound assigns the variables in order
@@ -397,9 +415,7 @@ def solve(
         objective = ({query.target: ONE}, linprog.MAX)
         fixed_p = None
     elif isinstance(query, Aare):
-        total = sum(query.dist.values(), ZERO)
-        if total != 1 or any(w < 0 for w in query.dist.values()):
-            raise ValidationError("AARE target distribution must be a distribution")
+        check_distribution(query.dist, set(profiles_of(game)), "AARE path")
         objective = None
         fixed_p = query.dist
     elif isinstance(query, Omire):
@@ -452,9 +468,8 @@ def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str
     """True iff every utility vector consistent with the space has
     u(o) >= u(o2): iff no witness gains from the swap, gain e_o2 - e_o.
     The 0/1 witnesses suffice for orders, whose polytope's vertices are the
-    up-set indicator vectors (Stanley, "Two poset polytopes", 1986)."""
-    if isinstance(spec, PreferenceCnf):
-        raise UnsupportedSpace("entailment for preference-CNF spaces is out of scope")
+    up-set indicator vectors (Stanley, "Two poset polytopes", 1986), and
+    for preference CNFs, because the gain sums to zero (`best_cnf_model`)."""
     if o not in outcomes or o2 not in outcomes:
         raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
     gain = dict.fromkeys(outcomes, ZERO)
@@ -467,24 +482,24 @@ def find_pure_unmediated(
     game: GameForm, spaces: Sequence[TypeSpaceSpec]
 ) -> list[Profile]:
     """All profiles where every unilateral deviation leads to an outcome the
-    deviator weakly disprefers under every consistent type."""
-    for spec in spaces:
-        if isinstance(spec, PreferenceCnf):
-            raise UnsupportedSpace("entailment for preference-CNF spaces is out of scope")
+    deviator weakly disprefers under every consistent type.  Each entailment
+    depends only on (player, o, o2), so it is asked once per call."""
     validate_spaces(game, spaces)
+    entailed: dict[tuple[int, str, str], bool] = {}
+
+    def entails(i: int, o: str, o2: str) -> bool:
+        key = (i, o, o2)
+        if key not in entailed:
+            entailed[key] = entails_preference(spaces[i], o, o2, game.outcomes)
+        return entailed[key]
+
     result = []
     for prof in profiles_of(game):
         o = game.outcome_of(prof)
-        ok = True
-        for i in range(game.num_players):
-            opp = prof[:i] + prof[i + 1 :]
-            for a in game.action_sets[i]:
-                o2 = game.outcome_of(game.insert(i, a, opp))
-                if not entails_preference(spaces[i], o, o2, game.outcomes):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            entails(i, o, game.outcome_of(game.insert(i, a, prof[:i] + prof[i + 1 :])))
+            for i in range(game.num_players)
+            for a in game.action_sets[i]
+        ):
             result.append(prof)
     return result

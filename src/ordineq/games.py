@@ -180,17 +180,23 @@ def validate_profile(game: GameForm, profile: MediatedProfile) -> None:
     if len(profile.q) != game.num_players:
         raise ValidationError("one punishment distribution per player required")
     valid = set(profiles_of(game))
-    _check_dist(profile.p, valid, "p")
+    check_distribution(profile.p, valid, "p")
     for i, qi in enumerate(profile.q):
-        _check_dist(qi, set(opponents_profiles_of(game, i)), f"q[{i}]")
+        check_distribution(qi, set(opponents_profiles_of(game, i)), f"q[{i}]")
 
 
-def _check_dist(dist: Mapping[Profile, Fraction], support: set[Profile], name: str) -> None:
+def check_distribution(dist: Mapping[Profile, Fraction], support: set[Profile], name: str) -> None:
+    """Raise ValidationError unless `dist` is a distribution over `support`
+    with exact rational weights."""
     total = ZERO
     for key, w in dist.items():
         if key not in support:
             raise ValidationError(f"{name} has weight on unknown profile {key}")
-        if w < 0:
+        try:
+            negative = w.numerator < 0
+        except AttributeError:
+            raise ValidationError(f"{name} weight {w!r} on {key} is not rational") from None
+        if negative:
             raise ValidationError(f"{name} has negative weight on {key}")
         total += w
     if total != 1:

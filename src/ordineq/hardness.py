@@ -6,21 +6,31 @@ outcomes {o0, o1, o_x1..o_xm}: literal +x_i becomes the atom
 (o_xi >= o1) and literal -x_i becomes (o0 >= o_xi).  The reduced game has
 a robust equilibrium exactly when the formula is unsatisfiable.
 
-The existence check solves the game over the CNF space itself.  The
-space's witness family is its 0/1 models, which the CNF separation oracle
-searches by branch and bound instead of listing all 2^|O| candidates; the
-problem stays coNP-hard, but an instance no longer costs 2^|O| up front.
+The existence check is `solve` over the CNF space itself, whose separation
+oracle searches the 0/1 models by branch and bound instead of listing all
+2^|O| candidates; the problem stays coNP-hard, but an instance no longer
+costs 2^|O| up front.  Both of its answers are exact for every utility
+vector consistent with the CNF, not only for the 0/1 models.  The set of
+consistent vectors is a union of cones C_beta, one per choice beta of an
+atom (a, b) from each clause, each cut out by the difference constraints
+u_a >= u_b.  A gain vector sums to zero, because the on-path and the
+punishment distributions both do, so a vector of C_beta gains exactly
+when its shift and positive rescaling into C_beta ∩ [0,1]^O gains.  The
+constraint matrix of that polytope is totally unimodular (Hoffman &
+Kruskal 1956), so its vertices, where a linear gain is largest, are 0/1
+models of the CNF.  Hence a profile robust against every model is robust
+against every consistent vector, and a "no" over the models is a "no"
+outright.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .equilibrium import Eore, best_cnf_model, solve
-from .errors import CapExceeded, ParseError, UnsupportedSpace, ValidationError
+from .equilibrium import Eore, solve
+from .errors import CapExceeded, ParseError, ValidationError
 from .games import (
     GameForm,
     MediatedProfile,
@@ -28,8 +38,6 @@ from .games import (
     TotalOrder,
     TypeSpaceSpec,
 )
-
-ONE = Fraction(1)
 
 SAT_BRUTE_CAP = 20
 
@@ -150,73 +158,26 @@ def reduce_sat(f: CnfFormula) -> tuple[GameForm, tuple[TypeSpaceSpec, ...]]:
 
 @dataclass(frozen=True)
 class CnfExistenceResult:
-    """`answer` is "yes_over_extreme_types" or "no".
+    """`answer` is "yes_over_extreme_types" or "no"; `profile` is the
+    equilibrium of a yes.
 
-    A "no" is definitive: the finitely many 0/1 models that the solver added
-    as cuts already block every profile.  A yes certifies that no 0/1 model
-    of the CNF blocks the profile; it is marked `definitive` when the game
-    has the reduction shape and no model prefers o1 to o0 (making the
-    top-left cell a pure unmediated equilibrium).
+    Both answers are definitive (see the module docstring): a yes profile is
+    robust against every utility vector consistent with the CNF, so
+    `definitive` is always True.  The answer string and the field are kept
+    because benchmark digests record them.
     """
 
     answer: str
     profile: Optional[MediatedProfile] = None
-    definitive: bool = False
-
-
-def _is_reduction_shape(game: GameForm, cnf: PreferenceCnf) -> bool:
-    if game.num_players != 2 or len(game.action_sets[1]) != 2:
-        return False
-    rows, cols = game.action_sets
-    if len(rows) != len(game.outcomes) or len(rows) < 2:
-        return False
-    outs = game.outcomes
-    if outs[0] != "o0" or outs[1] != "o1":
-        return False
-    for c in cols:
-        if game.outcome_of((rows[0], c)) != "o0":
-            return False
-        if game.outcome_of((rows[1], c)) != "o1":
-            return False
-    for k, row in enumerate(rows[2:], start=2):
-        if game.outcome_of((row, cols[0])) != "o1":
-            return False
-        if game.outcome_of((row, cols[1])) != outs[k]:
-            return False
-    var_outcomes = set(outs[2:])
-    for clause in cnf.clauses:
-        for a, b in clause:
-            if not (
-                (b == "o1" and a in var_outcomes) or (a == "o0" and b in var_outcomes)
-            ):
-                return False
-    return True
+    definitive: bool = True
 
 
 def check_cnf_existence(
     game: GameForm, spaces: Sequence[TypeSpaceSpec]
 ) -> CnfExistenceResult:
-    """Existence check over the 0/1 models of a preference-CNF space.
-
-    Exactly one player's space must be a PreferenceCnf; the game is solved
-    for existence over the spaces as given.
-    """
-    cnf_players = [i for i, s in enumerate(spaces) if isinstance(s, PreferenceCnf)]
-    if len(cnf_players) != 1:
-        raise UnsupportedSpace("exactly one preference-CNF space expected")
-    cnf = spaces[cnf_players[0]]
+    """Existence check for a game with preference-CNF spaces: `solve` for
+    `Eore`, as its result."""
     result = solve(game, spaces, Eore())
     if not result.answer:
-        # Finitely many consistent types already block every profile, so
-        # nonexistence over the 0/1 models is nonexistence outright.
-        return CnfExistenceResult("no", definitive=True)
-
-    definitive = False
-    if _is_reduction_shape(game, cnf):
-        # Over the reduction, UNSAT <=> no satisfying 0/1 vector prefers o1
-        # to o0 <=> no consistent vector at all does, and then the top-left
-        # cell is a pure unmediated equilibrium.
-        definitive = best_cnf_model(cnf, game.outcomes, {"o1": ONE, "o0": -ONE}) is None
-    return CnfExistenceResult(
-        "yes_over_extreme_types", profile=result.profile, definitive=definitive
-    )
+        return CnfExistenceResult("no")
+    return CnfExistenceResult("yes_over_extreme_types", profile=result.profile)

@@ -41,19 +41,18 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _frac_tuple(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class Constraint:
+    """coeffs · x  rel  rhs, every number an exact rational: a `Fraction`
+    or an `int`."""
+
     coeffs: tuple[Fraction, ...]
     rel: str
     rhs: Fraction
 
 
 def constraint(coeffs: Sequence, rel: str, rhs) -> Constraint:
-    return Constraint(_frac_tuple(coeffs), rel, Fraction(rhs))
+    return Constraint(tuple(coeffs), rel, rhs)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from ordineq.games import (
     PartialOrder,
     TotalOrder,
     opponents_profiles_of,
-    profiles_of,
 )
 from ordineq.errors import UnknownOutcome
 from ordineq.linprog import (

@@ -20,12 +20,10 @@ from conftest import (
 )
 from ordineq import equilibrium as eq
 from ordineq import verifier
-from ordineq.errors import UnsupportedSpace
 from ordineq.fixture_suite import GAME_NAMES, load_game, load_profile
 from ordineq.flow import ClosureInstance, closure_solve, max_flow
 from ordineq.games import (
     FiniteTypes,
-    MediatedProfile,
     TotalOrder,
     opponents_profiles_of,
     outcome_distribution,
@@ -364,11 +362,7 @@ def test_criterion_11_pure_sustainment():
 
     def sustained(game, spaces):
         nonlocal ok, checked
-        try:
-            pures = eq.find_pure_unmediated(game, spaces)
-        except UnsupportedSpace:
-            return
-        for cell in pures:
+        for cell in eq.find_pure_unmediated(game, spaces):
             profile = point_profile(game, cell)
             ok = ok and verifier.verify(game, spaces, profile).is_equilibrium
             checked += 1
@@ -377,7 +371,7 @@ def test_criterion_11_pure_sustainment():
         game, spaces, _ = load_game(name)
         sustained(game, spaces)
     rng = random.Random(1111)
-    kinds = ("total_order", "partial_order", "finite", "distribution_order")
+    kinds = ("total_order", "partial_order", "finite", "distribution_order", "preference_cnf")
     for trial in range(200):
         game, spaces = random_game(
             rng.randint(0, 10**9),

@@ -1,16 +1,26 @@
+import copy
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ordineq.cli import (
     EXIT_BAD_INPUT,
     EXIT_NO,
-    EXIT_NON_DEFINITIVE,
     EXIT_USAGE,
     EXIT_YES,
     run_cli,
 )
-from ordineq.fixture_suite import fixture_text
+from ordineq.equilibrium import Aare, Omire, Sire, solve
+from ordineq.fixture_suite import GAME_NAMES, fixture_text, load_game
+from ordineq.gamedoc import serialize_game, serialize_profile
+from ordineq.games import ObjectiveSpec, PreferenceCnf
+from ordineq.rational import rational_render
+
+ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 @pytest.fixture
@@ -114,16 +124,39 @@ def test_reduce_sat_round_trip_satisfiable(tmp_path, capsys):
     assert json.loads(out)["answer"] == "no"
 
 
-def test_cnf_game_non_existence_problems_are_usage_errors(
-    fixture_file, capsys
-):
-    game = fixture_file("preference_cnf_example.game")
-    code, _, err = run(
-        capsys,
-        ["solve", "--game", game, "--problem", "sire", "--target", "row_o0,col_1"],
+def test_cnf_game_answers_every_problem_as_solve_does(tmp_path, capsys):
+    """On the CNF fixture, which has no equilibrium, and on it with the
+    clause (o0 >= o1) added, `ordineq solve` gives the answer, value and
+    profile of `equilibrium.solve` for SIRE, AARE and OMIRE."""
+    game, (cnf, order), _ = load_game("preference_cnf_example")
+    target = ("row_o0", "col_1")
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"row_o0,col_1": "1"}))
+    objective = tmp_path / "objective.json"
+    objective.write_text(json.dumps({"row_o0,col_1": "1", "row_o1,col_2": "1/2"}))
+    queries = (
+        (Sire(target), ["--problem", "sire", "--target", "row_o0,col_1"]),
+        (Aare({target: ONE}), ["--problem", "aare", "--path", str(path)]),
+        (
+            Omire(ObjectiveSpec({target: ONE, ("row_o1", "col_2"): HALF}, HALF)),
+            ["--problem", "omire", "--objective", str(objective), "--threshold", "1/2"],
+        ),
     )
-    assert code == EXIT_USAGE
-    assert err
+    answers = set()
+    for k, spec in enumerate((cnf, PreferenceCnf(cnf.clauses + ((("o0", "o1"),),)))):
+        game_path = tmp_path / f"cnf{k}.game"
+        game_path.write_text(serialize_game(game, (spec, order)))
+        for query, argv in queries:
+            res = solve(game, (spec, order), query)
+            want = {"answer": "yes" if res.answer else "no"}
+            if res.profile is not None:
+                want["profile"] = json.loads(serialize_profile(res.profile))
+            if res.value is not None:
+                want["value"] = rational_render(res.value)
+            code, out, _ = run(capsys, ["solve", "--game", str(game_path), *argv])
+            assert (code, json.loads(out)) == (EXIT_YES if res.answer else EXIT_NO, want)
+            answers.add(res.answer)
+    assert answers == {False, True}
 
 
 def test_enumerate_types_threshold_count(fixture_file, capsys):
@@ -152,6 +185,16 @@ def test_usage_error_sire_without_target(fixture_file, capsys):
     game = fixture_file("matching_pennies_symmetric.game")
     code, _, _ = run(capsys, ["solve", "--game", game, "--problem", "sire"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("key", ["Nope,Nada", "Heads", "Heads,Heads,Heads"])
+def test_aare_path_on_an_unknown_profile_is_bad_input(fixture_file, tmp_path, capsys, key):
+    game = fixture_file("matching_pennies_symmetric.game")
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({key: "1"}))
+    code, out, err = run(capsys, ["solve", "--game", game, "--problem", "aare", "--path", str(path)])
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ")
 
 
 def test_bad_input_malformed_game(tmp_path, capsys):
@@ -236,9 +279,10 @@ def test_output_is_deterministic(fixture_file, capsys):
     assert len(outputs) == 1
 
 
-def test_non_definitive_exit_code_for_generic_cnf_game(tmp_path, capsys):
-    # a hand-made preference-CNF game that is not reduction-shaped: the yes
-    # verdict is only over extreme types and must be flagged as such
+def test_generic_cnf_game_answer_is_definitive(tmp_path, capsys):
+    # a hand-made preference-CNF game that is not reduction-shaped: its yes
+    # holds for every utility vector consistent with the CNF, and the
+    # verifier accepts the profile
     doc = {
         "name": "generic_cnf",
         "players": 2,
@@ -258,6 +302,95 @@ def test_non_definitive_exit_code_for_generic_cnf_game(tmp_path, capsys):
     path = tmp_path / "generic.game"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, ["solve", "--game", str(path), "--problem", "eore"])
-    assert code in (EXIT_NON_DEFINITIVE, EXIT_NO)
-    if code == EXIT_NON_DEFINITIVE:
-        assert json.loads(out)["answer"] == "yes_over_extreme_types"
+    assert code == EXIT_YES
+    answer = json.loads(out)
+    assert answer["answer"] == "yes"
+    profile = tmp_path / "generic.profile"
+    profile.write_text(json.dumps(answer["profile"]))
+    code, out, _ = run(capsys, ["verify", "--game", str(path), "--profile", str(profile)])
+    assert code == EXIT_YES
+    assert json.loads(out) == {"verdict": "robust_equilibrium"}
+
+
+# ---------------------------------------------------------------------------
+# one-field mutations of the bundled documents
+
+#: The bundled profile that goes with a bundled game.
+PROFILE_OF = {
+    "coordination_ordinal": "coordination_eq",
+    "matching_pennies_symmetric": "matching_pennies_symmetric_eq",
+    "prisoners_dilemma_rich": "prisoners_dilemma_rich_eq",
+}
+JSON_VALUES = (None, True, 0, -1, 2, 0.5, "", "x", [], ["x"], [[]], {}, {"x": "1"})
+
+
+def _value_paths(doc, prefix=()):
+    """The path of every value inside a JSON document, the root excepted."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """`doc` with one field changed: an object key dropped, a list
+    truncated, or a value replaced by one of another JSON type."""
+    doc = copy.deepcopy(doc)
+    *parents, key = draw(st.sampled_from(list(_value_paths(doc))))
+    parent = doc
+    for k in parents:
+        parent = parent[k]
+    value = parent[key]
+    ops = ["replace"]
+    if isinstance(parent, dict):
+        ops.append("drop")
+    if isinstance(value, list) and value:
+        ops.append("truncate")
+    op = draw(st.sampled_from(ops))
+    if op == "drop":
+        del parent[key]
+    elif op == "truncate":
+        parent[key] = value[: draw(st.integers(0, len(value) - 1))]
+    else:
+        parent[key] = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(value)]))
+    return doc
+
+
+@st.composite
+def _mutated_pair(draw):
+    """A bundled game and its profile (or None), one of the two mutated."""
+    name = draw(st.sampled_from(GAME_NAMES))
+    game = json.loads(fixture_text(f"{name}.game"))
+    profile = json.loads(fixture_text(f"{PROFILE_OF[name]}.profile")) if name in PROFILE_OF else None
+    if profile is not None and draw(st.booleans()):
+        return game, draw(_mutated(profile))
+    return draw(_mutated(game)), profile
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(docs=_mutated_pair())
+def test_mutated_documents_end_in_an_exit_code(tmp_path, capsys, docs):
+    """`solve`, `verify` and `pure` answer a bundled game or profile with
+    one field mutated with an exit code, never an exception."""
+    game_doc, profile_doc = docs
+    game = tmp_path / "mutated.game"
+    game.write_text(json.dumps(game_doc))
+    commands = [["solve", "--game", str(game), "--problem", "eore"], ["pure", "--game", str(game)]]
+    if profile_doc is not None:
+        profile = tmp_path / "mutated.profile"
+        profile.write_text(json.dumps(profile_doc))
+        commands.append(["verify", "--game", str(game), "--profile", str(profile)])
+    for argv in commands:
+        code, _, _ = run(capsys, argv)
+        assert code in (EXIT_YES, EXIT_NO, EXIT_USAGE, EXIT_BAD_INPUT), argv

@@ -381,6 +381,14 @@ def test_solve_validates_its_spaces():
         eq.solve(game, (FiniteTypes(({"o11": ONE + ONE},)), spaces[1]), eq.Eore())
 
 
+def test_solve_rejects_a_float_aare_path():
+    """An AARE path is exact: a float weight is a ValidationError, not an
+    error inside the LP."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    with pytest.raises(ValidationError):
+        eq.solve(game, spaces, eq.Aare({("Top", "Left"): 0.5, ("Bottom", "Right"): 0.5}))
+
+
 def test_find_pure_unmediated_validates_its_spaces():
     """The probes `solve` rejects are rejected here too, instead of reading
     the order as entailing every preference or ending in a KeyError."""

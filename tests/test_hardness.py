@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from ordineq.equilibrium import best_cnf_model
 from ordineq.errors import ParseError, ValidationError
 from ordineq.games import PreferenceCnf, TotalOrder
+from ordineq.linprog import FEASIBLE, GE, LE, MAX, LinearProgram, constraint, lp_solve
 from ordineq.hardness import (
     CnfFormula,
     check_cnf_existence,
@@ -181,3 +184,62 @@ def test_reduction_iff_on_random_formulas():
         expected = "no" if sat_brute(f) else "yes_over_extreme_types"
         assert res.answer == expected, f"trial {trial}: {f}"
         assert res.definitive
+
+
+# ---------------------------------------------------------------------------
+# the 0/1 models attain every zero-sum gain's maximum over the CNF set
+
+
+def _branch_maximum(clauses, outcomes, gain):
+    """The largest exact-LP optimum of gain·u over C_beta ∩ [0,1]^O across
+    the branches beta that pick one atom (a, b), u_a >= u_b, per clause;
+    None when there is no branch."""
+    idx = {o: k for k, o in enumerate(outcomes)}
+    n = len(outcomes)
+    bounds = [constraint([ONE if j == k else ZERO for j in range(n)], LE, ONE) for k in range(n)]
+    objective = (tuple(gain[o] for o in outcomes), MAX)
+    best = None
+    for beta in set(itertools.product(*clauses)):
+        rows = []
+        for a, b in set(beta):
+            row = [ZERO] * n
+            row[idx[a]] += ONE
+            row[idx[b]] -= ONE
+            rows.append(constraint(row, GE, ZERO))
+        out = lp_solve(LinearProgram(n, tuple(rows + bounds), objective))
+        assert out.status == FEASIBLE
+        if best is None or out.objective_value > best:
+            best = out.objective_value
+    return best
+
+
+def test_cnf_models_attain_the_maximum_over_the_whole_cnf_set():
+    """On 400 random CNFs over 2-6 outcomes with 0-4 clauses of 1-3 atoms,
+    each also with an empty clause added and with a repeated atom, and a
+    zero-sum rational gain: the best model's gain, or 0 when
+    `best_cnf_model` finds none, is the largest LP optimum over the
+    polytopes C_beta ∩ [0,1]^O.  A CNF with an empty clause has no branch,
+    and neither side reports a gain."""
+    rng = random.Random(4242)
+
+    def atom():
+        return rng.choice(outcomes), rng.choice(outcomes)
+
+    positive = 0
+    for _ in range(400):
+        outcomes = tuple(f"o{k}" for k in range(rng.randint(2, 6)))
+        clauses = tuple(
+            tuple(atom() for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(0, 4))
+        )
+        repeated = atom()
+        gain = {o: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for o in outcomes[1:]}
+        gain[outcomes[0]] = -sum(gain.values())
+        for cnf in (clauses, clauses + ((),), clauses + ((repeated, repeated), (repeated,))):
+            hit = best_cnf_model(PreferenceCnf(cnf), outcomes, gain)
+            lp_best = _branch_maximum(cnf, outcomes, gain)
+            if any(not clause for clause in cnf):
+                assert hit is None and lp_best is None
+                continue
+            assert (ZERO if hit is None else hit[0]) == lp_best
+            positive += hit is not None
+    assert positive > 200

@@ -6,6 +6,8 @@ from pathlib import Path
 import ordineq
 
 PACKAGE_DIR = Path(ordineq.__file__).resolve().parent
+TESTS_DIR = Path(__file__).resolve().parent
+SCRIPTS_DIR = TESTS_DIR.parent / "scripts"
 
 
 def test_no_assert_statements_in_the_package():
@@ -19,12 +21,14 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_every_import_is_used():
-    """A name a package module imports is used in that module, unless the
-    import is marked `# noqa: F401` (a deliberate re-export).  `__init__.py`
-    re-exports by design and is not checked."""
+    """A name a module imports is used in that module, unless the import is
+    marked `# noqa: F401` (a deliberate re-export).  The package, the tests
+    and the scripts are checked; the package's `__init__.py` re-exports by
+    design and is not."""
+    paths = [path for d in (PACKAGE_DIR, TESTS_DIR, SCRIPTS_DIR) for path in sorted(d.glob("*.py"))]
     unused = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in paths:
+        if path == PACKAGE_DIR / "__init__.py":
             continue
         source = path.read_text()
         lines = source.splitlines()
@@ -40,5 +44,5 @@ def test_every_import_is_used():
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used:
-                    unused.append(f"{path.name}:{node.lineno}: {name}")
-    assert not unused, f"unused imports in the package: {unused}"
+                    unused.append(f"{path.parent.name}/{path.name}:{node.lineno}: {name}")
+    assert not unused, f"unused imports: {unused}"

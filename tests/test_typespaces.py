@@ -199,6 +199,26 @@ def test_entailment_total_order_iff_precedes():
         assert entails_preference(spec, o, o2, order) == expected
 
 
-def test_entailment_rejects_preference_cnf():
-    with pytest.raises(UnsupportedSpace):
-        entails_preference(PreferenceCnf(()), "a", "b", ("a", "b"))
+def test_entailment_over_preference_cnf_equals_entailment_over_its_models():
+    """On random CNFs, plus an empty clause and repeated atoms, every
+    preference the CNF entails is entailed by the list of its 0/1 models,
+    and no other."""
+    rng = random.Random(202)
+    answers = []
+    for _ in range(60):
+        game, spaces = random_game(
+            rng.randint(0, 10**9), max_actions=2, max_outcomes=5, kind="preference_cnf"
+        )
+        outcomes = game.outcomes
+        a, b = rng.choice(outcomes), rng.choice(outcomes)
+        for spec in (
+            spaces[0],
+            PreferenceCnf(spaces[0].clauses + ((),)),
+            PreferenceCnf((((a, b), (a, b)),)),
+        ):
+            models = FiniteTypes(tuple(enumerate_extreme_types(spec, outcomes)))
+            for o, o2 in itertools.product(outcomes, repeat=2):
+                entailed = entails_preference(spec, o, o2, outcomes)
+                assert entailed == entails_preference(models, o, o2, outcomes)
+                answers.append(entailed)
+    assert len(answers) > 1000 and set(answers) == {False, True}

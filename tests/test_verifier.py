@@ -19,13 +19,11 @@ from ordineq.fixture_suite import load_game, load_profile
 from ordineq.gamedoc import serialize_game, serialize_profile
 from ordineq.games import (
     FiniteTypes,
-    GameForm,
     MediatedProfile,
     PartialOrder,
     PreferenceCnf,
     TotalOrder,
     outcome_distribution,
-    profiles_of,
 )
 from ordineq.randgen import random_game, random_profile_point
 from ordineq.typespaces import satisfies_space
