@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cross-check the cutting-plane solver against explicit extreme-type LPs.
 
-For each random game, once with partial-order spaces and once with
+For each random game, once each with total-order, partial-order and
 preference-CNF spaces, the existence question (and a robust
 social-welfare question) is answered twice: once with the lazy separation
 oracle over the space, and once with every 0/1 extreme type enumerated up
@@ -20,11 +20,12 @@ import argparse
 import time
 
 from ordineq import equilibrium
+from ordineq.games import FiniteTypes
 from ordineq.randgen import random_game
-from ordineq.typespaces import FiniteTypes, enumerate_extreme_types
+from ordineq.typespaces import enumerate_extreme_types
 
 
-KINDS = ("partial_order", "preference_cnf")
+KINDS = ("total_order", "partial_order", "preference_cnf")
 
 
 def _agreement(kind: str, args) -> int:

@@ -19,7 +19,9 @@ order, the upward-closed 0/1 vectors of a partial order, the vertices of a
 distribution order's polytope, and the 0/1 models of a preference CNF,
 which attain the maximum of every gain over the whole CNF set
 (`best_cnf_model` has the proof).
-The solver adds violated constraints in a cutting-plane loop; an added
+The solver adds violated constraints in a cutting-plane loop (delayed
+constraint generation) over one master LP per call, which only ever gains
+rows: each cut becomes its row once, when it is found.  An added
 constraint can never be strictly violated again, so the loop terminates.
 The verifier calls the same oracles on the same gain vectors, and
 `entails_preference`, which `find_pure_unmediated` asks of every
@@ -56,13 +58,6 @@ from .games import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class IncentiveConstraint:
-    player: int
-    deviation: str
-    utility: tuple[Fraction, ...]  # indexed by game.outcomes
 
 
 #: An oracle's answer: the largest gain (strictly positive) with a witness
@@ -132,62 +127,33 @@ class VariableLayout:
             )
         return MediatedProfile(p, tuple(q))
 
-
-def build_lp1(
-    game: GameForm,
-    constraints: Sequence[IncentiveConstraint],
-    objective: Optional[tuple[Mapping[Profile, Fraction], str]] = None,
-    fixed_p: Optional[Mapping[Profile, Fraction]] = None,
-) -> tuple[linprog.LinearProgram, VariableLayout]:
-    """Assemble the feasibility/optimization LP over (p, q) variables."""
-    layout = VariableLayout(game)
-    n = layout.num_vars
-    rows = []
-
-    row = [ZERO] * n
-    for k in layout.p_index.values():
-        row[k] = ONE
-    rows.append(linprog.constraint(row, linprog.EQ, ONE))
-    for i in range(game.num_players):
-        row = [ZERO] * n
-        for k in layout.q_index[i].values():
-            row[k] = ONE
-        rows.append(linprog.constraint(row, linprog.EQ, ONE))
-
-    for c in constraints:
-        rows.append(linprog.constraint(incentive_row(game, layout, c), linprog.GE, ZERO))
-
-    if fixed_p is not None:
-        for prof, k in layout.p_index.items():
-            row = [ZERO] * n
-            row[k] = ONE
-            rows.append(linprog.constraint(row, linprog.EQ, fixed_p.get(prof, ZERO)))
-
-    obj = None
-    if objective is not None:
-        weights, direction = objective
-        coeffs = [ZERO] * n
+    def p_objective(self, weights: Mapping[Profile, Fraction]) -> tuple[tuple[Fraction, ...], str]:
+        """Maximize sum_a weights[a] p(a)."""
+        coeffs = [ZERO] * self.num_vars
         for prof, w in weights.items():
-            coeffs[layout.p_index[prof]] = Fraction(w)
-        obj = (tuple(coeffs), direction)
-
-    lp = linprog.LinearProgram(num_vars=n, constraints=tuple(rows), objective=obj)
-    return lp, layout
+            coeffs[self.p_index[prof]] = Fraction(w)
+        return tuple(coeffs), linprog.MAX
 
 
 def incentive_row(
-    game: GameForm, layout: VariableLayout, c: IncentiveConstraint
-) -> list[Fraction]:
-    """Coefficients of LHS - RHS >= 0 for one incentive constraint."""
-    u = dict(zip(game.outcomes, c.utility))
+    game: GameForm, layout: VariableLayout, i: int, a: str, witness: Mapping[str, Fraction]
+) -> linprog.Constraint:
+    """The cut LHS - RHS >= 0 of the witness against player i's deviation
+    to a."""
     row = [ZERO] * layout.num_vars
     for prof, k in layout.p_index.items():
-        row[k] += u[game.outcome_of(prof)]
-    i = c.player
+        row[k] += witness[game.outcome_of(prof)]
     for opp, k in layout.q_index[i].items():
-        full = game.insert(i, c.deviation, opp)
-        row[k] -= u[game.outcome_of(full)]
-    return row
+        row[k] -= witness[game.outcome_of(game.insert(i, a, opp))]
+    return linprog.constraint(row, linprog.GE, ZERO)
+
+
+def _indicator(n: int, indices, rhs: Fraction) -> linprog.Constraint:
+    """The row: the variables at `indices` sum to rhs."""
+    row = [ZERO] * n
+    for k in indices:
+        row[k] = ONE
+    return linprog.constraint(row, linprog.EQ, rhs)
 
 
 def gain_vectors(game: GameForm, profile: MediatedProfile) -> list[dict[str, dict[str, Fraction]]]:
@@ -284,10 +250,11 @@ def finite_scan_oracle(
 ) -> Hit:
     """Exhaustive scan over the listed types; the first type of maximum
     gain is the witness."""
+    terms = [(o, w) for o, w in gain.items() if w != 0]
     best = None
     best_u = None
     for u in spec.types:
-        g = sum((w * u[o] for o, w in gain.items() if w != 0), ZERO)
+        g = sum((w * u[o] for o, w in terms), ZERO)
         if g > 0 and (best is None or g > best):
             best = g
             best_u = u
@@ -397,55 +364,55 @@ def solve(
 ) -> SolveResult:
     """Answer one of the four decision problems.
 
-    Every space is first validated against the game's outcomes.  The LP
-    starts with no incentive rows.  Each round builds the gain vector of
-    every player's every deviation at the LP's point and asks the player's
-    oracle for its most violated constraint; all of them are added in a
-    batch, sorted by (player, deviation) for reproducibility, and the LP is
-    solved again.
+    Every space is first validated against the game's outcomes.  One master
+    LP serves the whole call: its layout, objective, sum-to-one rows and
+    AARE path rows are built once, and it starts with no cuts.  Each round
+    builds the gain vector of every player's every deviation at the LP's
+    point and asks the player's oracle for its most violated constraint.
+    Each becomes its row once; the batch, sorted by (player, deviation) for
+    reproducibility, goes after the earlier cuts and before the path rows,
+    and the LP is solved again.
     """
     validate_spaces(game, spaces)
-
-    if isinstance(query, Eore):
-        objective = None
-        fixed_p = None
-    elif isinstance(query, Sire):
-        if query.target not in set(profiles_of(game)):
+    layout = VariableLayout(game)
+    n = layout.num_vars
+    objective = None
+    fixed: tuple[linprog.Constraint, ...] = ()
+    if isinstance(query, Sire):
+        if query.target not in layout.p_index:
             raise ValidationError(f"unknown target profile {query.target}")
-        objective = ({query.target: ONE}, linprog.MAX)
-        fixed_p = None
+        objective = layout.p_objective({query.target: ONE})
     elif isinstance(query, Aare):
-        check_distribution(query.dist, set(profiles_of(game)), "AARE path")
-        objective = None
-        fixed_p = query.dist
+        check_distribution(query.dist, set(layout.profiles), "AARE path")
+        fixed = tuple(
+            _indicator(n, (k,), query.dist.get(prof, ZERO)) for prof, k in layout.p_index.items()
+        )
     elif isinstance(query, Omire):
         query.objective.validate(game)
-        objective = (query.objective.g, linprog.MAX)
-        fixed_p = None
-    else:
+        objective = layout.p_objective(query.objective.g)
+    elif not isinstance(query, Eore):
         raise ValidationError(f"unknown query {query!r}")
 
-    constraints: list[IncentiveConstraint] = []
-    seen: set[IncentiveConstraint] = set()
+    rows = [_indicator(n, layout.p_index.values(), ONE)]
+    rows += (_indicator(n, q_i.values(), ONE) for q_i in layout.q_index)
+    seen: set[tuple[int, str, tuple[Fraction, ...]]] = set()
 
     while True:
-        lp, layout = build_lp1(game, constraints, objective=objective, fixed_p=fixed_p)
-        out = linprog.lp_solve(lp)
+        out = linprog.lp_solve(linprog.LinearProgram(n, (*rows, *fixed), objective))
         if out.status == linprog.INFEASIBLE:
             return SolveResult(answer=False)
         if out.status != linprog.FEASIBLE:
             raise AssertionError(f"master LP is {out.status}; the (p, q) polytope is bounded")
         profile = layout.decode(out.assignment)
 
-        cuts: list[IncentiveConstraint] = []
+        hits = []
         for i, gains in enumerate(gain_vectors(game, profile)):
             for a, gain in gains.items():
                 hit = separate(spaces[i], game.outcomes, gain)
                 if hit is not None:
-                    _, witness = hit
-                    cuts.append(IncentiveConstraint(i, a, tuple(witness[o] for o in game.outcomes)))
+                    hits.append((i, a, hit[1]))
 
-        if not cuts:
+        if not hits:
             if isinstance(query, (Eore, Aare)):
                 return SolveResult(answer=True, profile=profile)
             if isinstance(query, Sire):
@@ -454,14 +421,15 @@ def solve(
             ok = out.objective_value >= query.objective.threshold
             return SolveResult(ok, profile if ok else None, out.objective_value)
 
-        cuts.sort(key=lambda c: (c.player, c.deviation))
-        for c in cuts:
-            if c in seen:
+        hits.sort(key=lambda h: h[:2])
+        for i, a, witness in hits:
+            key = (i, a, tuple(witness[o] for o in game.outcomes))
+            if key in seen:
                 raise AssertionError(
                     "separation oracle repeated a witness; cutting plane would not terminate"
                 )
-            seen.add(c)
-            constraints.append(c)
+            seen.add(key)
+            rows.append(incentive_row(game, layout, i, a, witness))
 
 
 def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str, ...]) -> bool:
@@ -472,6 +440,8 @@ def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str
     for preference CNFs, because the gain sums to zero (`best_cnf_model`)."""
     if o not in outcomes or o2 not in outcomes:
         raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
+    if o == o2:
+        return True  # the gain is zero, and no oracle reports a zero gain
     gain = dict.fromkeys(outcomes, ZERO)
     gain[o2] += ONE
     gain[o] -= ONE

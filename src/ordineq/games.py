@@ -153,7 +153,11 @@ def validate_space(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> None:
                 for o, w in r.items():
                     if o not in known:
                         raise UnknownOutcome(f"distribution references unknown outcome {o!r}")
-                    if w < 0:
+                    try:
+                        negative = w.numerator < 0
+                    except AttributeError:
+                        raise ValidationError(f"weight {w!r} on {o!r} is not rational") from None
+                    if negative:
                         raise ValidationError("negative probability in distribution pair")
                     total += w
                 if total != 1:

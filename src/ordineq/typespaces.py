@@ -1,4 +1,4 @@
-"""Consistency and extreme-type enumeration for the five type-space kinds.
+"""Extreme-type enumeration for the type-space kinds with 0/1 witnesses.
 
 A 0/1 utility vector is an "extreme type".  For total orders these are the
 threshold vectors; for partial orders, indicator vectors of upward-closed
@@ -15,53 +15,14 @@ entailment, is `equilibrium.separate`'s question.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
-from .errors import CapExceeded, UnknownOutcome, UnsupportedSpace
-from .games import (
-    DistributionOrder,
-    FiniteTypes,
-    PartialOrder,
-    PreferenceCnf,
-    TotalOrder,
-    TypeSpaceSpec,
-)
+from .errors import CapExceeded, UnsupportedSpace
+from .games import PartialOrder, PreferenceCnf, TotalOrder, TypeSpaceSpec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 DEFAULT_CAP = 2**20
-
-UtilityVector = Mapping[str, Fraction]
-
-
-def satisfies_space(u: UtilityVector, spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> bool:
-    """Is the utility vector consistent with the space's constraints?"""
-    for o in outcomes:
-        if o not in u:
-            raise UnknownOutcome(f"utility vector missing outcome {o!r}")
-    if isinstance(spec, FiniteTypes):
-        return any(all(t[o] == u[o] for o in outcomes) for t in spec.types)
-    if isinstance(spec, (TotalOrder, PartialOrder)):
-        pairs = _order_pairs(spec)
-        return all(u[a] >= u[b] for a, b in pairs)
-    if isinstance(spec, DistributionOrder):
-        return all(_expected(r1, u) >= _expected(r2, u) for r1, r2 in spec.pairs)
-    if isinstance(spec, PreferenceCnf):
-        return all(any(u[a] >= u[b] for a, b in clause) for clause in spec.clauses)
-    raise UnsupportedSpace(type(spec).__name__)
-
-
-def _expected(r: Mapping[str, Fraction], u: UtilityVector) -> Fraction:
-    return sum((w * u[o] for o, w in r.items()), ZERO)
-
-
-def _order_pairs(spec) -> tuple[tuple[str, str], ...]:
-    if isinstance(spec, TotalOrder):
-        return tuple(
-            (spec.order[k], spec.order[k + 1]) for k in range(len(spec.order) - 1)
-        )
-    return spec.pairs
 
 
 def enumerate_extreme_types(

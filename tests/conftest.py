@@ -10,18 +10,22 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
 from ordineq.games import (
     DistributionOrder,
+    FiniteTypes,
     GameForm,
     MediatedProfile,
     PartialOrder,
+    PreferenceCnf,
     TotalOrder,
+    TypeSpaceSpec,
     opponents_profiles_of,
 )
-from ordineq.errors import UnknownOutcome
+from ordineq.errors import UnknownOutcome, UnsupportedSpace
 from ordineq.linprog import (
     EQ,
     GE,
@@ -187,6 +191,41 @@ def closure_brute_force(items, values, implications):
 
 
 # ---------------------------------------------------------------------------
+# Type-space membership, read straight off each space's constraints
+
+UtilityVector = Mapping[str, Fraction]
+
+
+def satisfies_space(u: UtilityVector, spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> bool:
+    """Is the utility vector consistent with the space's constraints?"""
+    for o in outcomes:
+        if o not in u:
+            raise UnknownOutcome(f"utility vector missing outcome {o!r}")
+    if isinstance(spec, FiniteTypes):
+        return any(all(t[o] == u[o] for o in outcomes) for t in spec.types)
+    if isinstance(spec, (TotalOrder, PartialOrder)):
+        pairs = _order_pairs(spec)
+        return all(u[a] >= u[b] for a, b in pairs)
+    if isinstance(spec, DistributionOrder):
+        return all(_expected(r1, u) >= _expected(r2, u) for r1, r2 in spec.pairs)
+    if isinstance(spec, PreferenceCnf):
+        return all(any(u[a] >= u[b] for a, b in clause) for clause in spec.clauses)
+    raise UnsupportedSpace(type(spec).__name__)
+
+
+def _expected(r: Mapping[str, Fraction], u: UtilityVector) -> Fraction:
+    return sum((w * u[o] for o, w in r.items()), ZERO)
+
+
+def _order_pairs(spec) -> tuple[tuple[str, str], ...]:
+    if isinstance(spec, TotalOrder):
+        return tuple(
+            (spec.order[k], spec.order[k + 1]) for k in range(len(spec.order) - 1)
+        )
+    return spec.pairs
+
+
+# ---------------------------------------------------------------------------
 # Up-set enumeration and direct deviation-gain brute force
 
 
@@ -228,7 +267,6 @@ def brute_verify(game: GameForm, spaces, profile: MediatedProfile):
     """Independent equilibrium check: scan every extreme type of every
     player against every deviation.  Supports the space kinds for which
     0/1 extreme types are exhaustive witnesses."""
-    from ordineq.games import FiniteTypes
     from ordineq.typespaces import enumerate_extreme_types
 
     for i, spec in enumerate(spaces):

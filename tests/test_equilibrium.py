@@ -10,14 +10,16 @@ from conftest import (
     gain_vector,
     lp_vertices,
     partial_order_closure,
+    satisfies_space,
     stochastic_dominance,
     upward_closed_vectors,
 )
 from ordineq import equilibrium as eq
-from ordineq import verifier
+from ordineq import linprog, verifier
 from ordineq.errors import UnknownOutcome, ValidationError
-from ordineq.fixture_suite import load_game
+from ordineq.fixture_suite import load_game, load_profile
 from ordineq.games import (
+    DistributionOrder,
     FiniteTypes,
     GameForm,
     MediatedProfile,
@@ -30,7 +32,7 @@ from ordineq.games import (
 )
 from ordineq.linprog import FEASIBLE, GE, LE, LinearProgram, constraint, lp_solve
 from ordineq.randgen import random_game, random_profile_point
-from ordineq.typespaces import enumerate_extreme_types, satisfies_space
+from ordineq.typespaces import enumerate_extreme_types
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,17 +46,56 @@ def _layout_size(game: GameForm) -> int:
     )
 
 
-def test_variable_count_matches_contract():
+def _master_lps(monkeypatch, game, spaces, query) -> list[LinearProgram]:
+    """Every LP that `solve` hands `lp_solve`, in order.  The spaces must
+    hold no distribution order, whose oracle solves LPs of its own."""
+    lps = []
+
+    def record(lp):
+        lps.append(lp)
+        return lp_solve(lp)
+
+    with monkeypatch.context() as m:
+        m.setattr(linprog, "lp_solve", record)
+        eq.solve(game, spaces, query)
+    return lps
+
+
+def test_variable_count_matches_contract(monkeypatch):
     for name in ("matching_pennies_symmetric", "prisoners_dilemma_rich"):
-        game, _, _ = load_game(name)
-        lp, layout = eq.build_lp1(game, [])
-        assert lp.num_vars == _layout_size(game)
+        game, spaces, _ = load_game(name)
+        assert eq.VariableLayout(game).num_vars == _layout_size(game)
+        lps = _master_lps(monkeypatch, game, spaces, eq.Eore())
+        assert {lp.num_vars for lp in lps} == {_layout_size(game)}
 
 
-def test_base_lp_is_always_feasible():
-    game, _, _ = load_game("matching_pennies_symmetric")
-    lp, _ = eq.build_lp1(game, [])
-    assert lp_solve(lp).status == FEASIBLE
+def test_base_lp_is_always_feasible(monkeypatch):
+    """The first master LP holds only the sum-to-one rows, and is feasible."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    first = _master_lps(monkeypatch, game, spaces, eq.Eore())[0]
+    assert len(first.constraints) == 1 + game.num_players
+    assert lp_solve(first).status == FEASIBLE
+
+
+@pytest.mark.parametrize("query", [eq.Eore(), eq.Aare({("c1", "c1"): ONE})], ids=["eore", "aare"])
+def test_master_lp_rows_are_built_once(monkeypatch, query):
+    """From round to round the master LP keeps every earlier sum and cut
+    row as the same object at the same index, adds the new cuts after them,
+    and keeps the AARE path rows, one per profile and the same objects,
+    last."""
+    game, spaces, _ = load_game("prisoners_dilemma_rich")
+    fixed = len(list(profiles_of(game))) if isinstance(query, eq.Aare) else 0
+    lps = _master_lps(monkeypatch, game, spaces, query)
+    assert len(lps) >= 3
+    assert len(lps[0].constraints) == 1 + game.num_players + fixed
+    for before, after in zip(lps, lps[1:]):
+        old, new = before.constraints, after.constraints
+        kept = len(old) - fixed
+        assert len(new) > len(old)
+        assert all(x is y for x, y in zip(old[:kept], new))
+        assert all(c.rel == GE and c.rhs == 0 for c in new[kept : len(new) - fixed])
+        assert all(x is y for x, y in zip(old[kept:], new[len(new) - fixed :]))
+        assert after.objective is before.objective
 
 
 def test_finite_separation_none_iff_no_type_gains():
@@ -397,6 +438,26 @@ def test_find_pure_unmediated_validates_its_spaces():
         eq.find_pure_unmediated(game, (TotalOrder(("o1",)), spaces[1]))
     with pytest.raises(UnknownOutcome):
         eq.find_pure_unmediated(game, (FiniteTypes(({"o11": ONE + ONE},)), spaces[1]))
+
+
+@pytest.mark.parametrize("half, one", [(0.5, 1.0), ("1/2", "1")], ids=["float", "str"])
+def test_inexact_distribution_order_weights_are_rejected(half, one):
+    """A distribution-order weight that is not an exact rational is a
+    ValidationError in solve, verify and find_pure_unmediated, not an error
+    inside the LP; an unknown outcome is still UnknownOutcome."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    profile = load_profile("matching_pennies_symmetric_eq", game)
+    inexact = (DistributionOrder((({"o1": half, "o2": half}, {"o1": one}),)), spaces[1])
+    unknown = (DistributionOrder((({"o3": ONE}, {"o1": ONE}),)), spaces[1])
+    for call in (
+        lambda s: eq.solve(game, s, eq.Eore()),
+        lambda s: verifier.verify(game, s, profile),
+        lambda s: eq.find_pure_unmediated(game, s),
+    ):
+        with pytest.raises(ValidationError):
+            call(inexact)
+        with pytest.raises(UnknownOutcome):
+            call(unknown)
 
 
 def test_existence_answers_on_fixtures():

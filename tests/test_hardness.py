@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import satisfies_space
 from ordineq.equilibrium import best_cnf_model
 from ordineq.errors import ParseError, ValidationError
 from ordineq.games import PreferenceCnf, TotalOrder
@@ -16,7 +17,6 @@ from ordineq.hardness import (
     reduce_sat,
     sat_brute,
 )
-from ordineq.typespaces import satisfies_space
 
 ONE = Fraction(1)
 ZERO = Fraction(0)

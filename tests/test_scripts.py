@@ -7,9 +7,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_oracle_agreement_has_no_disagreements(capsys):
-    """The lazy partial-order and preference-CNF oracles and the explicit
-    extreme-type lists give the same answer and optimal value on 200 random
-    games of each kind."""
+    """The lazy total-order, partial-order and preference-CNF oracles and
+    the explicit extreme-type lists give the same answer and optimal value
+    on 200 random games of each kind."""
     spec = importlib.util.spec_from_file_location(
         "oracle_agreement", SCRIPTS / "oracle_agreement.py"
     )
@@ -18,5 +18,5 @@ def test_oracle_agreement_has_no_disagreements(capsys):
     code = script.main(["--trials", "200", "--seed", "0"])
     out = capsys.readouterr().out
     assert code == 0, out
-    for kind in ("partial_order", "preference_cnf"):
+    for kind in ("total_order", "partial_order", "preference_cnf"):
         assert f"{kind}: 200 games x 2 queries: 0 disagreements" in out

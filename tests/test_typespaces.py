@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import upward_closed_vectors
+from conftest import satisfies_space, upward_closed_vectors
+from ordineq import equilibrium
 from ordineq.equilibrium import entails_preference
-from ordineq.errors import CapExceeded, UnsupportedSpace
+from ordineq.errors import CapExceeded, UnknownOutcome, UnsupportedSpace
 from ordineq.fixture_suite import load_game
 from ordineq.games import (
     DistributionOrder,
@@ -16,7 +17,7 @@ from ordineq.games import (
     TotalOrder,
 )
 from ordineq.randgen import random_game
-from ordineq.typespaces import enumerate_extreme_types, satisfies_space
+from ordineq.typespaces import enumerate_extreme_types
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -181,7 +182,13 @@ def test_entailment_distribution_order_positive_case():
     assert entails_preference(spec, "a", "b", ("a", "b"))
 
 
-def test_entailment_reflexive():
+def test_entailment_reflexive(monkeypatch):
+    """o >= o holds without an oracle call, once o is known to be an outcome."""
+
+    def no_oracle(*args):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(equilibrium, "separate", no_oracle)
     for spec in (
         TotalOrder(("a", "b")),
         PartialOrder(()),
@@ -189,6 +196,8 @@ def test_entailment_reflexive():
         FiniteTypes(({"a": ZERO, "b": ONE},)),
     ):
         assert entails_preference(spec, "a", "a", ("a", "b"))
+    with pytest.raises(UnknownOutcome):
+        entails_preference(PartialOrder(()), "c", "c", ("a", "b"))
 
 
 def test_entailment_total_order_iff_precedes():

@@ -9,6 +9,7 @@ from conftest import (
     brute_verify,
     gain_vector,
     point_profile,
+    satisfies_space,
     stochastic_dominance,
 )
 from ordineq import verifier
@@ -26,7 +27,6 @@ from ordineq.games import (
     outcome_distribution,
 )
 from ordineq.randgen import random_game, random_profile_point
-from ordineq.typespaces import satisfies_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
