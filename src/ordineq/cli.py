@@ -13,11 +13,12 @@ import json
 import sys
 
 from . import equilibrium, fixture_suite, hardness, verifier
-from .errors import OrdineqError, ParseError, UnsupportedSpace, ValidationError
+from .errors import OrdineqError, UnsupportedSpace
 from .gamedoc import (
     PROFILE_KEY_SEP,
     parse_game,
     parse_profile,
+    parse_profile_map,
     serialize_game,
     serialize_profile,
 )
@@ -39,23 +40,13 @@ def _profile_obj(profile) -> dict:
     return json.loads(serialize_profile(profile))
 
 
-def _load_game(path: str):
-    with open(path) as f:
-        return parse_game(f.read())
-
-
-def _parse_rat_map(path: str, label: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{label} file must be a JSON object of profile-key -> rational")
-    return {
-        tuple(key.split(PROFILE_KEY_SEP)): rational_parse(val) for key, val in doc.items()
-    }
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _cmd_solve(args) -> int:
-    game, spaces, _ = _load_game(args.game)
+    game, spaces, _ = parse_game(_read(args.game))
 
     if args.problem == "eore":
         query = equilibrium.Eore()
@@ -68,14 +59,14 @@ def _cmd_solve(args) -> int:
         if not args.path:
             sys.stderr.write("--path is required for aare\n")
             return EXIT_USAGE
-        query = equilibrium.Aare(_parse_rat_map(args.path, "--path"))
+        query = equilibrium.Aare(parse_profile_map(_read(args.path), "--path"))
     else:
         if not args.objective or args.threshold is None:
             sys.stderr.write("--objective and --threshold are required for omire\n")
             return EXIT_USAGE
         query = equilibrium.Omire(
             ObjectiveSpec(
-                _parse_rat_map(args.objective, "--objective"),
+                parse_profile_map(_read(args.objective), "--objective"),
                 rational_parse(args.threshold),
             )
         )
@@ -95,9 +86,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    game, spaces, _ = _load_game(args.game)
-    with open(args.profile) as f:
-        profile = parse_profile(f.read(), game)
+    game, spaces, _ = parse_game(_read(args.game))
+    profile = parse_profile(_read(args.profile), game)
     report = verifier.verify(game, spaces, profile)
     if report.is_equilibrium:
         _emit({"verdict": "robust_equilibrium"})
@@ -116,15 +106,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_pure(args) -> int:
-    game, spaces, _ = _load_game(args.game)
+    game, spaces, _ = parse_game(_read(args.game))
     profiles = equilibrium.find_pure_unmediated(game, spaces)
     _emit({"profiles": [list(p) for p in profiles]})
     return EXIT_YES
 
 
 def _cmd_reduce_sat(args) -> int:
-    with open(args.dimacs) as f:
-        formula = hardness.parse_dimacs(f.read())
+    formula = hardness.parse_dimacs(_read(args.dimacs))
     game, spaces = hardness.reduce_sat(formula)
     doc = serialize_game(game, spaces, name="sat_reduction")
     with open(args.out, "w") as f:
@@ -141,7 +130,7 @@ def _cmd_reduce_sat(args) -> int:
 
 
 def _cmd_enumerate_types(args) -> int:
-    game, spaces, _ = _load_game(args.game)
+    game, spaces, _ = parse_game(_read(args.game))
     if not (0 <= args.player < game.num_players):
         sys.stderr.write(f"no player {args.player}\n")
         return EXIT_USAGE
@@ -211,19 +200,10 @@ def run_cli(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_BAD_INPUT
-    except json.JSONDecodeError as e:
-        sys.stderr.write(f"error: invalid JSON: {e}\n")
-        return EXIT_BAD_INPUT
     except UnsupportedSpace as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
-    except OrdineqError as e:
+    except (OrdineqError, OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_BAD_INPUT
 

@@ -23,13 +23,14 @@ The solver adds violated constraints in a cutting-plane loop (delayed
 constraint generation) over one master LP per call, which only ever gains
 rows: each cut becomes its row once, when it is found.  An added
 constraint can never be strictly violated again, so the loop terminates.
-The verifier calls the same oracles on the same gain vectors, and
+The solver and the verifier walk the same `deviation_hits`, and
 `entails_preference`, which `find_pure_unmediated` asks of every
 unilateral deviation, is one oracle call on the gain vector e_o2 - e_o.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import linprog
 from .errors import UnknownOutcome, UnsupportedSpace, ValidationError
-from .flow import ClosureInstance, closure_solve
+from .flow import closure_solve
 from .games import (
     DistributionOrder,
     FiniteTypes,
@@ -208,8 +209,7 @@ def separation_oracle_partial(
     exactly the 1-set of a consistent 0/1 vector.
     """
     implications = tuple((b, a) for a, b in spec.pairs if a != b)
-    inst = ClosureInstance(items=outcomes, values=gain, implications=implications)
-    accepted, best = closure_solve(inst)
+    accepted, best = closure_solve(outcomes, gain, implications)
     if best > 0:
         return best, {o: (ONE if o in accepted else ZERO) for o in outcomes}
     return None
@@ -357,6 +357,14 @@ def separate(spec: TypeSpaceSpec, outcomes: tuple[str, ...], gain: Mapping[str, 
     raise UnsupportedSpace(f"no separation oracle for {type(spec).__name__}")
 
 
+def deviation_hits(game: GameForm, spaces: Sequence[TypeSpaceSpec], profile: MediatedProfile):
+    """Yield (player, deviation, gain vector, oracle answer) for every
+    player's every deviation, in player and action order."""
+    for i, gains in enumerate(gain_vectors(game, profile)):
+        for a, gain in gains.items():
+            yield i, a, gain, separate(spaces[i], game.outcomes, gain)
+
+
 def solve(
     game: GameForm,
     spaces: Sequence[TypeSpaceSpec],
@@ -368,10 +376,10 @@ def solve(
     LP serves the whole call: its layout, objective, sum-to-one rows and
     AARE path rows are built once, and it starts with no cuts.  Each round
     builds the gain vector of every player's every deviation at the LP's
-    point and asks the player's oracle for its most violated constraint.
-    Each becomes its row once; the batch, sorted by (player, deviation) for
-    reproducibility, goes after the earlier cuts and before the path rows,
-    and the LP is solved again.
+    point and asks the player's oracle for its most violated constraint
+    (`deviation_hits`).  Each becomes its row once; the batch, sorted by
+    (player, deviation) for reproducibility, goes after the earlier cuts
+    and before the path rows, and the LP is solved again.
     """
     validate_spaces(game, spaces)
     layout = VariableLayout(game)
@@ -379,7 +387,7 @@ def solve(
     objective = None
     fixed: tuple[linprog.Constraint, ...] = ()
     if isinstance(query, Sire):
-        if query.target not in layout.p_index:
+        if not isinstance(query.target, tuple) or query.target not in layout.p_index:
             raise ValidationError(f"unknown target profile {query.target}")
         objective = layout.p_objective({query.target: ONE})
     elif isinstance(query, Aare):
@@ -405,12 +413,11 @@ def solve(
             raise AssertionError(f"master LP is {out.status}; the (p, q) polytope is bounded")
         profile = layout.decode(out.assignment)
 
-        hits = []
-        for i, gains in enumerate(gain_vectors(game, profile)):
-            for a, gain in gains.items():
-                hit = separate(spaces[i], game.outcomes, gain)
-                if hit is not None:
-                    hits.append((i, a, hit[1]))
+        hits = [
+            (i, a, hit[1])
+            for i, a, _, hit in deviation_hits(game, spaces, profile)
+            if hit is not None
+        ]
 
         if not hits:
             if isinstance(query, (Eore, Aare)):
@@ -455,13 +462,10 @@ def find_pure_unmediated(
     deviator weakly disprefers under every consistent type.  Each entailment
     depends only on (player, o, o2), so it is asked once per call."""
     validate_spaces(game, spaces)
-    entailed: dict[tuple[int, str, str], bool] = {}
 
+    @functools.cache
     def entails(i: int, o: str, o2: str) -> bool:
-        key = (i, o, o2)
-        if key not in entailed:
-            entailed[key] = entails_preference(spaces[i], o, o2, game.outcomes)
-        return entailed[key]
+        return entails_preference(spaces[i], o, o2, game.outcomes)
 
     result = []
     for prof in profiles_of(game):

@@ -10,14 +10,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ValidationError
 
 ZERO = Fraction(0)
-
-#: Capacity marker for +infinity edges.
-INF = None
 
 
 @dataclass(frozen=True)
@@ -25,7 +21,7 @@ class FlowNetwork:
     num_nodes: int
     source: int
     sink: int
-    edges: tuple[tuple[int, int, Optional[Fraction]], ...]  # (from, to, cap); cap None = +inf
+    edges: tuple[tuple[int, int, Fraction], ...]  # (from, to, capacity)
 
 
 def _validate(net: FlowNetwork) -> None:
@@ -34,7 +30,7 @@ def _validate(net: FlowNetwork) -> None:
     for u, v, cap in net.edges:
         if not (0 <= u < net.num_nodes and 0 <= v < net.num_nodes):
             raise ValidationError(f"edge ({u},{v}) out of range")
-        if cap is not None and cap < 0:
+        if cap < 0:
             raise ValidationError(f"negative capacity on ({u},{v})")
 
 
@@ -42,25 +38,20 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
     """Return (flow value, source side of a minimum cut).
 
     The returned cut's capacity equals the flow value (max-flow = min-cut
-    certificate).  Raises ValidationError if the flow is unbounded, i.e.
-    every s-t cut crosses an infinite-capacity edge.
+    certificate).
     """
     _validate(net)
-    finite_total = sum((cap for _, _, cap in net.edges if cap is not None), ZERO)
-    big = finite_total + 1  # exceeds any finite cut, so never limiting
-
     # Residual capacities; parallel edges merge.
     residual: dict[tuple[int, int], Fraction] = {}
     adj: dict[int, list[int]] = {u: [] for u in range(net.num_nodes)}
     for u, v, cap in net.edges:
-        c = big if cap is None else cap
         if (u, v) not in residual:
             adj[u].append(v)
             residual[(u, v)] = ZERO
         if (v, u) not in residual:
             adj[v].append(u)
             residual[(v, u)] = ZERO
-        residual[(u, v)] += c
+        residual[(u, v)] += cap
 
     value = ZERO
     while True:
@@ -90,54 +81,43 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
             v = u
         value += bottleneck
 
-    if value > finite_total:
-        raise ValidationError("flow unbounded: every s-t cut crosses an infinite edge")
-
-    cut = frozenset(parent)
-    return value, cut
+    return value, frozenset(parent)
 
 
-@dataclass(frozen=True)
-class ClosureInstance:
-    """Items with values (possibly negative) and implications (a, b):
-    accepting a forces accepting b."""
+def closure_solve(
+    items: tuple[str, ...], values: dict[str, Fraction], implications: tuple[tuple[str, str], ...]
+) -> tuple[frozenset[str], Fraction]:
+    """Maximum-weight subset of `items` closed under the implications (a, b),
+    accepting a forces accepting b, via Picard's min-cut reduction (1976).
 
-    items: tuple[str, ...]
-    values: dict[str, Fraction]
-    implications: tuple[tuple[str, str], ...]
-
-
-def closure_solve(inst: ClosureInstance) -> tuple[frozenset[str], Fraction]:
-    """Maximum-weight implication-closed subset, via the min-cut reduction.
-
-    The empty set is closed, so the optimum is always >= 0.
+    An implication arc outweighs every source arc together, so no minimum
+    cut crosses it.  The empty set is closed, so the optimum is always >= 0.
     """
-    index = {item: i for i, item in enumerate(inst.items)}
-    if len(index) != len(inst.items):
+    index = {item: i for i, item in enumerate(items)}
+    if len(index) != len(items):
         raise ValidationError("duplicate items")
-    for a, b in inst.implications:
+    for a, b in implications:
         if a not in index or b not in index:
             raise ValidationError(f"implication ({a},{b}) references unknown item")
 
-    source = len(inst.items)
+    source = len(items)
     sink = source + 1
-    edges: list[tuple[int, int, Optional[Fraction]]] = []
+    edges = []
     positive_total = ZERO
-    for item in inst.items:
-        v = inst.values.get(item, ZERO)
+    for item in items:
+        v = values.get(item, ZERO)
         if v > 0:
             edges.append((source, index[item], v))
             positive_total += v
         elif v < 0:
             edges.append((index[item], sink, -v))
-    for a, b in inst.implications:
-        if a != b:
-            edges.append((index[a], index[b], INF))
+    implication_cap = positive_total + 1
+    edges += ((index[a], index[b], implication_cap) for a, b in implications if a != b)
 
-    net = FlowNetwork(len(inst.items) + 2, source, sink, tuple(edges))
+    net = FlowNetwork(len(items) + 2, source, sink, tuple(edges))
     cut_value, source_side = max_flow(net)
-    accepted = frozenset(item for item in inst.items if index[item] in source_side)
-    total = sum((inst.values.get(item, ZERO) for item in accepted), ZERO)
+    accepted = frozenset(item for item in items if index[item] in source_side)
+    total = sum((values.get(item, ZERO) for item in accepted), ZERO)
     if total != positive_total - cut_value:
         raise AssertionError(f"closure weight {total} disagrees with the min cut")
     return accepted, total

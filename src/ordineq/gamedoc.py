@@ -49,8 +49,6 @@ def _profile_key(profile: Profile) -> str:
 
 
 def _rat(value: Any, where: str) -> Fraction:
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: rationals must be strings, got {value!r}")
     try:
         return rational_parse(value)
     except ParseError as e:
@@ -154,11 +152,15 @@ def _space_to_obj(spec: TypeSpaceSpec) -> dict:
     raise ValidationError(f"unknown space kind {type(spec).__name__}")
 
 
-def parse_game(text: str) -> tuple[GameForm, tuple[TypeSpaceSpec, ...], Optional[str]]:
+def _json(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
+
+
+def parse_game(text: str) -> tuple[GameForm, tuple[TypeSpaceSpec, ...], Optional[str]]:
+    doc = _json(text)
     if not isinstance(doc, dict):
         raise ParseError("game document must be a JSON object")
     for field in ("players", "actions", "outcomes", "outcome_map", "type_spaces"):
@@ -221,11 +223,13 @@ def _distribution(value: Any, where: str) -> dict[Profile, Fraction]:
     }
 
 
+def parse_profile_map(text: str, where: str) -> dict[Profile, Fraction]:
+    """An AARE path or OMIRE objective: {"Top,Left": "1/2", ...}."""
+    return _distribution(_json(text), where)
+
+
 def parse_profile(text: str, game: GameForm) -> MediatedProfile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
+    doc = _json(text)
     if not isinstance(doc, dict) or "p" not in doc or "q" not in doc:
         raise ParseError("profile document needs 'p' and 'q' fields")
     q_docs = _list(doc["q"], "q")

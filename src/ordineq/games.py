@@ -10,12 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import UnknownOutcome, ValidationError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Profile = tuple[str, ...]
 
@@ -132,13 +132,7 @@ def validate_space(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> None:
                     if o not in known:
                         raise UnknownOutcome(f"type references unknown outcome {o!r}")
                 raise ValidationError(f"type missing outcomes {sorted(known - t.keys())}")
-            for o, u in t.items():
-                try:
-                    ok = 0 <= u.numerator <= u.denominator
-                except AttributeError:
-                    raise ValidationError(f"utility {u!r} for {o!r} is not rational") from None
-                if not ok:
-                    raise ValidationError(f"utility {u} for {o!r} outside [0,1]")
+            check_unit_interval(t, "utility")
     elif isinstance(spec, TotalOrder):
         if sorted(spec.order) != sorted(outcomes):
             raise ValidationError("total order must be an exact permutation of the outcomes")
@@ -149,19 +143,10 @@ def validate_space(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> None:
     elif isinstance(spec, DistributionOrder):
         for r1, r2 in spec.pairs:
             for r in (r1, r2):
-                total = ZERO
-                for o, w in r.items():
+                for o in r:
                     if o not in known:
                         raise UnknownOutcome(f"distribution references unknown outcome {o!r}")
-                    try:
-                        negative = w.numerator < 0
-                    except AttributeError:
-                        raise ValidationError(f"weight {w!r} on {o!r} is not rational") from None
-                    if negative:
-                        raise ValidationError("negative probability in distribution pair")
-                    total += w
-                if total != 1:
-                    raise ValidationError("distribution in pair does not sum to 1")
+                check_distribution(r, known, "distribution in pair")
     elif isinstance(spec, PreferenceCnf):
         for clause in spec.clauses:
             for a, b in clause:
@@ -189,9 +174,9 @@ def validate_profile(game: GameForm, profile: MediatedProfile) -> None:
         check_distribution(qi, set(opponents_profiles_of(game, i)), f"q[{i}]")
 
 
-def check_distribution(dist: Mapping[Profile, Fraction], support: set[Profile], name: str) -> None:
+def check_distribution(dist: Mapping, support: set, name: str) -> None:
     """Raise ValidationError unless `dist` is a distribution over `support`
-    with exact rational weights."""
+    (profiles, or outcomes) with exact rational weights."""
     total = ZERO
     for key, w in dist.items():
         if key not in support:
@@ -207,6 +192,19 @@ def check_distribution(dist: Mapping[Profile, Fraction], support: set[Profile], 
         raise ValidationError(f"{name} sums to {total}, expected 1")
 
 
+def check_unit_interval(values: Mapping, name: str) -> None:
+    """Raise ValidationError unless every value of `values` is an exact
+    rational in [0,1]: one call per mapping, since a listed type space can
+    hold thousands of them."""
+    for key, u in values.items():
+        try:
+            ok = 0 <= u.numerator <= u.denominator
+        except AttributeError:
+            raise ValidationError(f"{name} {u!r} for {key!r} is not rational") from None
+        if not ok:
+            raise ValidationError(f"{name} {u} for {key!r} outside [0,1]")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Objective g over action profiles with a target threshold."""
@@ -215,9 +213,12 @@ class ObjectiveSpec:
     threshold: Fraction
 
     def validate(self, game: GameForm) -> None:
+        """Weights are exact rationals in [0,1] on profiles of the game, and
+        the threshold is an exact rational."""
         valid = set(profiles_of(game))
-        for prof, v in self.g.items():
+        for prof in self.g:
             if prof not in valid:
                 raise ValidationError(f"objective references unknown profile {prof}")
-            if not (ZERO <= v <= ONE):
-                raise ValidationError("objective values must lie in [0,1]")
+        check_unit_interval(self.g, "objective value")
+        if not isinstance(self.threshold, Rational):
+            raise ValidationError(f"threshold {self.threshold!r} is not rational")

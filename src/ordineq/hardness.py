@@ -10,17 +10,10 @@ The existence check is `solve` over the CNF space itself, whose separation
 oracle searches the 0/1 models by branch and bound instead of listing all
 2^|O| candidates; the problem stays coNP-hard, but an instance no longer
 costs 2^|O| up front.  Both of its answers are exact for every utility
-vector consistent with the CNF, not only for the 0/1 models.  The set of
-consistent vectors is a union of cones C_beta, one per choice beta of an
-atom (a, b) from each clause, each cut out by the difference constraints
-u_a >= u_b.  A gain vector sums to zero, because the on-path and the
-punishment distributions both do, so a vector of C_beta gains exactly
-when its shift and positive rescaling into C_beta ∩ [0,1]^O gains.  The
-constraint matrix of that polytope is totally unimodular (Hoffman &
-Kruskal 1956), so its vertices, where a linear gain is largest, are 0/1
-models of the CNF.  Hence a profile robust against every model is robust
-against every consistent vector, and a "no" over the models is a "no"
-outright.
+vector consistent with the CNF, not only for the 0/1 models: a gain vector
+sums to zero, because the on-path and the punishment distributions both
+do, and for such weights the models attain the largest gain over every
+consistent vector (`equilibrium.best_cnf_model` has the proof).
 """
 
 from __future__ import annotations

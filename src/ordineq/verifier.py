@@ -1,14 +1,13 @@
 """Verification of mediated profiles.
 
-The verifier never trusts the solver's answer: it builds each player's and
-deviation's gain vector once (`equilibrium.gain_vectors`) and checks it
-with the same separation oracles the solver uses (`equilibrium.separate`).
-It does not trust the order and CNF oracles unchecked either: their
-maximum gain on that vector is compared with the finite-scan oracle's
-maximum over the enumerated 0/1 types, always for total orders (|O|+1
-threshold vectors) and for partial orders and preference CNFs whenever the
-outcome set is small enough.  The spaces are validated first, as `solve`
-validates them.
+The verifier never trusts the solver's answer: it asks the separation
+oracles about each player's and deviation's gain vector itself, through
+the solver's deviation loop (`equilibrium.deviation_hits`).  It does not
+trust the order and CNF oracles unchecked either: their maximum gain on
+that vector is compared with the finite-scan oracle's maximum over the
+enumerated 0/1 types, always for total orders (|O|+1 threshold vectors)
+and for partial orders and preference CNFs whenever the outcome set is
+small enough.  The spaces are validated first, as `solve` validates them.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .equilibrium import Hit, finite_scan_oracle, gain_vectors, separate
+from .equilibrium import Hit, deviation_hits, finite_scan_oracle
 
 # Re-exported only for bench/tracing.py, which wraps the oracles on each
 # module that names them.
@@ -72,21 +71,21 @@ def verify(
     witness type of that deviation's maximum gain."""
     validate_spaces(game, spaces)
     validate_profile(game, profile)
-    for i, gains in enumerate(gain_vectors(game, profile)):
+    player, extreme = None, None
+    for i, a, gain, hit in deviation_hits(game, spaces, profile):
         spec = spaces[i]
-        extreme = None
-        if isinstance(spec, TotalOrder) or (
-            isinstance(spec, (PartialOrder, PreferenceCnf))
-            and len(game.outcomes) <= ENUM_CROSS_CHECK_LIMIT
-        ):
-            extreme = FiniteTypes(tuple(enumerate_extreme_types(spec, game.outcomes)))
-        for a, gain in gains.items():
-            hit = separate(spec, game.outcomes, gain)
-            if extreme is not None:
-                _cross_check(spec, game.outcomes, gain, hit, extreme)
-            if hit is not None:
-                amount, witness = hit
-                return VerifyReport(Violation(i, a, witness, amount))
+        if i != player:  # the first deviation of player i
+            player, extreme = i, None
+            if isinstance(spec, TotalOrder) or (
+                isinstance(spec, (PartialOrder, PreferenceCnf))
+                and len(game.outcomes) <= ENUM_CROSS_CHECK_LIMIT
+            ):
+                extreme = FiniteTypes(tuple(enumerate_extreme_types(spec, game.outcomes)))
+        if extreme is not None:
+            _cross_check(spec, game.outcomes, gain, hit, extreme)
+        if hit is not None:
+            amount, witness = hit
+            return VerifyReport(Violation(i, a, witness, amount))
     return VerifyReport(None)
 
 

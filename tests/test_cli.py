@@ -1,6 +1,7 @@
 import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -269,6 +270,42 @@ def test_bad_profile_wrong_field_type(fixture_file, tmp_path, capsys, field, val
     assert err.startswith("error: ")
 
 
+#: The file flag under test -> the rest of a command that reads it.
+FILE_FLAGS = {
+    "--game": ["solve", "--problem", "eore"],
+    "--profile": ["verify", "--game", "{game}"],
+    "--path": ["solve", "--game", "{game}", "--problem", "aare"],
+    "--objective": ["solve", "--game", "{game}", "--problem", "omire", "--threshold", "1/2"],
+    "--dimacs": ["reduce-sat", "--out", "{tmp}/out.game"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FILE_FLAGS))
+@pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+def test_unreadable_input_file_is_bad_input(fixture_file, tmp_path, capsys, flag, bad):
+    """A directory or a file that is not UTF-8, given to any file flag, ends
+    in exit 65 with one error line, not a traceback."""
+    if bad == "directory":
+        path = tmp_path / "a_directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"Top,Left": "1", "caf\xe9": "0"}')
+    game = fixture_file("matching_pennies_symmetric.game")
+    rest = [arg.format(game=game, tmp=tmp_path) for arg in FILE_FLAGS[flag]]
+    code, out, err = run(capsys, rest + [flag, str(path)])
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_reduce_sat_into_a_directory_is_bad_input(tmp_path, capsys):
+    dimacs = tmp_path / "f.cnf"
+    dimacs.write_text("p cnf 1 1\n1 0\n")
+    code, out, err = run(capsys, ["reduce-sat", "--dimacs", str(dimacs), "--out", str(tmp_path)])
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_output_is_deterministic(fixture_file, capsys):
     game = fixture_file("prisoners_dilemma_rich.game")
     argv = ["solve", "--game", game, "--problem", "eore"]
@@ -363,34 +400,48 @@ def _mutated(draw, doc):
 
 
 @st.composite
-def _mutated_pair(draw):
-    """A bundled game and its profile (or None), one of the two mutated."""
+def _mutated_docs(draw):
+    """A bundled game, its profile (if one is bundled), an AARE path
+    (uniform over the cells) and an OMIRE objective, one of them mutated."""
     name = draw(st.sampled_from(GAME_NAMES))
     game = json.loads(fixture_text(f"{name}.game"))
-    profile = json.loads(fixture_text(f"{PROFILE_OF[name]}.profile")) if name in PROFILE_OF else None
-    if profile is not None and draw(st.booleans()):
-        return game, draw(_mutated(profile))
-    return draw(_mutated(game)), profile
+    cells = sorted(game["outcome_map"])
+    docs = {
+        "game": game,
+        "path": {cell: f"1/{len(cells)}" for cell in cells},
+        "objective": {cell: "1/2" for cell in cells},
+    }
+    if name in PROFILE_OF:
+        docs["profile"] = json.loads(fixture_text(f"{PROFILE_OF[name]}.profile"))
+    mutated = draw(st.sampled_from(sorted(docs)))
+    docs[mutated] = draw(_mutated(docs[mutated]))
+    return docs
 
 
 @settings(
-    max_examples=150,
+    max_examples=300,
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(docs=_mutated_pair())
+@given(docs=_mutated_docs())
 def test_mutated_documents_end_in_an_exit_code(tmp_path, capsys, docs):
-    """`solve`, `verify` and `pure` answer a bundled game or profile with
-    one field mutated with an exit code, never an exception."""
-    game_doc, profile_doc = docs
-    game = tmp_path / "mutated.game"
-    game.write_text(json.dumps(game_doc))
-    commands = [["solve", "--game", str(game), "--problem", "eore"], ["pure", "--game", str(game)]]
-    if profile_doc is not None:
-        profile = tmp_path / "mutated.profile"
-        profile.write_text(json.dumps(profile_doc))
-        commands.append(["verify", "--game", str(game), "--profile", str(profile)])
+    """`solve` (EORE, AARE and OMIRE), `verify` and `pure` answer a bundled
+    game, profile, path or objective with one field mutated with an exit
+    code, never an exception."""
+    files = {}
+    for kind, doc in docs.items():
+        files[kind] = str(tmp_path / f"mutated.{kind}")
+        Path(files[kind]).write_text(json.dumps(doc))
+    solve = ["solve", "--game", files["game"], "--problem"]
+    commands = [
+        solve + ["eore"],
+        solve + ["aare", "--path", files["path"]],
+        solve + ["omire", "--objective", files["objective"], "--threshold", "1/2"],
+        ["pure", "--game", files["game"]],
+    ]
+    if "profile" in docs:
+        commands.append(["verify", "--game", files["game"], "--profile", files["profile"]])
     for argv in commands:
         code, _, _ = run(capsys, argv)
         assert code in (EXIT_YES, EXIT_NO, EXIT_USAGE, EXIT_BAD_INPUT), argv

@@ -23,6 +23,7 @@ from ordineq.games import (
     FiniteTypes,
     GameForm,
     MediatedProfile,
+    ObjectiveSpec,
     PartialOrder,
     PreferenceCnf,
     TotalOrder,
@@ -460,6 +461,26 @@ def test_inexact_distribution_order_weights_are_rejected(half, one):
             call(unknown)
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        eq.Omire(ObjectiveSpec({("Top", "Left"): 0.1}, HALF)),
+        eq.Omire(ObjectiveSpec({("Top", "Left"): "1/2"}, HALF)),
+        eq.Omire(ObjectiveSpec({("Top", "Left"): ONE}, 0.5)),
+        eq.Omire(ObjectiveSpec({("Top", "Left"): ONE}, "1/2")),
+        eq.Sire(["Top", "Left"]),
+    ],
+    ids=["float-weight", "str-weight", "float-threshold", "str-threshold", "list-target"],
+)
+def test_inexact_objective_and_unhashable_target_are_rejected(query):
+    """OMIRE weights are exact rationals in [0,1] and its threshold is an
+    exact rational; a SIRE target is a tuple profile of the game.  Anything
+    else is a ValidationError, not a silent float answer or a TypeError."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    with pytest.raises(ValidationError):
+        eq.solve(game, spaces, query)
+
+
 def test_existence_answers_on_fixtures():
     no_game, no_spaces, _ = load_game("matching_pennies_asymmetric")
     assert not eq.solve(no_game, no_spaces, eq.Eore()).answer
@@ -541,17 +562,44 @@ def test_entailment_matches_closure_and_polytope_vertices():
     for _ in range(15):
         game, spaces = random_game(rng.randint(0, 10**9), max_outcomes=4, kind="distribution_order")
         outcomes = game.outcomes
-        n = len(outcomes)
         for spec in spaces:
-            rows = []
-            for r1, r2 in spec.pairs:
-                rows.append(constraint([r1.get(o, ZERO) - r2.get(o, ZERO) for o in outcomes], GE, 0))
-            for k in range(n):
-                rows.append(constraint([ONE if j == k else ZERO for j in range(n)], LE, 1))
-            vertices = lp_vertices(LinearProgram(n, tuple(rows)))
+            vertices = _polytope_vertices(spec, outcomes)
             for (k, o), (k2, o2) in itertools.product(enumerate(outcomes), repeat=2):
                 expected = min(v[k] - v[k2] for v in vertices) >= 0
                 assert eq.entails_preference(spec, o, o2, outcomes) == expected
+
+
+def _polytope_vertices(spec: DistributionOrder, outcomes) -> list[tuple[Fraction, ...]]:
+    """The vertices of a distribution order's polytope in [0,1]^O: one row
+    r1·u - r2·u >= 0 per pair, and u <= 1."""
+    n = len(outcomes)
+    rows = []
+    for r1, r2 in spec.pairs:
+        rows.append(constraint([r1.get(o, ZERO) - r2.get(o, ZERO) for o in outcomes], GE, 0))
+    for k in range(n):
+        rows.append(constraint([ONE if j == k else ZERO for j in range(n)], LE, 1))
+    return lp_vertices(LinearProgram(n, tuple(rows)))
+
+
+def test_solve_over_distribution_orders_agrees_with_their_vertices():
+    """EORE and SIRE over a distribution order answer as over the finite
+    list of its polytope's vertices: the incentive constraints are linear
+    in the utility vector, so they hold on the polytope iff at its
+    vertices.  The vertices come from enumeration, not from the oracle."""
+    rng = random.Random(61)
+    for _ in range(50):
+        game, spaces = random_game(
+            rng.randint(0, 10**9), max_actions=2, max_outcomes=4, kind="distribution_order"
+        )
+        listed = tuple(
+            FiniteTypes(tuple(dict(zip(game.outcomes, v)) for v in _polytope_vertices(s, game.outcomes)))
+            for s in spaces
+        )
+        target = rng.choice(list(profiles_of(game)))
+        for query in (eq.Eore(), eq.Sire(target)):
+            got = eq.solve(game, spaces, query)
+            expected = eq.solve(game, listed, query)
+            assert (got.answer, got.value) == (expected.answer, expected.value)
 
 
 def test_pure_equilibria_of_the_coordination_game():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from conftest import closure_brute_force
-from ordineq.flow import ClosureInstance, FlowNetwork, closure_solve, max_flow
+from ordineq.flow import FlowNetwork, closure_solve, max_flow
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -12,7 +12,6 @@ def _cut_capacity(net: FlowNetwork, source_side) -> Fraction:
     total = ZERO
     for frm, to, cap in net.edges:
         if frm in source_side and to not in source_side:
-            assert cap is not None, "min cut crosses an infinite edge"
             total += cap
     return total
 
@@ -37,45 +36,41 @@ def test_bottleneck_path():
 
 
 def test_closure_forced_loss():
-    inst = ClosureInstance(
-        items=("e1", "e2"),
-        values={"e1": Fraction(1), "e2": Fraction(-2)},
-        implications=(("e1", "e2"),),
+    accepted, total = closure_solve(
+        ("e1", "e2"),
+        {"e1": Fraction(1), "e2": Fraction(-2)},
+        (("e1", "e2"),),
     )
-    accepted, total = closure_solve(inst)
     assert accepted == frozenset()
     assert total == ZERO
 
 
 def test_closure_worthwhile_loss():
-    inst = ClosureInstance(
-        items=("e1", "e2"),
-        values={"e1": Fraction(1), "e2": Fraction(-1, 2)},
-        implications=(("e1", "e2"),),
+    accepted, total = closure_solve(
+        ("e1", "e2"),
+        {"e1": Fraction(1), "e2": Fraction(-1, 2)},
+        (("e1", "e2"),),
     )
-    accepted, total = closure_solve(inst)
     assert accepted == frozenset({"e1", "e2"})
     assert total == Fraction(1, 2)
 
 
 def test_closure_all_positive():
-    inst = ClosureInstance(
-        items=("e1", "e2"),
-        values={"e1": Fraction(3), "e2": Fraction(1)},
-        implications=(),
+    accepted, total = closure_solve(
+        ("e1", "e2"),
+        {"e1": Fraction(3), "e2": Fraction(1)},
+        (),
     )
-    accepted, total = closure_solve(inst)
     assert accepted == frozenset({"e1", "e2"})
     assert total == Fraction(4)
 
 
 def test_closure_tolerates_cycles_and_duplicates():
-    inst = ClosureInstance(
-        items=("a", "b"),
-        values={"a": Fraction(2), "b": Fraction(-1)},
-        implications=(("a", "b"), ("b", "a"), ("a", "b")),
+    accepted, total = closure_solve(
+        ("a", "b"),
+        {"a": Fraction(2), "b": Fraction(-1)},
+        (("a", "b"), ("b", "a"), ("a", "b")),
     )
-    accepted, total = closure_solve(inst)
     assert accepted == frozenset({"a", "b"})
     assert total == Fraction(1)
 
@@ -98,7 +93,7 @@ def test_max_flow_equals_min_cut_on_random_networks():
         assert value == _cut_capacity(net, cut)
 
 
-def _random_closure(rng: random.Random) -> ClosureInstance:
+def _random_closure(rng: random.Random):
     n = rng.randint(1, 12)
     items = tuple(f"e{k}" for k in range(n))
     values = {
@@ -108,18 +103,18 @@ def _random_closure(rng: random.Random) -> ClosureInstance:
         tuple(rng.sample(items, 2))
         for _ in range(rng.randint(0, 2 * n) if n >= 2 else 0)
     )
-    return ClosureInstance(items=items, values=values, implications=implications)
+    return items, values, implications
 
 
 def test_closure_agrees_with_subset_enumeration():
     rng = random.Random(11)
     for trial in range(200):
-        inst = _random_closure(rng)
-        accepted, total = closure_solve(inst)
+        items, values, implications = _random_closure(rng)
+        accepted, total = closure_solve(items, values, implications)
         # accepted must itself be implication-closed and have the right value
-        for a, b in inst.implications:
+        for a, b in implications:
             assert not (a in accepted and b not in accepted)
-        assert total == sum((inst.values[it] for it in accepted), ZERO)
-        _, best = closure_brute_force(inst.items, inst.values, inst.implications)
+        assert total == sum((values[it] for it in accepted), ZERO)
+        _, best = closure_brute_force(items, values, implications)
         assert total == best, f"trial {trial}"
         assert total >= ZERO

@@ -12,7 +12,7 @@ from conftest import (
     satisfies_space,
     stochastic_dominance,
 )
-from ordineq import verifier
+from ordineq import equilibrium, verifier
 from ordineq.cli import EXIT_NO, EXIT_YES, run_cli
 from ordineq.errors import UnknownOutcome, ValidationError
 from ordineq.equilibrium import Eore, solve
@@ -27,6 +27,7 @@ from ordineq.games import (
     outcome_distribution,
 )
 from ordineq.randgen import random_game, random_profile_point
+from ordineq.typespaces import enumerate_extreme_types
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -240,7 +241,7 @@ def test_cross_check_catches_a_wrong_order_oracle(monkeypatch, as_partial):
     if as_partial:
         spaces = tuple(PartialOrder(tuple(zip(s.order, s.order[1:]))) for s in spaces)
     profile = load_profile("matching_pennies_symmetric_eq", game)
-    true_separate = verifier.separate
+    true_separate = equilibrium.separate
     calls = iter([(i, a) for i, actions in enumerate(game.action_sets) for a in actions])
 
     def wrong(spec, outcomes, gain):
@@ -249,9 +250,26 @@ def test_cross_check_catches_a_wrong_order_oracle(monkeypatch, as_partial):
             return true_separate(spec, outcomes, gain)
         return ONE, {o: ONE for o in outcomes}
 
-    monkeypatch.setattr(verifier, "separate", wrong)
+    monkeypatch.setattr(equilibrium, "separate", wrong)
     with pytest.raises(AssertionError, match="disagrees with enumeration"):
         verifier.verify(game, spaces, profile)
+
+
+def test_types_are_enumerated_only_for_players_reached(monkeypatch):
+    """A profile whose first player already violates never enumerates the
+    later players' types: each player's are enumerated when its first
+    deviation comes up."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    profile = MediatedProfile({("Top", "Right"): ONE}, ({("Left",): ONE}, {("Top",): ONE}))
+    enumerated = []
+
+    def recording(spec, outcomes):
+        enumerated.append(spec)
+        return enumerate_extreme_types(spec, outcomes)
+
+    monkeypatch.setattr(verifier, "enumerate_extreme_types", recording)
+    assert verifier.verify(game, spaces, profile).violation.player == 0
+    assert enumerated == [spaces[0]]
 
 
 def test_verify_agrees_with_extreme_type_brute_force():
