@@ -10,15 +10,17 @@ that for a witness utility vector u, player i, and deviation a_i':
 
 RHS - LHS is linear in u: its per-outcome weights are the deviation's
 gain vector, which `gain_vectors` builds once per (player, deviation) from
-the on-path outcome distribution.  Each of the five type-space kinds has
-one separation oracle of that vector alone, reached through
-`separate(spec, outcomes, gain)`: it returns the largest gain over the
-kind's finite witness family, with a witness attaining it.  The families
-are the listed types of a finite space, the threshold vectors of a total
-order, the upward-closed 0/1 vectors of a partial order, the vertices of a
-distribution order's polytope, and the 0/1 models of a preference CNF,
-which attain the maximum of every gain over the whole CNF set
-(`best_cnf_model` has the proof).
+the on-path outcome distribution, in integers over the profile's common
+denominator (every oracle's comparisons are invariant under a positive
+scale).  Each of the five type-space kinds has one separation oracle of
+that vector alone, reached through `separate(spec, outcomes, gain)`: it
+returns the largest gain over the kind's finite witness family, with a
+witness attaining it.  The families are the listed types of a finite
+space, the threshold vectors of a total order, the upward-closed 0/1
+vectors of a partial order, the vertices of a distribution order's
+polytope, and the 0/1 models of a preference CNF, which attain the
+maximum of every gain over the whole CNF set (`best_cnf_model` has the
+proof).
 The solver adds violated constraints in a cutting-plane loop (delayed
 constraint generation) over one master LP per call, which only ever gains
 rows: each cut becomes its row once, when it is found.  An added
@@ -34,6 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping, Optional, Sequence, Union
 
 from . import linprog
@@ -54,16 +57,15 @@ from .games import (
     opponents_profiles_of,
     outcome_distribution,
     profiles_of,
+    validate_space,
     validate_spaces,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-#: An oracle's answer: the largest gain (strictly positive) with a witness
-#: type attaining it, or None when no consistent type gains.
-Hit = Optional[tuple[Fraction, dict[str, Fraction]]]
+#: An oracle's answer: the largest gain (strictly positive), in the gain
+#: vector's units, with a witness type attaining it, or None when no
+#: consistent type gains.  Order and CNF witnesses are 0/1 integers.
+Hit = Optional[tuple[Rational, dict[str, Rational]]]
 
 
 @dataclass(frozen=True)
@@ -128,43 +130,48 @@ class VariableLayout:
             )
         return MediatedProfile(p, tuple(q))
 
-    def p_objective(self, weights: Mapping[Profile, Fraction]) -> tuple[tuple[Fraction, ...], str]:
+    def p_objective(self, weights: Mapping[Profile, Rational]) -> tuple[tuple[Rational, ...], str]:
         """Maximize sum_a weights[a] p(a)."""
-        coeffs = [ZERO] * self.num_vars
+        coeffs = [0] * self.num_vars
         for prof, w in weights.items():
-            coeffs[self.p_index[prof]] = Fraction(w)
+            coeffs[self.p_index[prof]] = w
         return tuple(coeffs), linprog.MAX
 
 
 def incentive_row(
-    game: GameForm, layout: VariableLayout, i: int, a: str, witness: Mapping[str, Fraction]
+    game: GameForm, layout: VariableLayout, i: int, a: str, witness: Mapping[str, Rational]
 ) -> linprog.Constraint:
     """The cut LHS - RHS >= 0 of the witness against player i's deviation
     to a."""
-    row = [ZERO] * layout.num_vars
+    row = [0] * layout.num_vars
     for prof, k in layout.p_index.items():
         row[k] += witness[game.outcome_of(prof)]
     for opp, k in layout.q_index[i].items():
         row[k] -= witness[game.outcome_of(game.insert(i, a, opp))]
-    return linprog.constraint(row, linprog.GE, ZERO)
+    return linprog.constraint(row, linprog.GE, 0)
 
 
-def _indicator(n: int, indices, rhs: Fraction) -> linprog.Constraint:
+def _indicator(n: int, indices, rhs: Rational) -> linprog.Constraint:
     """The row: the variables at `indices` sum to rhs."""
-    row = [ZERO] * n
+    row = [0] * n
     for k in indices:
-        row[k] = ONE
+        row[k] = 1
     return linprog.constraint(row, linprog.EQ, rhs)
 
 
-def gain_vectors(game: GameForm, profile: MediatedProfile) -> list[dict[str, dict[str, Fraction]]]:
-    """`gain_vectors(game, profile)[i][a]` maps each outcome to its weight
+def gain_vectors(
+    game: GameForm, profile: MediatedProfile
+) -> tuple[int, list[dict[str, dict[str, int]]]]:
+    """(den, gains): `gains[i][a]` maps each outcome to den times its weight
     in player i's gain from deviating to a (deviation payoff minus on-path
-    payoff) as a linear function of the utility vector.  The on-path
-    outcome distribution is computed once for every player and deviation."""
-    minus_on_path = {o: -w for o, w in outcome_distribution(game, profile.p).items()}
+    payoff, linear in u); den, the lcm of the profile's weight denominators,
+    makes each an integer.  The on-path distribution is computed once."""
+    dists = (profile.p, *profile.q)
+    den = math.lcm(*(w.denominator for dist in dists for w in dist.values()))
+    p, *q = ({k: w.numerator * (den // w.denominator) for k, w in d.items()} for d in dists)
+    minus_on_path = {o: -w for o, w in outcome_distribution(game, p).items()}
     gains = []
-    for i, q_i in enumerate(profile.q):
+    for i, q_i in enumerate(q):
         by_action = {}
         for a in game.action_sets[i]:
             v = dict(minus_on_path)
@@ -173,11 +180,11 @@ def gain_vectors(game: GameForm, profile: MediatedProfile) -> list[dict[str, dic
                     v[game.outcome_of(game.insert(i, a, opp))] += w
             by_action[a] = v
         gains.append(by_action)
-    return gains
+    return den, gains
 
 
 def separation_oracle_total(
-    spec: TotalOrder, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
+    spec: TotalOrder, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
 ) -> Hit:
     """Best threshold witness, by one scan over the order's prefixes.
 
@@ -186,21 +193,21 @@ def separation_oracle_total(
     prefix of maximum gain is returned: it is the minimal maximum-weight
     closure of the order's chain, the witness the closure oracle would find.
     """
-    best = ZERO
+    best = 0
     best_k = 0
-    acc = ZERO
+    acc = 0
     for k, o in enumerate(spec.order, start=1):
         acc += gain[o]
         if acc > best:
             best, best_k = acc, k
     if best > 0:
         top = set(spec.order[:best_k])
-        return best, {o: (ONE if o in top else ZERO) for o in outcomes}
+        return best, {o: int(o in top) for o in outcomes}
     return None
 
 
 def separation_oracle_partial(
-    spec: PartialOrder, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
+    spec: PartialOrder, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
 ) -> Hit:
     """Best 0/1 upward-closed witness, via maximum-weight closure.
 
@@ -211,12 +218,12 @@ def separation_oracle_partial(
     implications = tuple((b, a) for a, b in spec.pairs if a != b)
     accepted, best = closure_solve(outcomes, gain, implications)
     if best > 0:
-        return best, {o: (ONE if o in accepted else ZERO) for o in outcomes}
+        return best, {o: int(o in accepted) for o in outcomes}
     return None
 
 
 def separation_oracle_dist(
-    spec: DistributionOrder, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
+    spec: DistributionOrder, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
 ) -> Hit:
     """Best witness in [0,1]^O under the distribution-pair constraints,
     via an exact LP: one row r1·u - r2·u >= 0 per pair, then u(o) <= 1 per
@@ -226,16 +233,16 @@ def separation_oracle_dist(
     n = len(outcomes)
     rows = []
     for r1, r2 in spec.pairs:
-        row = [ZERO] * n
+        row = [0] * n
         for name, w in r1.items():
             row[idx[name]] += w
         for name, w in r2.items():
             row[idx[name]] -= w
-        rows.append(linprog.constraint(row, linprog.GE, ZERO))
+        rows.append(linprog.constraint(row, linprog.GE, 0))
     for k in range(n):
-        row = [ZERO] * n
-        row[k] = ONE
-        rows.append(linprog.constraint(row, linprog.LE, ONE))
+        row = [0] * n
+        row[k] = 1
+        rows.append(linprog.constraint(row, linprog.LE, 1))
     objective = (tuple(gain[o] for o in outcomes), linprog.MAX)
     out = linprog.lp_solve(linprog.LinearProgram(n, tuple(rows), objective))
     if out.status != linprog.FEASIBLE:
@@ -246,7 +253,7 @@ def separation_oracle_dist(
 
 
 def finite_scan_oracle(
-    spec: FiniteTypes, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]
+    spec: FiniteTypes, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
 ) -> Hit:
     """Exhaustive scan over the listed types; the first type of maximum
     gain is the witness."""
@@ -254,7 +261,7 @@ def finite_scan_oracle(
     best = None
     best_u = None
     for u in spec.types:
-        g = sum((w * u[o] for o, w in terms), ZERO)
+        g = sum(w * u[o] for o, w in terms)
         if g > 0 and (best is None or g > best):
             best = g
             best_u = u
@@ -264,7 +271,7 @@ def finite_scan_oracle(
 
 
 def best_cnf_model(
-    spec: PreferenceCnf, outcomes: tuple[str, ...], weights: Mapping[str, Fraction]
+    spec: PreferenceCnf, outcomes: tuple[str, ...], weights: Mapping[str, Rational]
 ) -> Hit:
     """The largest sum of `weights[o] * u(o)` over the 0/1 models u of the
     CNF, with a model attaining it, or None if no model has a positive sum.
@@ -288,9 +295,10 @@ def best_cnf_model(
     u_a or not u_b, so the models are assignments of one variable per
     outcome.  A depth-first branch and bound assigns the variables in order
     of decreasing |weight|, each first to the value its weight's sign
-    prefers, on integer weights over one common denominator.  A partial
-    assignment is pruned when it falsifies a clause, or when its value plus
-    the remaining positive weights does not beat the best model so far.
+    prefers.  The solver passes integer weights in gain units, so the
+    search is plain integer work.  A partial assignment is pruned when it
+    falsifies a clause, or when its value plus the remaining positive
+    weights does not beat the best model so far.
     The all-zero vector satisfies every nonempty clause, so the search only
     looks for a positive value; a space with an empty clause has no model.
     """
@@ -298,9 +306,7 @@ def best_cnf_model(
         return None
     n = len(outcomes)
     idx = {o: k for k, o in enumerate(outcomes)}
-    gains = [weights.get(o, ZERO) for o in outcomes]
-    denom = math.lcm(*(x.denominator for x in gains))
-    w = [x.numerator * (denom // x.denominator) for x in gains]
+    w = [weights.get(o, 0) for o in outcomes]
     # falsified[k][bit]: the clauses with a literal on u_k that u_k = bit
     # makes false; live[c]: the literals of clause c not yet false.
     falsified = [([], []) for _ in range(n)]
@@ -316,7 +322,7 @@ def best_cnf_model(
     u = [0] * n
     best, best_u = 0, None
 
-    def search(t: int, value: int) -> None:
+    def search(t: int, value: Rational) -> None:
         nonlocal best, best_u
         if value + rest[t] <= best:
             return
@@ -337,13 +343,13 @@ def best_cnf_model(
     search(0, 0)
     if best_u is None:
         return None
-    return Fraction(best, denom), {o: (ONE if b else ZERO) for o, b in zip(outcomes, best_u)}
+    return best, dict(zip(outcomes, best_u))
 
 
-def separate(spec: TypeSpaceSpec, outcomes: tuple[str, ...], gain: Mapping[str, Fraction]) -> Hit:
+def separate(spec: TypeSpaceSpec, outcomes: tuple[str, ...], gain: Mapping[str, Rational]) -> Hit:
     """The largest gain `sum_o gain[o] * u(o)` over the witness family of
     the space, with a witness u attaining it, or None if no consistent type
-    gains."""
+    gains.  The solver and the verifier pass integer gains (`gain_vectors`)."""
     if isinstance(spec, FiniteTypes):
         return finite_scan_oracle(spec, outcomes, gain)
     if isinstance(spec, TotalOrder):
@@ -358,11 +364,12 @@ def separate(spec: TypeSpaceSpec, outcomes: tuple[str, ...], gain: Mapping[str, 
 
 
 def deviation_hits(game: GameForm, spaces: Sequence[TypeSpaceSpec], profile: MediatedProfile):
-    """Yield (player, deviation, gain vector, oracle answer) for every
-    player's every deviation, in player and action order."""
-    for i, gains in enumerate(gain_vectors(game, profile)):
-        for a, gain in gains.items():
-            yield i, a, gain, separate(spaces[i], game.outcomes, gain)
+    """Yield (player, deviation, den, gain vector, oracle answer) for every
+    player's every deviation, in player and action order (`gain_vectors`)."""
+    den, gains = gain_vectors(game, profile)
+    for i, by_action in enumerate(gains):
+        for a, gain in by_action.items():
+            yield i, a, den, gain, separate(spaces[i], game.outcomes, gain)
 
 
 def solve(
@@ -389,11 +396,11 @@ def solve(
     if isinstance(query, Sire):
         if not isinstance(query.target, tuple) or query.target not in layout.p_index:
             raise ValidationError(f"unknown target profile {query.target}")
-        objective = layout.p_objective({query.target: ONE})
+        objective = layout.p_objective({query.target: 1})
     elif isinstance(query, Aare):
         check_distribution(query.dist, set(layout.profiles), "AARE path")
         fixed = tuple(
-            _indicator(n, (k,), query.dist.get(prof, ZERO)) for prof, k in layout.p_index.items()
+            _indicator(n, (k,), query.dist.get(prof, 0)) for prof, k in layout.p_index.items()
         )
     elif isinstance(query, Omire):
         query.objective.validate(game)
@@ -401,9 +408,9 @@ def solve(
     elif not isinstance(query, Eore):
         raise ValidationError(f"unknown query {query!r}")
 
-    rows = [_indicator(n, layout.p_index.values(), ONE)]
-    rows += (_indicator(n, q_i.values(), ONE) for q_i in layout.q_index)
-    seen: set[tuple[int, str, tuple[Fraction, ...]]] = set()
+    rows = [_indicator(n, layout.p_index.values(), 1)]
+    rows += (_indicator(n, q_i.values(), 1) for q_i in layout.q_index)
+    seen: set[tuple[int, str, tuple[Rational, ...]]] = set()
 
     while True:
         out = linprog.lp_solve(linprog.LinearProgram(n, (*rows, *fixed), objective))
@@ -415,7 +422,7 @@ def solve(
 
         hits = [
             (i, a, hit[1])
-            for i, a, _, hit in deviation_hits(game, spaces, profile)
+            for i, a, _, _, hit in deviation_hits(game, spaces, profile)
             if hit is not None
         ]
 
@@ -444,14 +451,16 @@ def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str
     u(o) >= u(o2): iff no witness gains from the swap, gain e_o2 - e_o.
     The 0/1 witnesses suffice for orders, whose polytope's vertices are the
     up-set indicator vectors (Stanley, "Two poset polytopes", 1986), and
-    for preference CNFs, because the gain sums to zero (`best_cnf_model`)."""
+    for preference CNFs, because the gain sums to zero (`best_cnf_model`).
+    The space is validated first."""
+    validate_space(spec, outcomes)
     if o not in outcomes or o2 not in outcomes:
         raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
     if o == o2:
         return True  # the gain is zero, and no oracle reports a zero gain
-    gain = dict.fromkeys(outcomes, ZERO)
-    gain[o2] += ONE
-    gain[o] -= ONE
+    gain = dict.fromkeys(outcomes, 0)
+    gain[o2] = 1
+    gain[o] = -1
     return separate(spec, outcomes, gain) is None
 
 

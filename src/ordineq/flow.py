@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
 from .errors import ValidationError
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -21,7 +19,7 @@ class FlowNetwork:
     num_nodes: int
     source: int
     sink: int
-    edges: tuple[tuple[int, int, Fraction], ...]  # (from, to, capacity)
+    edges: tuple[tuple[int, int, Rational], ...]  # (from, to, capacity)
 
 
 def _validate(net: FlowNetwork) -> None:
@@ -34,7 +32,7 @@ def _validate(net: FlowNetwork) -> None:
             raise ValidationError(f"negative capacity on ({u},{v})")
 
 
-def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
+def max_flow(net: FlowNetwork) -> tuple[Rational, frozenset[int]]:
     """Return (flow value, source side of a minimum cut).
 
     The returned cut's capacity equals the flow value (max-flow = min-cut
@@ -42,18 +40,18 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
     """
     _validate(net)
     # Residual capacities; parallel edges merge.
-    residual: dict[tuple[int, int], Fraction] = {}
+    residual: dict[tuple[int, int], Rational] = {}
     adj: dict[int, list[int]] = {u: [] for u in range(net.num_nodes)}
     for u, v, cap in net.edges:
         if (u, v) not in residual:
             adj[u].append(v)
-            residual[(u, v)] = ZERO
+            residual[(u, v)] = 0
         if (v, u) not in residual:
             adj[v].append(u)
-            residual[(v, u)] = ZERO
+            residual[(v, u)] = 0
         residual[(u, v)] += cap
 
-    value = ZERO
+    value = 0
     while True:
         parent: dict[int, int] = {net.source: net.source}
         queue = deque([net.source])
@@ -85,8 +83,8 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
 
 
 def closure_solve(
-    items: tuple[str, ...], values: dict[str, Fraction], implications: tuple[tuple[str, str], ...]
-) -> tuple[frozenset[str], Fraction]:
+    items: tuple[str, ...], values: dict[str, Rational], implications: tuple[tuple[str, str], ...]
+) -> tuple[frozenset[str], Rational]:
     """Maximum-weight subset of `items` closed under the implications (a, b),
     accepting a forces accepting b, via Picard's min-cut reduction (1976).
 
@@ -103,9 +101,9 @@ def closure_solve(
     source = len(items)
     sink = source + 1
     edges = []
-    positive_total = ZERO
+    positive_total = 0
     for item in items:
-        v = values.get(item, ZERO)
+        v = values.get(item, 0)
         if v > 0:
             edges.append((source, index[item], v))
             positive_total += v
@@ -117,7 +115,7 @@ def closure_solve(
     net = FlowNetwork(len(items) + 2, source, sink, tuple(edges))
     cut_value, source_side = max_flow(net)
     accepted = frozenset(item for item in items if index[item] in source_side)
-    total = sum((values.get(item, ZERO) for item in accepted), ZERO)
+    total = sum(values.get(item, 0) for item in accepted)
     if total != positive_total - cut_value:
         raise AssertionError(f"closure weight {total} disagrees with the min cut")
     return accepted, total

@@ -15,8 +15,6 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import UnknownOutcome, ValidationError
 
-ZERO = Fraction(0)
-
 Profile = tuple[str, ...]
 
 
@@ -67,9 +65,9 @@ def opponents_profiles_of(game: GameForm, i: int) -> Iterator[Profile]:
     return itertools.product(*others)
 
 
-def outcome_distribution(game: GameForm, dist: Mapping[Profile, Fraction]) -> dict[str, Fraction]:
+def outcome_distribution(game: GameForm, dist: Mapping[Profile, Rational]) -> dict[str, Rational]:
     """Pushforward of a distribution over profiles through the outcome map."""
-    out = {o: ZERO for o in game.outcomes}
+    out = dict.fromkeys(game.outcomes, 0)
     for prof, w in dist.items():
         out[game.outcome_of(prof)] += w
     return out
@@ -77,7 +75,8 @@ def outcome_distribution(game: GameForm, dist: Mapping[Profile, Fraction]) -> di
 
 @dataclass(frozen=True)
 class FiniteTypes:
-    """Explicit list of utility vectors, each outcome -> Fraction in [0,1]."""
+    """Explicit list of utility vectors, each outcome -> an exact rational
+    (`int` or `Fraction`) in [0,1]."""
 
     types: tuple[Mapping[str, Fraction], ...]
 
@@ -177,7 +176,7 @@ def validate_profile(game: GameForm, profile: MediatedProfile) -> None:
 def check_distribution(dist: Mapping, support: set, name: str) -> None:
     """Raise ValidationError unless `dist` is a distribution over `support`
     (profiles, or outcomes) with exact rational weights."""
-    total = ZERO
+    total = 0
     for key, w in dist.items():
         if key not in support:
             raise ValidationError(f"{name} has weight on unknown profile {key}")

@@ -21,9 +21,6 @@ from .games import (
     profiles_of,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def random_game(
     seed: int,

@@ -1,8 +1,8 @@
 """Textual form of exact rationals.
 
 Every numeric quantity in this package (probabilities, utilities, LP
-coefficients) is a `fractions.Fraction`, which already guarantees canonical
-form (positive denominator, reduced) and exact arithmetic.  This module pins
+coefficients) is an exact rational (`int` or `Fraction`): canonical form
+(positive denominator, reduced) and exact arithmetic.  This module pins
 down the shared textual format: "<int>" or "<int>/<posint>".  Decimal
 literals are deliberately rejected so no silent float conversion can occur.
 """
@@ -34,5 +34,5 @@ def rational_parse(text: str) -> Fraction:
 
 
 def rational_render(value: Fraction) -> str:
-    """Render a Fraction in the textual form accepted by rational_parse."""
+    """Render an exact rational in the form accepted by rational_parse."""
     return str(Fraction(value))

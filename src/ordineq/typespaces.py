@@ -14,30 +14,26 @@ entailment, is `equilibrium.separate`'s question.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import CapExceeded, UnsupportedSpace
-from .games import PartialOrder, PreferenceCnf, TotalOrder, TypeSpaceSpec
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .games import PartialOrder, PreferenceCnf, TotalOrder, TypeSpaceSpec, validate_space
 
 DEFAULT_CAP = 2**20
 
 
 def enumerate_extreme_types(
     spec: TypeSpaceSpec, outcomes: tuple[str, ...]
-) -> list[dict[str, Fraction]]:
-    """All 0/1 utility vectors consistent with the space.
+) -> list[dict[str, int]]:
+    """All 0/1 `int` utility vectors consistent with the (validated) space.
 
     TotalOrder yields the |O|+1 threshold vectors directly; PartialOrder and
     PreferenceCnf filter the 2^|O| candidates, at most DEFAULT_CAP of them.
     """
+    validate_space(spec, outcomes)
     if isinstance(spec, TotalOrder):
         vectors = []
         for k in range(len(spec.order) + 1):
             top = set(spec.order[:k])
-            vectors.append({o: (ONE if o in top else ZERO) for o in outcomes})
+            vectors.append({o: int(o in top) for o in outcomes})
         return vectors
     if not isinstance(spec, (PartialOrder, PreferenceCnf)):
         raise UnsupportedSpace(f"cannot enumerate extreme types for {type(spec).__name__}")
@@ -57,7 +53,7 @@ def enumerate_extreme_types(
             right |= bit[b]
         masks.append((left, right))
     return [
-        {o: (ONE if mask >> k & 1 else ZERO) for k, o in enumerate(outcomes)}
+        {o: mask >> k & 1 for k, o in enumerate(outcomes)}
         for mask in range(2 ** len(outcomes))
         if all(mask & left or mask & right != right for left, right in masks)
     ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping, Optional, Sequence
 
 from .equilibrium import Hit, deviation_hits, finite_scan_oracle
@@ -34,8 +35,6 @@ from .games import (
 )
 from .typespaces import enumerate_extreme_types
 
-ZERO = Fraction(0)
-
 #: Up to this many outcomes the partial-order and CNF oracles are
 #: cross-checked by enumerating every consistent 0/1 vector (2^|O|
 #: candidates).
@@ -46,7 +45,7 @@ ENUM_CROSS_CHECK_LIMIT = 12
 class Violation:
     player: int
     deviation: str
-    witness: dict[str, Fraction]
+    witness: dict[str, Rational]
     amount: Fraction  # deviation payoff - on-path payoff, strictly positive
 
 
@@ -68,11 +67,12 @@ def verify(
     consistent type, the on-path payoff weakly beats the deviation payoff.
 
     A violation reports the first violating player and deviation, with the
-    witness type of that deviation's maximum gain."""
+    witness type of that deviation's maximum gain: the oracle's amount, in
+    gain units, over the profile's denominator (`gain_vectors`)."""
     validate_spaces(game, spaces)
     validate_profile(game, profile)
     player, extreme = None, None
-    for i, a, gain, hit in deviation_hits(game, spaces, profile):
+    for i, a, den, gain, hit in deviation_hits(game, spaces, profile):
         spec = spaces[i]
         if i != player:  # the first deviation of player i
             player, extreme = i, None
@@ -85,19 +85,19 @@ def verify(
             _cross_check(spec, game.outcomes, gain, hit, extreme)
         if hit is not None:
             amount, witness = hit
-            return VerifyReport(Violation(i, a, witness, amount))
+            return VerifyReport(Violation(i, a, witness, Fraction(amount, den)))
     return VerifyReport(None)
 
 
 def _cross_check(
-    spec, outcomes: tuple[str, ...], gain: Mapping[str, Fraction], hit: Hit, extreme: FiniteTypes
+    spec, outcomes: tuple[str, ...], gain: Mapping[str, Rational], hit: Hit, extreme: FiniteTypes
 ) -> None:
-    """Raise unless the oracle's maximum gain equals the finite-scan
-    oracle's over `extreme`, the enumerated 0/1 types of the space."""
+    """Raise unless the oracle's maximum gain equals, in gain units, the
+    finite-scan oracle's over `extreme`, the space's enumerated 0/1 types."""
     # No hit means no gain; the all-zero vector, if consistent, gains 0.
     brute = finite_scan_oracle(extreme, outcomes, gain)
-    brute_max = brute[0] if brute is not None else ZERO
-    oracle_max = hit[0] if hit is not None else ZERO
+    brute_max = brute[0] if brute is not None else 0
+    oracle_max = hit[0] if hit is not None else 0
     if brute_max != oracle_max:
         raise AssertionError(
             f"{type(spec).__name__} oracle ({oracle_max}) disagrees with enumeration ({brute_max})"

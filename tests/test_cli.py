@@ -40,6 +40,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _zero_one(outcomes: str, ones: str) -> dict:
+    """A 0/1 witness as the CLI renders it: each outcome of `outcomes`,
+    space-separated, maps to "1" if it is in `ones` and to "0" if not."""
+    return {o: "1" if o in ones.split() else "0" for o in outcomes.split()}
+
+
+COORDINATION = "o11 o12 o13 o21 o22 o23 o31 o32 o33"
+
+
 def test_solve_no_equilibrium(fixture_file, capsys):
     game = fixture_file("matching_pennies_asymmetric.game")
     code, out, _ = run(capsys, ["solve", "--game", game, "--problem", "eore"])
@@ -84,10 +93,71 @@ def test_verify_reports_violation(fixture_file, tmp_path, capsys):
         capsys, ["verify", "--game", game, "--profile", str(profile)]
     )
     assert code == EXIT_NO
-    doc = json.loads(out)
-    assert doc["verdict"] == "violated"
-    assert doc["player"] == 0
-    assert "witness" in doc and "gap" in doc
+    assert json.loads(out) == {
+        "verdict": "violated",
+        "player": 0,
+        "deviation": "Top",
+        "gap": "1",
+        "witness": _zero_one("o11 o12 o13 o21 o22 o23", "o12 o13"),
+    }
+
+
+@pytest.mark.parametrize(
+    "game, profile, expected",
+    [
+        (
+            "coordination_ordinal",
+            "matching_pennies_symmetric_eq",
+            ("Middle", "1/4", _zero_one(COORDINATION, "o11 o12 o21 o22 o23 o31 o32 o33")),
+        ),
+        (
+            "matching_pennies_asymmetric",
+            "matching_pennies_symmetric_eq",
+            ("Top", "1/4", _zero_one("o11 o12 o21 o22", "o11")),
+        ),
+        (
+            "coordination_cardinal_a",
+            "matching_pennies_symmetric_eq",
+            (
+                "Middle",
+                "9/80",
+                dict(
+                    zip(COORDINATION.split(), "4/5 9/10 0 39/50 91/100 3/5 81/100 22/25 7/10".split())
+                ),
+            ),
+        ),
+    ],
+    ids=["total-order", "total-order-4", "finite"],
+)
+def test_verify_prints_exact_gap_and_witness(fixture_file, capsys, game, profile, expected):
+    """A bundled profile on another bundled game is violated by player 0;
+    the gap and the witness print as exact rationals, 0/1 witnesses as
+    "0" and "1"."""
+    game, profile = fixture_file(game + ".game"), fixture_file(profile + ".profile")
+    code, out, _ = run(capsys, ["verify", "--game", game, "--profile", profile])
+    deviation, gap, witness = expected
+    assert code == EXIT_NO
+    assert json.loads(out) == {
+        "verdict": "violated",
+        "player": 0,
+        "deviation": deviation,
+        "gap": gap,
+        "witness": witness,
+    }
+
+
+def test_enumerate_types_prints_cnf_models_as_zero_one_strings(fixture_file, capsys):
+    """The 0/1 models of a CNF print as "0" and "1", in enumeration order."""
+    game = fixture_file("preference_cnf_example.game")
+    code, out, _ = run(capsys, ["enumerate-types", "--game", game, "--player", "1"])
+    assert code == EXIT_YES
+    assert json.loads(out) == {
+        "player": 1,
+        "types": [
+            _zero_one("o0 o1 o_x1 o_x2", ones)
+            for ones in ("", "o0", "o0 o1", "o0 o1 o_x1", "o0 o1 o_x1 o_x2")
+        ],
+    }
 
 
 def test_pure_lists_coordination_equilibrium(fixture_file, capsys):
@@ -166,7 +236,10 @@ def test_enumerate_types_threshold_count(fixture_file, capsys):
         capsys, ["enumerate-types", "--game", game, "--player", "0"]
     )
     assert code == EXIT_YES
-    assert len(json.loads(out)["types"]) == 3
+    assert json.loads(out) == {
+        "player": 0,
+        "types": [_zero_one("o1 o2", ones) for ones in ("", "o1", "o1 o2")],
+    }
 
 
 def test_fixtures_lists_bundled_games(capsys):

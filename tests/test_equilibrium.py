@@ -633,3 +633,43 @@ def test_pure_equilibria_sustained_as_mediated():
         )
         profile = MediatedProfile(p, q)
         assert verifier.verify(game, spaces, profile).is_equilibrium
+
+
+def _reference_family(spec, outcomes) -> list:
+    """The witness family of a space, built without its oracle: the listed
+    types, the 0/1 vectors that satisfy an order or a CNF, or the vertices
+    of a distribution order's polytope."""
+    if isinstance(spec, FiniteTypes):
+        return list(spec.types)
+    if isinstance(spec, DistributionOrder):
+        return [dict(zip(outcomes, v)) for v in _polytope_vertices(spec, outcomes)]
+    cube = (dict(zip(outcomes, bits)) for bits in itertools.product((0, 1), repeat=len(outcomes)))
+    return [u for u in cube if satisfies_space(u, spec, outcomes)]
+
+
+@pytest.mark.parametrize(
+    "kind", ["finite", "total_order", "partial_order", "distribution_order", "preference_cnf"]
+)
+def test_integer_gains_match_the_reference(kind):
+    """On random profiles, every gain vector `deviation_hits` yields is
+    integers: over den they are `conftest.gain_vector`, and each hit's
+    amount over den is the largest gain over the kind's reference family."""
+    rng = random.Random(71)
+    hits = 0
+    for _ in range(25):
+        game, spaces = random_game(rng.randint(0, 10**9), max_actions=3, max_outcomes=5, kind=kind)
+        families = [_reference_family(spec, game.outcomes) for spec in spaces]
+        profile = random_profile_point(rng, game)
+        for i, a, den, gain, hit in eq.deviation_hits(game, spaces, profile):
+            assert all(type(v) is int for v in gain.values())
+            expected = gain_vector(game, i, a, profile.p, profile.q[i])
+            assert {o: Fraction(v, den) for o, v in gain.items()} == expected
+            # A CNF with an empty clause has no model, and no hit.
+            gains = (deviation_gain(game, i, a, u, profile.p, profile.q[i]) for u in families[i])
+            best = max(gains, default=0)
+            if hit is None:
+                assert best <= 0
+            else:
+                assert Fraction(hit[0], den) == best
+                hits += 1
+    assert hits

@@ -23,6 +23,17 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_true_division_in_the_package():
+    """`/` on two integers is a float: gain vectors are integers over a
+    denominator, so the package builds every quotient as a `Fraction`."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"true division in the package: {found}"
+
+
 def test_every_import_is_used():
     """A name a module imports is used in that module, unless the import is
     marked `# noqa: F401` (a deliberate re-export).  The package, the tests

@@ -231,3 +231,15 @@ def test_entailment_over_preference_cnf_equals_entailment_over_its_models():
                 assert entailed == entails_preference(models, o, o2, outcomes)
                 answers.append(entailed)
     assert len(answers) > 1000 and set(answers) == {False, True}
+
+
+def test_unknown_outcomes_are_rejected_before_any_lookup():
+    """Entailment and enumeration validate the space: an outcome the space
+    names but the outcome tuple lacks is an UnknownOutcome, not a KeyError."""
+    outcomes = ("o1", "o2")
+    with pytest.raises(UnknownOutcome):
+        entails_preference(DistributionOrder((({"o3": ONE}, {"o1": ONE}),)), "o1", "o2", outcomes)
+    with pytest.raises(UnknownOutcome):
+        entails_preference(FiniteTypes(({"o1": ONE, "o3": ZERO},)), "o1", "o2", outcomes)
+    with pytest.raises(UnknownOutcome):
+        enumerate_extreme_types(PartialOrder((("o1", "o3"),)), outcomes)
