@@ -13,7 +13,7 @@ gain vector, which `gain_vectors` builds once per (player, deviation) from
 the on-path outcome distribution, in integers over the profile's common
 denominator (every oracle's comparisons are invariant under a positive
 scale).  Each of the five type-space kinds has one separation oracle of
-that vector alone, reached through `separate(spec, outcomes, gain)`: it
+that vector alone, built per space by `make_oracle(spec, outcomes)`: it
 returns the largest gain over the kind's finite witness family, with a
 witness attaining it.  The families are the listed types of a finite
 space, the threshold vectors of a total order, the upward-closed 0/1
@@ -28,6 +28,10 @@ constraint can never be strictly violated again, so the loop terminates.
 The solver and the verifier walk the same `deviation_hits`, and
 `entails_preference`, which `find_pure_unmediated` asks of every
 unilateral deviation, is one oracle call on the gain vector e_o2 - e_o.
+A distribution order's oracle is one LP tableau of its polytope that each
+gain re-prices (`linprog.Tableau.optimize`), so every call to `solve`,
+`verify` or `find_pure_unmediated` builds its own oracles and drops them
+when it returns.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import linprog
 from .errors import UnknownOutcome, UnsupportedSpace, ValidationError
@@ -66,6 +70,10 @@ from .games import (
 #: vector's units, with a witness type attaining it, or None when no
 #: consistent type gains.  Order and CNF witnesses are 0/1 integers.
 Hit = Optional[tuple[Rational, dict[str, Rational]]]
+
+#: One space's separation oracle, a function of the gain vector alone
+#: (`make_oracle`).
+Oracle = Callable[[Mapping[str, Rational]], Hit]
 
 
 @dataclass(frozen=True)
@@ -222,13 +230,11 @@ def separation_oracle_partial(
     return None
 
 
-def separation_oracle_dist(
-    spec: DistributionOrder, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
-) -> Hit:
-    """Best witness in [0,1]^O under the distribution-pair constraints,
-    via an exact LP: one row r1·u - r2·u >= 0 per pair, then u(o) <= 1 per
-    outcome.  The polytope contains 0 and is bounded, so the optimum exists;
-    the returned witness is a vertex of it."""
+def distribution_polytope(spec: DistributionOrder, outcomes: tuple[str, ...]) -> linprog.Tableau:
+    """The tableau of a distribution order's polytope in [0,1]^O: one row
+    r1·u - r2·u >= 0 per pair, then u(o) <= 1 per outcome.  Every row starts
+    on its slack (`linprog.Tableau`), so its first basis is the vertex 0 and
+    no phase 1 runs."""
     idx = {name: k for k, name in enumerate(outcomes)}
     n = len(outcomes)
     rows = []
@@ -243,8 +249,17 @@ def separation_oracle_dist(
         row = [0] * n
         row[k] = 1
         rows.append(linprog.constraint(row, linprog.LE, 1))
-    objective = (tuple(gain[o] for o in outcomes), linprog.MAX)
-    out = linprog.lp_solve(linprog.LinearProgram(n, tuple(rows), objective))
+    return linprog.Tableau(n, rows)
+
+
+def separation_oracle_dist(
+    polytope: linprog.Tableau, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
+) -> Hit:
+    """Best witness in a distribution order's polytope
+    (`distribution_polytope`), by phase 2 from the polytope's current
+    basis.  The polytope contains 0 and is bounded, so the optimum exists;
+    the returned witness is a vertex of it."""
+    out = polytope.optimize((tuple(gain[o] for o in outcomes), linprog.MAX))
     if out.status != linprog.FEASIBLE:
         raise AssertionError(f"distribution-order LP is {out.status}; 0 is always feasible")
     if out.objective_value > 0:
@@ -346,30 +361,40 @@ def best_cnf_model(
     return best, dict(zip(outcomes, best_u))
 
 
-def separate(spec: TypeSpaceSpec, outcomes: tuple[str, ...], gain: Mapping[str, Rational]) -> Hit:
-    """The largest gain `sum_o gain[o] * u(o)` over the witness family of
-    the space, with a witness u attaining it, or None if no consistent type
-    gains.  The solver and the verifier pass integer gains (`gain_vectors`)."""
+def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
+    """The separation oracle of one space, as a function of the gain vector
+    alone: the largest gain `sum_o gain[o] * u(o)` over the witness family
+    of the space, with a witness u attaining it, or None if no consistent
+    type gains.  The solver and the verifier pass integer gains
+    (`gain_vectors`).
+
+    A distribution order's oracle keeps one tableau of its polytope, and
+    each gain starts from the basis the last one ended on; so `solve`,
+    `verify` and `find_pure_unmediated` build one oracle per space per
+    call, and nothing outlives the call.  Every gain looks its kind's
+    function up on this module."""
     if isinstance(spec, FiniteTypes):
-        return finite_scan_oracle(spec, outcomes, gain)
+        return lambda gain: finite_scan_oracle(spec, outcomes, gain)
     if isinstance(spec, TotalOrder):
-        return separation_oracle_total(spec, outcomes, gain)
+        return lambda gain: separation_oracle_total(spec, outcomes, gain)
     if isinstance(spec, PartialOrder):
-        return separation_oracle_partial(spec, outcomes, gain)
+        return lambda gain: separation_oracle_partial(spec, outcomes, gain)
     if isinstance(spec, DistributionOrder):
-        return separation_oracle_dist(spec, outcomes, gain)
+        polytope = distribution_polytope(spec, outcomes)
+        return lambda gain: separation_oracle_dist(polytope, outcomes, gain)
     if isinstance(spec, PreferenceCnf):
-        return best_cnf_model(spec, outcomes, gain)
+        return lambda gain: best_cnf_model(spec, outcomes, gain)
     raise UnsupportedSpace(f"no separation oracle for {type(spec).__name__}")
 
 
-def deviation_hits(game: GameForm, spaces: Sequence[TypeSpaceSpec], profile: MediatedProfile):
+def deviation_hits(game: GameForm, oracles: Sequence[Oracle], profile: MediatedProfile):
     """Yield (player, deviation, den, gain vector, oracle answer) for every
-    player's every deviation, in player and action order (`gain_vectors`)."""
+    player's every deviation, in player and action order (`gain_vectors`),
+    asking player i's oracle `oracles[i]`."""
     den, gains = gain_vectors(game, profile)
     for i, by_action in enumerate(gains):
         for a, gain in by_action.items():
-            yield i, a, den, gain, separate(spaces[i], game.outcomes, gain)
+            yield i, a, den, gain, oracles[i](gain)
 
 
 def solve(
@@ -384,7 +409,8 @@ def solve(
     AARE path rows are built once, and it starts with no cuts.  Each round
     builds the gain vector of every player's every deviation at the LP's
     point and asks the player's oracle for its most violated constraint
-    (`deviation_hits`).  Each becomes its row once; the batch, sorted by
+    (`deviation_hits`); each player's oracle is built once per call
+    (`make_oracle`).  Each becomes its row once; the batch, sorted by
     (player, deviation) for reproducibility, goes after the earlier cuts
     and before the path rows, and the LP is solved again.
     """
@@ -411,6 +437,7 @@ def solve(
     rows = [_indicator(n, layout.p_index.values(), 1)]
     rows += (_indicator(n, q_i.values(), 1) for q_i in layout.q_index)
     seen: set[tuple[int, str, tuple[Rational, ...]]] = set()
+    oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
 
     while True:
         out = linprog.lp_solve(linprog.LinearProgram(n, (*rows, *fixed), objective))
@@ -422,7 +449,7 @@ def solve(
 
         hits = [
             (i, a, hit[1])
-            for i, a, _, _, hit in deviation_hits(game, spaces, profile)
+            for i, a, _, _, hit in deviation_hits(game, oracles, profile)
             if hit is not None
         ]
 
@@ -446,35 +473,41 @@ def solve(
             rows.append(incentive_row(game, layout, i, a, witness))
 
 
+def _swap_gain(outcomes: tuple[str, ...], o: str, o2: str) -> dict[str, int]:
+    """The gain e_o2 - e_o of swapping outcome o for o2 (o != o2)."""
+    gain = dict.fromkeys(outcomes, 0)
+    gain[o2] = 1
+    gain[o] = -1
+    return gain
+
+
 def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str, ...]) -> bool:
     """True iff every utility vector consistent with the space has
     u(o) >= u(o2): iff no witness gains from the swap, gain e_o2 - e_o.
     The 0/1 witnesses suffice for orders, whose polytope's vertices are the
     up-set indicator vectors (Stanley, "Two poset polytopes", 1986), and
     for preference CNFs, because the gain sums to zero (`best_cnf_model`).
-    The space is validated first."""
+    The space is validated first, and a one-shot oracle answers."""
     validate_space(spec, outcomes)
     if o not in outcomes or o2 not in outcomes:
         raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
-    if o == o2:
-        return True  # the gain is zero, and no oracle reports a zero gain
-    gain = dict.fromkeys(outcomes, 0)
-    gain[o2] = 1
-    gain[o] = -1
-    return separate(spec, outcomes, gain) is None
+    # The gain of o == o2 is zero, and no oracle reports a zero gain.
+    return o == o2 or make_oracle(spec, outcomes)(_swap_gain(outcomes, o, o2)) is None
 
 
 def find_pure_unmediated(
     game: GameForm, spaces: Sequence[TypeSpaceSpec]
 ) -> list[Profile]:
     """All profiles where every unilateral deviation leads to an outcome the
-    deviator weakly disprefers under every consistent type.  Each entailment
-    depends only on (player, o, o2), so it is asked once per call."""
+    deviator weakly disprefers under every consistent type
+    (`entails_preference`).  Each entailment depends only on (player, o, o2),
+    so it is asked once per call, of the player's oracle for this call."""
     validate_spaces(game, spaces)
+    oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
 
     @functools.cache
     def entails(i: int, o: str, o2: str) -> bool:
-        return entails_preference(spaces[i], o, o2, game.outcomes)
+        return o == o2 or oracles[i](_swap_gain(game.outcomes, o, o2)) is None
 
     result = []
     for prof in profiles_of(game):

@@ -7,14 +7,30 @@ epsilon appears anywhere.  Every feasible answer is a basic (vertex)
 solution of the feasible polyhedron; the cutting-plane loop in
 `equilibrium` relies on that to bound the number of distinct witnesses.
 
+The flip: each row is negated if needed so that its right-hand side is
+nonnegative, and a `>=` row whose right-hand side is zero is negated into a
+`<=` row.  Every `<=` row then starts on its slack, so phase 1 and its
+artificial variables are needed only for `=` rows and for `>=` rows with a
+positive right-hand side; an LP of only such rows starts at its vertex 0.
+
+There is one simplex path, in two steps.  A `Tableau` reads the rows and
+makes them feasible, by phase 1 if any row needs it, once.  Its `optimize`
+prices an objective against the current basis (subtracting each basic row
+times the objective's entry in its column) and runs phase 2 from there.
+The basis an optimization ends on is kept, and it is primal feasible for
+any objective, so a caller that asks many objectives over the same rows,
+as a distribution order's separation oracle does, pays phase-2 pivots
+from the last optimum only.  `lp_solve` is one tableau optimized once.
+
 The tableau is dense and exact: each row, with its right-hand side last,
 is a list of integer numerators over one positive row denominator, and the
-objective row being minimized is the tableau's last row.  One integer pivot
-serves the simplex loop, the drive-out of artificials and the objective
-update, so the arithmetic is plain integer work with one gcd reduction per
-row.  Fractions appear only where a `LinearProgram` is read and where the
-`LpOutcome` is built.  Problems here are desk-scale (tens of variables, at
-most a few hundred rows), so a dense tableau is entirely adequate.
+objective row being minimized is the tableau's last row while a phase
+runs.  One integer pivot serves the simplex loop, the drive-out of
+artificials and the pricing, so the arithmetic is plain integer work with
+one gcd reduction per row.  Fractions appear only where rows or an
+objective are read and where the `LpOutcome` is built.  Problems here are
+desk-scale (tens of variables, at most a few hundred rows), so a dense
+tableau is entirely adequate.
 """
 
 from __future__ import annotations
@@ -75,21 +91,22 @@ class LpOutcome:
     objective_value: Optional[Fraction] = None
 
 
-def _validate(lp: LinearProgram) -> None:
-    n = lp.num_vars
-    if n < 0:
+def _validate_rows(num_vars: int, constraints: Sequence[Constraint]) -> None:
+    if num_vars < 0:
         raise MalformedLp("negative variable count")
-    for k, c in enumerate(lp.constraints):
-        if len(c.coeffs) != n:
-            raise MalformedLp(f"constraint {k}: {len(c.coeffs)} coefficients, expected {n}")
+    for k, c in enumerate(constraints):
+        if len(c.coeffs) != num_vars:
+            raise MalformedLp(f"constraint {k}: {len(c.coeffs)} coefficients, expected {num_vars}")
         if c.rel not in _RELATIONS:
             raise MalformedLp(f"constraint {k}: bad relation {c.rel!r}")
-    if lp.objective is not None:
-        coeffs, direction = lp.objective
-        if len(coeffs) != n:
-            raise MalformedLp("objective length mismatch")
-        if direction not in (MAX, MIN):
-            raise MalformedLp(f"bad objective direction {direction!r}")
+
+
+def _validate_objective(num_vars: int, objective) -> None:
+    coeffs, direction = objective
+    if len(coeffs) != num_vars:
+        raise MalformedLp("objective length mismatch")
+    if direction not in (MAX, MIN):
+        raise MalformedLp(f"bad objective direction {direction!r}")
 
 
 def _int_row(values) -> tuple[list[int], int]:
@@ -136,11 +153,10 @@ def _pivot(T, basis, r, c) -> None:
 def _simplex_min(T, basis) -> bool:
     """Minimize the objective in the last row of T; False if unbounded.
 
-    The first len(basis) rows are the constraint rows; any rows between
-    them and the objective are carried along by every pivot.  The
-    objective row holds reduced costs and, last, minus the current value.
-    Bland's rule: entering = lowest-index column with negative reduced
-    cost; leaving = lowest basis index among minimum-ratio rows.
+    The other rows are the constraint rows, one per entry of the basis.
+    The objective row holds reduced costs and, last, minus the current
+    value.  Bland's rule: entering = lowest-index column with negative
+    reduced cost; leaving = lowest basis index among minimum-ratio rows.
     """
     m = len(basis)
     w = len(T[-1][0]) - 1
@@ -170,64 +186,63 @@ def _simplex_min(T, basis) -> bool:
         _pivot(T, basis, r, c)
 
 
-def lp_solve(lp: LinearProgram) -> LpOutcome:
-    """Solve an exact LP: feasibility, or optimization when an objective is set."""
-    _validate(lp)
-    ncols = lp.num_vars
+class Tableau:
+    """The rows of an LP in standard form over a feasible basis, found once
+    by the flip and, if some row needs it, phase 1 (see the module
+    docstring).  `feasible` is False when phase 1 finds the rows
+    infeasible.  `optimize` re-prices an objective against the kept basis
+    and runs phase 2 from it.
+    """
 
-    # Each row, right-hand side last, as integers; rows with a negative
-    # right-hand side are negated, so rhs >= 0.
-    rows: list[tuple[list[int], int, str]] = []
-    for c in lp.constraints:
-        nums, den = _int_row([*c.coeffs, c.rhs])
-        rel = c.rel
-        if nums[-1] < 0:
-            nums = [-v for v in nums]
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        rows.append((nums, den, rel))
+    def __init__(self, num_vars: int, constraints: Sequence[Constraint]):
+        _validate_rows(num_vars, constraints)
+        self.num_vars = num_vars
 
-    # Standard form: slack for <=, surplus + artificial for >=, artificial
-    # for =.  Identity entries are the row denominator, i.e. one.
-    m = len(rows)
-    n_struct = ncols + sum(1 for _, _, rel in rows if rel != EQ)
-    total = n_struct + sum(1 for _, _, rel in rows if rel != LE)
-    pad = [0] * (total - ncols)
-    T = []
-    basis = [-1] * m
-    s = ncols
-    a = n_struct
-    for i, (nums, den, rel) in enumerate(rows):
-        row = nums[:ncols] + pad + nums[ncols:]
-        if rel == LE:
-            row[s] = den
-            basis[i] = s
-            s += 1
-        elif rel == GE:
-            row[s] = -den
-            row[a] = den
-            basis[i] = a
-            s += 1
-            a += 1
-        else:
-            row[a] = den
-            basis[i] = a
-            a += 1
-        T.append((row, den))
+        # Each row, right-hand side last, as integers, with rhs >= 0 and
+        # no `>=` row of rhs 0.
+        rows: list[tuple[list[int], int, str]] = []
+        for c in constraints:
+            nums, den = _int_row([*c.coeffs, c.rhs])
+            rel = c.rel
+            if nums[-1] < 0 or (nums[-1] == 0 and rel == GE):
+                nums = [-v for v in nums]
+                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            rows.append((nums, den, rel))
 
-    # Internal objective: minimize.  Its row rides along through phase 1
-    # and the drive-out; the initial basis of slacks and artificials has
-    # zero cost in it, so it starts out priced.
-    negate_value = False
-    if lp.objective is not None:
-        coeffs, direction = lp.objective
-        negate_value = direction == MAX
-        nums, den = _int_row([*coeffs, ZERO])
-        if negate_value:
-            nums = [-v for v in nums]
-        T.append((nums[:ncols] + pad + nums[ncols:], den))
+        # Standard form: slack for <=, surplus + artificial for >=,
+        # artificial for =.  Identity entries are the row denominator, i.e.
+        # one.
+        m = len(rows)
+        n_struct = num_vars + sum(1 for _, _, rel in rows if rel != EQ)
+        total = n_struct + sum(1 for _, _, rel in rows if rel != LE)
+        pad = [0] * (total - num_vars)
+        T = []
+        basis = [-1] * m
+        s = num_vars
+        a = n_struct
+        for i, (nums, den, rel) in enumerate(rows):
+            row = nums[:num_vars] + pad + nums[num_vars:]
+            if rel == LE:
+                row[s] = den
+                basis[i] = s
+                s += 1
+            elif rel == GE:
+                row[s] = -den
+                row[a] = den
+                basis[i] = a
+                s += 1
+                a += 1
+            else:
+                row[a] = den
+                basis[i] = a
+                a += 1
+            T.append((row, den))
+        self.width = n_struct  # columns left after phase 1
+        self.rows, self.basis, self.feasible = T, basis, True
+        if total == n_struct:
+            return
 
-    # Phase 1: drive artificials to zero.
-    if total > n_struct:
+        # Phase 1: drive artificials to zero.
         T.append(([0] * n_struct + [1] * (total - n_struct) + [0], 1))
         for i in range(m):
             if basis[i] >= n_struct:
@@ -235,7 +250,8 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         if not _simplex_min(T, basis):
             raise AssertionError("phase 1 is unbounded; it is bounded below by 0")
         if T.pop()[0][-1] < 0:  # minus a positive phase-1 value
-            return LpOutcome(INFEASIBLE)
+            self.feasible = False
+            return
         # Pivot remaining artificials out of the basis; drop redundant rows.
         keep = []
         for i in range(m):
@@ -246,22 +262,50 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
                     continue  # redundant row
                 _pivot(T, basis, i, c)
             keep.append(i)
-        basis = [basis[i] for i in keep]
-        keep.extend(range(m, len(T)))
-        T = [(T[i][0][:n_struct] + T[i][0][-1:], T[i][1]) for i in keep]
+        self.basis = [basis[i] for i in keep]
+        self.rows = [(T[i][0][:n_struct] + T[i][0][-1:], T[i][1]) for i in keep]
 
-    value = None
-    if lp.objective is not None:
-        if not _simplex_min(T, basis):
-            return LpOutcome(UNBOUNDED)
-        on, od = T[-1]
-        value = Fraction(-on[-1], od)
-        if negate_value:
-            value = -value
+    def optimize(self, objective: Optional[tuple[tuple[Fraction, ...], str]]) -> LpOutcome:
+        """Optimize (coefficient vector, "max" | "min") over the rows, or,
+        for None, return the current basic solution.  The basis the call
+        ends on is kept for the next call."""
+        n = self.num_vars
+        if objective is not None:
+            _validate_objective(n, objective)
+        if not self.feasible:
+            return LpOutcome(INFEASIBLE)
+        T, basis = self.rows, self.basis
+        value = None
+        if objective is not None:
+            coeffs, direction = objective
+            # Internal objective: minimize.  Pricing subtracts each basic
+            # row (its basic entry is one) times the objective's entry in
+            # that column, so every basic column gets a zero reduced cost.
+            nums, den = _int_row([*coeffs, 0])
+            if direction == MAX:
+                nums = [-v for v in nums]
+            on = nums[:n] + [0] * (self.width - n) + nums[n:]
+            for (row, d), bi in zip(T, basis):
+                f = on[bi]
+                if f:
+                    on, den = _reduce_row([v * d - f * s for v, s in zip(on, row)], den * d)
+            T.append((on, den))
+            bounded = _simplex_min(T, basis)
+            on, den = T.pop()
+            if not bounded:
+                return LpOutcome(UNBOUNDED)
+            value = Fraction(-on[-1], den)
+            if direction == MAX:
+                value = -value
 
-    x = [ZERO] * ncols
-    for i, bi in enumerate(basis):
-        if bi < ncols:
-            nums, den = T[i]
-            x[bi] = Fraction(nums[-1], den)
-    return LpOutcome(FEASIBLE, tuple(x), value)
+        x = [ZERO] * n
+        for (nums, den), bi in zip(T, basis):
+            if bi < n:
+                x[bi] = Fraction(nums[-1], den)
+        return LpOutcome(FEASIBLE, tuple(x), value)
+
+
+def lp_solve(lp: LinearProgram) -> LpOutcome:
+    """Solve an exact LP: feasibility, or optimization when an objective is
+    set.  One `Tableau` of the rows, optimized once."""
+    return Tableau(lp.num_vars, lp.constraints).optimize(lp.objective)

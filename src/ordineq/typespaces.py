@@ -9,7 +9,7 @@ would break soundness downstream.  The solver never enumerates: its
 oracles search these families lazily, and the enumeration serves the
 verifier's cross-check, `ordineq enumerate-types` and the tests.  The
 largest value of a linear function of u over a space, which also decides
-entailment, is `equilibrium.separate`'s question.
+entailment, is the question of `equilibrium.make_oracle`'s oracles.
 """
 
 from __future__ import annotations

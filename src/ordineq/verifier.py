@@ -1,13 +1,14 @@
 """Verification of mediated profiles.
 
-The verifier never trusts the solver's answer: it asks the separation
-oracles about each player's and deviation's gain vector itself, through
-the solver's deviation loop (`equilibrium.deviation_hits`).  It does not
-trust the order and CNF oracles unchecked either: their maximum gain on
-that vector is compared with the finite-scan oracle's maximum over the
-enumerated 0/1 types, always for total orders (|O|+1 threshold vectors)
-and for partial orders and preference CNFs whenever the outcome set is
-small enough.  The spaces are validated first, as `solve` validates them.
+The verifier never trusts the solver's answer: it builds its own
+separation oracles (`equilibrium.make_oracle`) and asks them about each
+player's and deviation's gain vector, through the solver's deviation loop
+(`equilibrium.deviation_hits`).  It does not trust the order and CNF
+oracles unchecked either: their maximum gain on that vector is compared
+with the finite-scan oracle's maximum over the enumerated 0/1 types,
+always for total orders (|O|+1 threshold vectors) and for partial orders
+and preference CNFs whenever the outcome set is small enough.  The
+spaces are validated first, as `solve` validates them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Optional, Sequence
 
-from .equilibrium import Hit, deviation_hits, finite_scan_oracle
+from .equilibrium import Hit, deviation_hits, finite_scan_oracle, make_oracle
 
 # Re-exported only for bench/tracing.py, which wraps the oracles on each
 # module that names them.
@@ -72,7 +73,8 @@ def verify(
     validate_spaces(game, spaces)
     validate_profile(game, profile)
     player, extreme = None, None
-    for i, a, den, gain, hit in deviation_hits(game, spaces, profile):
+    oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
+    for i, a, den, gain, hit in deviation_hits(game, oracles, profile):
         spec = spaces[i]
         if i != player:  # the first deviation of player i
             player, extreme = i, None

@@ -125,7 +125,7 @@ def test_criterion_4_oracle_separation():
     gain = gain_vector(game, 0, "Down", p, q1)
     shadow = distribution_shadow_partial(spaces[0])
     zero_one = eq.separation_oracle_partial(shadow, game.outcomes, gain)
-    lp = eq.separation_oracle_dist(spaces[0], game.outcomes, gain)
+    lp = eq.make_oracle(spaces[0], game.outcomes)(gain)
     ok = zero_one is None and lp is not None and lp[0] >= Fraction(1, 20)
     if ok:
         # the reported gap is achieved by the witness, exactly

@@ -18,6 +18,7 @@ from ordineq import equilibrium as eq
 from ordineq import linprog, verifier
 from ordineq.errors import UnknownOutcome, ValidationError
 from ordineq.fixture_suite import load_game, load_profile
+from ordineq.gamedoc import serialize_profile
 from ordineq.games import (
     DistributionOrder,
     FiniteTypes,
@@ -47,9 +48,10 @@ def _layout_size(game: GameForm) -> int:
     )
 
 
-def _master_lps(monkeypatch, game, spaces, query) -> list[LinearProgram]:
-    """Every LP that `solve` hands `lp_solve`, in order.  The spaces must
-    hold no distribution order, whose oracle solves LPs of its own."""
+def _recorded_solve(monkeypatch, game, spaces, query) -> tuple[eq.SolveResult, list[LinearProgram]]:
+    """`solve`'s result, and every LP it hands `lp_solve`, in order: its
+    master LPs, one per round.  No oracle calls `lp_solve`; a distribution
+    order's re-prices a tableau of its own."""
     lps = []
 
     def record(lp):
@@ -58,8 +60,12 @@ def _master_lps(monkeypatch, game, spaces, query) -> list[LinearProgram]:
 
     with monkeypatch.context() as m:
         m.setattr(linprog, "lp_solve", record)
-        eq.solve(game, spaces, query)
-    return lps
+        result = eq.solve(game, spaces, query)
+    return result, lps
+
+
+def _master_lps(monkeypatch, game, spaces, query) -> list[LinearProgram]:
+    return _recorded_solve(monkeypatch, game, spaces, query)[1]
 
 
 def test_variable_count_matches_contract(monkeypatch):
@@ -111,6 +117,7 @@ def test_finite_separation_none_iff_no_type_gains():
         )
     )
     rng = random.Random(5)
+    oracle = eq.make_oracle(space, game.outcomes)
     hits = misses = 0
     for _ in range(60):
         i = rng.randrange(2)
@@ -118,7 +125,7 @@ def test_finite_separation_none_iff_no_type_gains():
         q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
         for a in game.action_sets[i]:
             gains = [deviation_gain(game, i, a, u, p, q_i) for u in space.types]
-            v = eq.separate(space, game.outcomes, gain_vector(game, i, a, p, q_i))
+            v = oracle(gain_vector(game, i, a, p, q_i))
             if max(gains) <= 0:
                 assert v is None
                 misses += 1
@@ -211,12 +218,40 @@ def test_dist_oracle_finds_the_gap():
     game, spaces, _ = load_game("distribution_preference")
     p = {("Top", "Left"): ONE}
     q1 = {("Center",): HALF, ("Right",): HALF}
-    v = eq.separation_oracle_dist(spaces[0], game.outcomes, gain_vector(game, 0, "Down", p, q1))
+    v = eq.make_oracle(spaces[0], game.outcomes)(gain_vector(game, 0, "Down", p, q1))
     assert v is not None
     amount, witness = v
     assert amount >= Fraction(1, 20)
     # the reported amount is exactly the deviation gain of its witness
     assert deviation_gain(game, 0, "Down", witness, p, q1) == amount
+
+
+def test_dist_oracle_stays_exact_over_a_sequence_of_gains():
+    """One distribution-order oracle answers 200 random gains in a row, each
+    starting from the basis the last one ended on: every amount is the
+    largest gain over the polytope's enumerated vertices, and every witness
+    is one of those vertices."""
+    rng = random.Random(73)
+    hits = misses = 0
+    for _ in range(6):
+        game, spaces = random_game(rng.randint(0, 10**9), max_outcomes=5, kind="distribution_order")
+        outcomes = game.outcomes
+        for spec in spaces:
+            vertices = _polytope_vertices(spec, outcomes)
+            oracle = eq.make_oracle(spec, outcomes)
+            for _ in range(200):
+                gain = {o: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for o in outcomes}
+                best = max(sum(gain[o] * v[k] for k, o in enumerate(outcomes)) for v in vertices)
+                hit = oracle(gain)
+                if best <= 0:
+                    assert hit is None
+                    misses += 1
+                else:
+                    amount, witness = hit
+                    assert amount == best
+                    assert tuple(witness[o] for o in outcomes) in vertices
+                    hits += 1
+    assert hits > 500 and misses > 100
 
 
 def test_oracle_silent_when_deviation_changes_nothing():
@@ -345,7 +380,7 @@ def test_cnf_oracle_matches_enumeration():
             i = rng.randrange(game.num_players)
             deviation = rng.choice(game.action_sets[i])
             gain = gain_vector(game, i, deviation, point.p, point.q[i])
-            v = eq.separate(spec, game.outcomes, gain)
+            v = eq.make_oracle(spec, game.outcomes)(gain)
             best = max(
                 (
                     deviation_gain(game, i, deviation, u, point.p, point.q[i])
@@ -368,13 +403,14 @@ def test_separate_preference_cnf_matches_enumeration():
     game, spaces, _ = load_game("preference_cnf_example")
     i = next(i for i, spec in enumerate(spaces) if isinstance(spec, PreferenceCnf))
     models = enumerate_extreme_types(spaces[i], game.outcomes)
+    oracle = eq.make_oracle(spaces[i], game.outcomes)
     rng = random.Random(31)
     hits = 0
     for _ in range(40):
         point = random_profile_point(rng, game)
         for deviation in game.action_sets[i]:
             gain = gain_vector(game, i, deviation, point.p, point.q[i])
-            v = eq.separate(spaces[i], game.outcomes, gain)
+            v = oracle(gain)
             best = max(
                 deviation_gain(game, i, deviation, u, point.p, point.q[i]) for u in models
             )
@@ -581,25 +617,64 @@ def _polytope_vertices(spec: DistributionOrder, outcomes) -> list[tuple[Fraction
     return lp_vertices(LinearProgram(n, tuple(rows)))
 
 
-def test_solve_over_distribution_orders_agrees_with_their_vertices():
+def test_solve_over_distribution_orders_agrees_with_their_vertices(monkeypatch):
     """EORE and SIRE over a distribution order answer as over the finite
     list of its polytope's vertices: the incentive constraints are linear
     in the utility vector, so they hold on the polytope iff at its
-    vertices.  The vertices come from enumeration, not from the oracle."""
+    vertices.  The vertices come from enumeration, not from the oracle.
+    2x2 games with up to 4 outcomes, then 3x3 games with up to 6 outcomes,
+    some of which take several rounds, so each oracle's basis is carried
+    from round to round."""
     rng = random.Random(61)
-    for _ in range(50):
-        game, spaces = random_game(
-            rng.randint(0, 10**9), max_actions=2, max_outcomes=4, kind="distribution_order"
-        )
-        listed = tuple(
-            FiniteTypes(tuple(dict(zip(game.outcomes, v)) for v in _polytope_vertices(s, game.outcomes)))
-            for s in spaces
-        )
-        target = rng.choice(list(profiles_of(game)))
-        for query in (eq.Eore(), eq.Sire(target)):
-            got = eq.solve(game, spaces, query)
-            expected = eq.solve(game, listed, query)
-            assert (got.answer, got.value) == (expected.answer, expected.value)
+    most_rounds = 0
+    for actions, max_outcomes, count in ((2, 4, 50), (3, 6, 10)):
+        for _ in range(count):
+            game = None
+            while game is None or any(len(acts) != actions for acts in game.action_sets):
+                game, spaces = random_game(
+                    rng.randint(0, 10**9),
+                    max_actions=actions,
+                    max_outcomes=max_outcomes,
+                    kind="distribution_order",
+                )
+            listed = tuple(
+                FiniteTypes(tuple(dict(zip(game.outcomes, v)) for v in _polytope_vertices(s, game.outcomes)))
+                for s in spaces
+            )
+            target = rng.choice(list(profiles_of(game)))
+            for query in (eq.Eore(), eq.Sire(target)):
+                got, lps = _recorded_solve(monkeypatch, game, spaces, query)
+                expected = eq.solve(game, listed, query)
+                assert (got.answer, got.value) == (expected.answer, expected.value)
+                most_rounds = max(most_rounds, len(lps))
+    assert most_rounds >= 4
+
+
+def test_each_call_stands_alone(monkeypatch):
+    """No oracle state outlives a call.  Solving a query again over the same
+    space objects, after a different `solve`, a `verify` and a
+    `find_pure_unmediated` on them, hands `lp_solve` the same master LPs,
+    round by round, and gives the same answer and value and a
+    byte-identical serialized profile; `verify` repeats its report.  An
+    oracle kept warm from an earlier call can end on another optimal vertex
+    when a gain's optimum is not unique, and so add other cuts."""
+    rng = random.Random(83)
+
+    def solved(game, spaces, query):
+        res, lps = _recorded_solve(monkeypatch, game, spaces, query)
+        text = None if res.profile is None else serialize_profile(res.profile)
+        return res.answer, res.value, text, lps
+
+    for kind in ("distribution_order", "partial_order", "preference_cnf"):
+        for _ in range(20):
+            game, spaces = random_game(rng.randint(0, 10**9), max_actions=3, max_outcomes=6, kind=kind)
+            queries = (eq.Eore(), eq.Sire(rng.choice(list(profiles_of(game)))))
+            probe = random_profile_point(rng, game)
+            first = [solved(game, spaces, query) for query in queries]
+            report = verifier.verify(game, spaces, probe)
+            eq.find_pure_unmediated(game, spaces)
+            assert [solved(game, spaces, query) for query in reversed(queries)] == first[::-1]
+            assert verifier.verify(game, spaces, probe) == report
 
 
 def test_pure_equilibria_of_the_coordination_game():
@@ -660,7 +735,8 @@ def test_integer_gains_match_the_reference(kind):
         game, spaces = random_game(rng.randint(0, 10**9), max_actions=3, max_outcomes=5, kind=kind)
         families = [_reference_family(spec, game.outcomes) for spec in spaces]
         profile = random_profile_point(rng, game)
-        for i, a, den, gain, hit in eq.deviation_hits(game, spaces, profile):
+        oracles = [eq.make_oracle(spec, game.outcomes) for spec in spaces]
+        for i, a, den, gain, hit in eq.deviation_hits(game, oracles, profile):
             assert all(type(v) is int for v in gain.values())
             expected = gain_vector(game, i, a, profile.p, profile.q[i])
             assert {o: Fraction(v, den) for o, v in gain.items()} == expected

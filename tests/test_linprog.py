@@ -12,8 +12,10 @@ from ordineq.linprog import (
     INFEASIBLE,
     LE,
     MAX,
+    MIN,
     UNBOUNDED,
     LinearProgram,
+    Tableau,
     constraint,
     lp_solve,
 )
@@ -118,3 +120,47 @@ def test_agrees_with_vertex_enumeration_on_random_lps():
                 coeffs, _ = lp.objective
                 val = sum(a * v for a, v in zip(coeffs, out.assignment))
                 assert val == out.objective_value, f"trial {trial}"
+
+
+def test_optimize_reprices_one_tableau_for_many_objectives():
+    """One tableau of a random bounded LP, optimized for 50 objectives in a
+    row, each from the basis the last one ended on: every value matches a
+    fresh `lp_solve`, and every point, with or without an objective, is a
+    vertex of the feasible region."""
+    rng = random.Random(20261019)
+    feasible = 0
+    for trial in range(120):
+        lp = random_boxed_lp(rng, max_vars=4, max_rows=6)
+        tableau = Tableau(lp.num_vars, lp.constraints)
+        vertices = lp_vertices(lp)
+        assert tableau.feasible == bool(vertices), f"trial {trial}"
+        if not vertices:
+            assert tableau.optimize(None).status == INFEASIBLE
+            continue
+        feasible += 1
+        for k in range(50):
+            objective = None
+            if k % 10:
+                coeffs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(lp.num_vars))
+                objective = (coeffs, rng.choice((MAX, MIN)))
+            out = tableau.optimize(objective)
+            fresh = lp_solve(LinearProgram(lp.num_vars, lp.constraints, objective))
+            assert out.status == fresh.status == FEASIBLE, f"trial {trial}"
+            assert out.objective_value == fresh.objective_value, f"trial {trial}, objective {k}"
+            assert out.assignment in vertices, f"trial {trial}, objective {k}: not a vertex"
+            _check_assignment(lp, out)
+            if objective is not None:
+                val = sum(a * v for a, v in zip(objective[0], out.assignment))
+                assert val == out.objective_value, f"trial {trial}, objective {k}"
+    assert feasible >= 40
+
+
+def test_optimize_after_an_unbounded_objective():
+    """An unbounded objective leaves the tableau on a feasible basis, from
+    which the next objective is optimized."""
+    tableau = Tableau(2, (constraint([1, -1], LE, 1),))
+    assert tableau.optimize(((ONE, ZERO), MAX)).status == UNBOUNDED
+    out = tableau.optimize(((ONE, ONE), MIN))
+    assert out.status == FEASIBLE
+    assert out.assignment == (ZERO, ZERO) and out.objective_value == ZERO
+    assert tableau.optimize(((-ONE, ONE), MIN)).objective_value == -ONE

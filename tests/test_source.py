@@ -73,37 +73,82 @@ def _top_level_names(tree: ast.Module):
             yield node.target.id
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Every name a module reads, reads as an attribute, or imports."""
-    refs = set()
+def _module_name(path: Path) -> str:
+    return "ordineq" if path.stem == "__init__" else f"ordineq.{path.stem}"
+
+
+def _imported_from(node: ast.ImportFrom, in_package: bool):
+    """The package module a `from ... import` reads from, "ordineq" or
+    "ordineq.<module>", or None.  Inside the package, relative imports are
+    its own."""
+    if node.level == 0:
+        if node.module == "ordineq" or (node.module or "").startswith("ordineq."):
+            return node.module
+        return None
+    if in_package and node.level == 1:
+        return "ordineq" if node.module is None else f"ordineq.{node.module}"
+    return None
+
+
+def _package_uses(path: Path, tree: ast.Module, modules: set[str]) -> set[tuple[str, str]]:
+    """The (module, name) pairs of package names a file uses: a name a
+    package module reads itself, a name imported from a package module, and
+    an attribute read on a name bound to a package module by import, or on
+    `ordineq.<module>`.  A name imported or read from `ordineq` itself is a
+    use of the package's re-export.  `modules` holds the modules' full
+    names."""
+    in_package = path.parent == PACKAGE_DIR
+    bound: dict[str, str] = {}  # local name -> the package module it is
+    uses = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "ordineq":
+                    bound[alias.asname or "ordineq"] = alias.name if alias.asname else "ordineq"
         elif isinstance(node, ast.ImportFrom):
-            refs.update(alias.name for alias in node.names)
-    return refs
+            source = _imported_from(node, in_package)
+            for alias in node.names if source else ():
+                if f"{source}.{alias.name}" in modules:
+                    bound[alias.asname or alias.name] = f"{source}.{alias.name}"
+                else:
+                    uses.add((source, alias.name))
+
+    def module_of(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and module_of(node.value) == "ordineq":
+            return f"ordineq.{node.attr}" if f"ordineq.{node.attr}" in modules else None
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and module_of(node.value):
+            uses.add((module_of(node.value), node.attr))
+        elif in_package and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses.add((_module_name(path), node.id))
+    return uses
 
 
 def test_every_package_name_is_used():
-    """A top-level function, class or constant of a package module is used
-    in that module, imported or read by another module of the package, the
-    tests, the scripts or the benchmark, or is an entry point in
-    `[project.scripts]`.  Dunder names are exempt.  Names are matched by
-    spelling, not resolved, so the check finds dead names, not every one."""
+    """A top-level function, class or constant of a package module is used:
+    read in that module, imported from it, or read as an attribute of it
+    (`_package_uses`) by a module of the package, the tests, the scripts or
+    the benchmark, or it is an entry point in `[project.scripts]`.  Dunder
+    names are exempt.  Names are resolved to their module, so a dead name
+    is found even where another module defines the same spelling.  The
+    package's re-exports (`from .mod import name` in `__init__.py`) count
+    as uses."""
     paths = [path for d in (PACKAGE_DIR, TESTS_DIR, SCRIPTS_DIR, BENCH_DIR) for path in sorted(d.glob("*.py"))]
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
-    refs = {path: _references(tree) for path, tree in trees.items()}
+    modules = {_module_name(path) for path in PACKAGE_DIR.glob("*.py")}
+    uses = set()
+    for path in paths:
+        uses |= _package_uses(path, ast.parse(path.read_text(), str(path)), modules)
     scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"].values()
-    entry_points = {tuple(target.split(":")) for target in scripts}
+    uses |= {tuple(target.split(":")) for target in scripts}
     dead = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for name in _top_level_names(trees[path]):
+        for name in _top_level_names(ast.parse(path.read_text(), str(path))):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if (f"ordineq.{path.stem}", name) in entry_points:
-                continue
-            if not any(name in names for names in refs.values()):
+            if (_module_name(path), name) not in uses:
                 dead.append(f"{path.name}: {name}")
     assert not dead, f"names nothing uses: {dead}"

@@ -188,7 +188,7 @@ def test_entailment_reflexive(monkeypatch):
     def no_oracle(*args):
         raise AssertionError("oracle called")
 
-    monkeypatch.setattr(equilibrium, "separate", no_oracle)
+    monkeypatch.setattr(equilibrium, "make_oracle", no_oracle)
     for spec in (
         TotalOrder(("a", "b")),
         PartialOrder(()),

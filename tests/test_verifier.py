@@ -182,7 +182,7 @@ def test_verify_rejects_the_distribution_profile_with_gap():
     from ordineq import equilibrium as eq
 
     gain = gain_vector(game, 0, "Down", profile.p, {("Center",): HALF, ("Right",): HALF})
-    down = eq.separation_oracle_dist(spaces[0], game.outcomes, gain)
+    down = eq.make_oracle(spaces[0], game.outcomes)(gain)
     assert down is not None and down[0] == Fraction(1, 10)
 
 
@@ -241,16 +241,17 @@ def test_cross_check_catches_a_wrong_order_oracle(monkeypatch, as_partial):
     if as_partial:
         spaces = tuple(PartialOrder(tuple(zip(s.order, s.order[1:]))) for s in spaces)
     profile = load_profile("matching_pennies_symmetric_eq", game)
-    true_separate = equilibrium.separate
+    name = "separation_oracle_partial" if as_partial else "separation_oracle_total"
+    true_oracle = getattr(equilibrium, name)
     calls = iter([(i, a) for i, actions in enumerate(game.action_sets) for a in actions])
 
     def wrong(spec, outcomes, gain):
         i, a = next(calls)
         if a != game.action_sets[i][-1]:
-            return true_separate(spec, outcomes, gain)
+            return true_oracle(spec, outcomes, gain)
         return ONE, {o: ONE for o in outcomes}
 
-    monkeypatch.setattr(equilibrium, "separate", wrong)
+    monkeypatch.setattr(equilibrium, name, wrong)
     with pytest.raises(AssertionError, match="disagrees with enumeration"):
         verifier.verify(game, spaces, profile)
 
