@@ -22,9 +22,12 @@ polytope, and the 0/1 models of a preference CNF, which attain the
 maximum of every gain over the whole CNF set (`best_cnf_model` has the
 proof).
 The solver adds violated constraints in a cutting-plane loop (delayed
-constraint generation) over one master LP per call, which only ever gains
-rows: each cut becomes its row once, when it is found.  An added
-constraint can never be strictly violated again, so the loop terminates.
+constraint generation) over one master tableau per call, which only ever
+gains rows: it is built of the sum-to-one rows, then the AARE path rows,
+and each cut becomes its row once, when it is found, and joins the
+tableau, whose dual simplex restores feasibility
+(`linprog.Tableau.add_rows`).  An added constraint can never be strictly
+violated again, so the loop terminates.
 The solver and the verifier walk the same `deviation_hits`, and
 `entails_preference`, which `find_pure_unmediated` asks of every
 unilateral deviation, is one oracle call on the gain vector e_o2 - e_o.
@@ -336,26 +339,43 @@ def best_cnf_model(
         rest[t] = rest[t + 1] + max(w[order[t]], 0)
     u = [0] * n
     best, best_u = 0, None
-
-    def search(t: int, value: Rational) -> None:
-        nonlocal best, best_u
-        if value + rest[t] <= best:
-            return
-        if t == n:
-            best, best_u = value, u[:]
-            return
+    # An explicit stack, not recursion, so any number of outcomes fits:
+    # depth t tries the bits of order[t] in `tried[t]` order; value[t] is
+    # the value of the assignment above depth t.
+    value = [0] * (n + 1)
+    tried = [0] * n
+    t, descend = 0, True
+    while t >= 0:
+        if descend:
+            if value[t] + rest[t] <= best:
+                t, descend = t - 1, False
+                continue
+            if t == n:
+                best, best_u = value[t], u[:]
+                t, descend = t - 1, False
+                continue
+            tried[t] = 0
+        else:  # back from depth t + 1: undo the bit tried at depth t
+            for c in falsified[order[t]][u[order[t]]]:
+                live[c] += 1
         k = order[t]
-        for bit in (1, 0) if w[k] > 0 else (0, 1):
+        bits = (1, 0) if w[k] > 0 else (0, 1)
+        descend = False
+        while tried[t] < 2 and not descend:
+            bit = bits[tried[t]]
+            tried[t] += 1
             hit = falsified[k][bit]
             for c in hit:
                 live[c] -= 1
             if all(live[c] for c in hit):
                 u[k] = bit
-                search(t + 1, value + bit * w[k])
-            for c in hit:
-                live[c] += 1
+                value[t + 1] = value[t] + bit * w[k]
+                descend = True
+            else:
+                for c in hit:
+                    live[c] += 1
+        t += 1 if descend else -1
 
-    search(0, 0)
     if best_u is None:
         return None
     return best, dict(zip(outcomes, best_u))
@@ -405,42 +425,42 @@ def solve(
     """Answer one of the four decision problems.
 
     Every space is first validated against the game's outcomes.  One master
-    LP serves the whole call: its layout, objective, sum-to-one rows and
-    AARE path rows are built once, and it starts with no cuts.  Each round
-    builds the gain vector of every player's every deviation at the LP's
-    point and asks the player's oracle for its most violated constraint
-    (`deviation_hits`); each player's oracle is built once per call
-    (`make_oracle`).  Each becomes its row once; the batch, sorted by
-    (player, deviation) for reproducibility, goes after the earlier cuts
-    and before the path rows, and the LP is solved again.
+    tableau serves the whole call: its layout and objective are built once,
+    and it is built of the sum-to-one rows, then the AARE path rows, with no
+    cuts.  Each round optimizes the objective from the basis the last round
+    ended on, builds the gain vector of every player's every deviation at
+    the LP's point and asks the player's oracle for its most violated
+    constraint (`deviation_hits`); each player's oracle is built once per
+    call (`make_oracle`).  Each becomes its row once; the batch, sorted by
+    (player, deviation) for reproducibility, is added after the earlier
+    cuts and feasibility restored (`linprog.Tableau.add_rows`).  The
+    tableau and the oracles are dropped when the call returns.
     """
     validate_spaces(game, spaces)
     layout = VariableLayout(game)
     n = layout.num_vars
+    rows = [_indicator(n, layout.p_index.values(), 1)]
+    rows += (_indicator(n, q_i.values(), 1) for q_i in layout.q_index)
     objective = None
-    fixed: tuple[linprog.Constraint, ...] = ()
     if isinstance(query, Sire):
         if not isinstance(query.target, tuple) or query.target not in layout.p_index:
             raise ValidationError(f"unknown target profile {query.target}")
         objective = layout.p_objective({query.target: 1})
     elif isinstance(query, Aare):
         check_distribution(query.dist, set(layout.profiles), "AARE path")
-        fixed = tuple(
-            _indicator(n, (k,), query.dist.get(prof, 0)) for prof, k in layout.p_index.items()
-        )
+        rows += (_indicator(n, (k,), query.dist.get(prof, 0)) for prof, k in layout.p_index.items())
     elif isinstance(query, Omire):
         query.objective.validate(game)
         objective = layout.p_objective(query.objective.g)
     elif not isinstance(query, Eore):
         raise ValidationError(f"unknown query {query!r}")
 
-    rows = [_indicator(n, layout.p_index.values(), 1)]
-    rows += (_indicator(n, q_i.values(), 1) for q_i in layout.q_index)
+    tableau = linprog.Tableau(n, rows)
     seen: set[tuple[int, str, tuple[Rational, ...]]] = set()
     oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
 
     while True:
-        out = linprog.lp_solve(linprog.LinearProgram(n, (*rows, *fixed), objective))
+        out = tableau.optimize(objective)
         if out.status == linprog.INFEASIBLE:
             return SolveResult(answer=False)
         if out.status != linprog.FEASIBLE:
@@ -470,7 +490,7 @@ def solve(
                     "separation oracle repeated a witness; cutting plane would not terminate"
                 )
             seen.add(key)
-            rows.append(incentive_row(game, layout, i, a, witness))
+        tableau.add_rows([incentive_row(game, layout, i, a, witness) for i, a, witness in hits])
 
 
 def _swap_gain(outcomes: tuple[str, ...], o: str, o2: str) -> dict[str, int]:

@@ -14,7 +14,8 @@ class ValidationError(OrdineqError):
 
 
 class MalformedLp(OrdineqError):
-    """Dimension mismatch or bad relation in a LinearProgram; caller bug."""
+    """Dimension mismatch, bad relation or a non-`>= 0` added row in an LP
+    handed to `linprog`; caller bug."""
 
 
 class UnknownOutcome(OrdineqError):

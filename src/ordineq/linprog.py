@@ -1,10 +1,10 @@
 """Exact linear programming over rationals.
 
 Every variable is nonnegative; an upper bound or any other limit is a row.
-A dense two-phase simplex with Bland's rule for both the entering and the
-leaving variable, so termination is unconditional (no cycling) and no
-epsilon appears anywhere.  Every feasible answer is a basic (vertex)
-solution of the feasible polyhedron; the cutting-plane loop in
+A dense simplex, primal in two phases and dual for added rows, with
+Bland's rule in every phase, so termination is unconditional (no cycling)
+and no epsilon appears anywhere.  Every feasible answer is a basic
+(vertex) solution of the feasible polyhedron; the cutting-plane loop in
 `equilibrium` relies on that to bound the number of distinct witnesses.
 
 The flip: each row is negated if needed so that its right-hand side is
@@ -13,24 +13,36 @@ nonnegative, and a `>=` row whose right-hand side is zero is negated into a
 artificial variables are needed only for `=` rows and for `>=` rows with a
 positive right-hand side; an LP of only such rows starts at its vertex 0.
 
-There is one simplex path, in two steps.  A `Tableau` reads the rows and
+There is one simplex path, in three steps.  A `Tableau` reads the rows and
 makes them feasible, by phase 1 if any row needs it, once.  Its `optimize`
 prices an objective against the current basis (subtracting each basic row
 times the objective's entry in its column) and runs phase 2 from there.
 The basis an optimization ends on is kept, and it is primal feasible for
 any objective, so a caller that asks many objectives over the same rows,
 as a distribution order's separation oracle does, pays phase-2 pivots
-from the last optimum only.  `lp_solve` is one tableau optimized once.
+from the last optimum only.  Its `add_rows` takes `>= 0` rows (cuts), each
+negated into a `<=` row on a new slack column and eliminated against the
+current basis, so the slack is basic at minus the cut's value at the
+current point, which is negative where the cut is violated.  The reduced
+costs of the last objective, which `optimize` keeps (all zero when there
+is none), stay nonnegative, so a dual simplex (Lemke 1954) restores
+feasibility: Bland's rule on the dual takes the leaving row of lowest basic
+index among the rows with a negative right-hand side, and the entering
+column of minimum ratio cost_j / -a_rj over a_rj < 0, ties to the lowest
+column.  A negative row with no negative entry proves the rows infeasible.
+The cutting-plane loop of `equilibrium.solve` keeps one tableau per call
+and adds each round's cuts this way, so no row is read or made feasible
+twice.
 
 The tableau is dense and exact: each row, with its right-hand side last,
 is a list of integer numerators over one positive row denominator, and the
 objective row being minimized is the tableau's last row while a phase
-runs.  One integer pivot serves the simplex loop, the drive-out of
-artificials and the pricing, so the arithmetic is plain integer work with
-one gcd reduction per row.  Fractions appear only where rows or an
-objective are read and where the `LpOutcome` is built.  Problems here are
-desk-scale (tens of variables, at most a few hundred rows), so a dense
-tableau is entirely adequate.
+runs.  One integer pivot serves the primal and dual loops, the drive-out
+of artificials and the pricing, so the arithmetic is plain integer work
+with one gcd reduction per row; ratios are compared by cross-multiplying.
+Fractions appear only where rows or an objective are read and where the
+`LpOutcome` is built.  Problems here are desk-scale (tens of variables,
+at most a few hundred rows), so a dense tableau is entirely adequate.
 """
 
 from __future__ import annotations
@@ -69,19 +81,6 @@ class Constraint:
 
 def constraint(coeffs: Sequence, rel: str, rhs) -> Constraint:
     return Constraint(tuple(coeffs), rel, rhs)
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """num_vars variables, each >= 0.
-
-    objective is (coefficient vector, "max" | "min") or None for pure
-    feasibility problems.
-    """
-
-    num_vars: int
-    constraints: tuple[Constraint, ...]
-    objective: Optional[tuple[tuple[Fraction, ...], str]] = None
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,53 @@ def _simplex_min(T, basis) -> bool:
         _pivot(T, basis, r, c)
 
 
+def _dual_simplex(T, basis) -> bool:
+    """Make the right-hand sides nonnegative while the reduced costs in the
+    last row of T stay nonnegative; False if the rows are infeasible.
+
+    Bland's rule on the dual: leaving = lowest basis index among rows with
+    a negative right-hand side; entering = minimum ratio cost_j / -a_rj over
+    a_rj < 0, ties to the lowest column.
+    """
+    m = len(basis)
+    w = len(T[-1][0]) - 1
+    while True:
+        r = None
+        for i in range(m):
+            if T[i][0][w] < 0 and (r is None or basis[i] < basis[r]):
+                r = i
+        if r is None:
+            return True
+        row = T[r][0]
+        cost = T[-1][0]
+        c = None
+        for j in range(w):
+            # cost_j/-a_rj < cost_c/-a_rc; denominators cancel
+            if row[j] < 0 and (c is None or cost[j] * row[c] > cost[c] * row[j]):
+                c = j
+        if c is None:
+            return False
+        _pivot(T, basis, r, c)
+
+
+def _eliminate(nums: list[int], den: int, T, basis) -> tuple[list[int], int]:
+    """The row nums/den less each basic row of T (its basic entry is one)
+    times the row's entry in that row's basic column: a zero in every basic
+    column."""
+    for (row, d), bi in zip(T, basis):
+        f = nums[bi]
+        if f:
+            nums, den = _reduce_row([v * d - f * s for v, s in zip(nums, row)], den * d)
+    return nums, den
+
+
 class Tableau:
     """The rows of an LP in standard form over a feasible basis, found once
     by the flip and, if some row needs it, phase 1 (see the module
-    docstring).  `feasible` is False when phase 1 finds the rows
-    infeasible.  `optimize` re-prices an objective against the kept basis
-    and runs phase 2 from it.
+    docstring).  `optimize` re-prices an objective against the kept basis
+    and runs phase 2 from it; `add_rows` adds `>= 0` rows and restores
+    feasibility by dual simplex.  `feasible` is False, for good, once
+    phase 1 or the dual simplex finds the rows infeasible.
     """
 
     def __init__(self, num_vars: int, constraints: Sequence[Constraint]):
@@ -239,6 +279,8 @@ class Tableau:
             T.append((row, den))
         self.width = n_struct  # columns left after phase 1
         self.rows, self.basis, self.feasible = T, basis, True
+        # The reduced costs of the last objective, right-hand side last.
+        self.cost = ([0] * (n_struct + 1), 1)
         if total == n_struct:
             return
 
@@ -268,32 +310,31 @@ class Tableau:
     def optimize(self, objective: Optional[tuple[tuple[Fraction, ...], str]]) -> LpOutcome:
         """Optimize (coefficient vector, "max" | "min") over the rows, or,
         for None, return the current basic solution.  The basis the call
-        ends on is kept for the next call."""
+        ends on is kept for the next call, and so are the reduced costs of
+        an optimum (all zero for None or an unbounded objective) for
+        `add_rows`."""
         n = self.num_vars
         if objective is not None:
             _validate_objective(n, objective)
         if not self.feasible:
             return LpOutcome(INFEASIBLE)
         T, basis = self.rows, self.basis
+        self.cost = ([0] * (self.width + 1), 1)
         value = None
         if objective is not None:
             coeffs, direction = objective
-            # Internal objective: minimize.  Pricing subtracts each basic
-            # row (its basic entry is one) times the objective's entry in
-            # that column, so every basic column gets a zero reduced cost.
+            # Internal objective: minimize.  Pricing gives every basic
+            # column a zero reduced cost.
             nums, den = _int_row([*coeffs, 0])
             if direction == MAX:
                 nums = [-v for v in nums]
             on = nums[:n] + [0] * (self.width - n) + nums[n:]
-            for (row, d), bi in zip(T, basis):
-                f = on[bi]
-                if f:
-                    on, den = _reduce_row([v * d - f * s for v, s in zip(on, row)], den * d)
-            T.append((on, den))
+            T.append(_eliminate(on, den, T, basis))
             bounded = _simplex_min(T, basis)
             on, den = T.pop()
             if not bounded:
                 return LpOutcome(UNBOUNDED)
+            self.cost = (on, den)
             value = Fraction(-on[-1], den)
             if direction == MAX:
                 value = -value
@@ -304,8 +345,34 @@ class Tableau:
                 x[bi] = Fraction(nums[-1], den)
         return LpOutcome(FEASIBLE, tuple(x), value)
 
-
-def lp_solve(lp: LinearProgram) -> LpOutcome:
-    """Solve an exact LP: feasibility, or optimization when an objective is
-    set.  One `Tableau` of the rows, optimized once."""
-    return Tableau(lp.num_vars, lp.constraints).optimize(lp.objective)
+    def add_rows(self, constraints: Sequence[Constraint]) -> None:
+        """Add rows c · x >= 0, each as -c · x <= 0 on a new slack column
+        that is basic in it, and restore feasibility by a dual simplex
+        against the kept reduced costs (see the module docstring).  A row
+        that the current point violates starts at a negative right-hand
+        side."""
+        n = self.num_vars
+        for k, c in enumerate(constraints):
+            if len(c.coeffs) != n:
+                raise MalformedLp(f"added row {k}: {len(c.coeffs)} coefficients, expected {n}")
+            if c.rel != GE or c.rhs != 0:
+                raise MalformedLp(f"added row {k}: not a `>= 0` row")
+        if not self.feasible or not constraints:
+            return
+        T, basis = self.rows, self.basis
+        w = self.width
+        new = [0] * len(constraints)
+        for nums, _ in (*T, self.cost):
+            nums[w:w] = new
+        added = []
+        for k, c in enumerate(constraints):
+            nums, den = _int_row(c.coeffs)
+            row = [-v for v in nums] + [0] * (w - n) + new + [0]
+            row[w + k] = den
+            added.append(_eliminate(row, den, T, basis))
+        T += added
+        basis += range(w, w + len(constraints))
+        self.width = w + len(constraints)
+        T.append(self.cost)
+        self.feasible = _dual_simplex(T, basis)
+        self.cost = T.pop()

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 import pytest
 
@@ -34,7 +35,9 @@ from ordineq.linprog import (
     INFEASIBLE,
     MAX,
     MIN,
-    LinearProgram,
+    Constraint,
+    LpOutcome,
+    Tableau,
     constraint as make_constraint,
 )
 
@@ -63,6 +66,29 @@ def solve_square_system(rows, rhs):
                 f = A[r][col]
                 A[r] = [v - f * w for v, w in zip(A[r], A[col])]
     return tuple(A[r][n] for r in range(n))
+
+
+# ---------------------------------------------------------------------------
+# One LP, solved whole
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """num_vars variables, each >= 0.
+
+    objective is (coefficient vector, "max" | "min") or None for pure
+    feasibility problems.
+    """
+
+    num_vars: int
+    constraints: tuple[Constraint, ...]
+    objective: Optional[tuple[tuple[Fraction, ...], str]] = None
+
+
+def lp_solve(lp: LinearProgram) -> LpOutcome:
+    """Solve an exact LP: feasibility, or optimization when an objective is
+    set.  One `Tableau` of the rows, optimized once."""
+    return Tableau(lp.num_vars, lp.constraints).optimize(lp.objective)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ordineq.cli import (
 from ordineq.equilibrium import Aare, Omire, Sire, solve
 from ordineq.fixture_suite import GAME_NAMES, fixture_text, load_game
 from ordineq.gamedoc import serialize_game, serialize_profile
-from ordineq.games import ObjectiveSpec, PreferenceCnf
+from ordineq.games import GameForm, ObjectiveSpec, PreferenceCnf
 from ordineq.rational import rational_render
 
 ONE = Fraction(1)
@@ -228,6 +228,24 @@ def test_cnf_game_answers_every_problem_as_solve_does(tmp_path, capsys):
             assert (code, json.loads(out)) == (EXIT_YES if res.answer else EXIT_NO, want)
             answers.add(res.answer)
     assert answers == {False, True}
+
+
+def test_a_cnf_game_with_1200_outcomes_ends_in_an_exit_code(tmp_path, capsys):
+    """Matching pennies with 1,198 more outcomes that no profile reaches,
+    and one CNF clause over two of them for each player, which leaves the
+    players' views of o1 and o2 open.  The CNF oracle's search goes one
+    level deeper per outcome; `ordineq solve` still ends in an exit code
+    with the answer, the uniform profile being robust, and prints no
+    traceback."""
+    outcomes = ("o1", "o2") + tuple(f"x{k}" for k in range(1198))
+    cells = {("Top", "Left"): "o1", ("Top", "Right"): "o2", ("Bottom", "Left"): "o2", ("Bottom", "Right"): "o1"}
+    game = GameForm((("Top", "Bottom"), ("Left", "Right")), outcomes, cells)
+    space = PreferenceCnf(((("x0", "x1"),),))
+    path = tmp_path / "big_cnf.game"
+    path.write_text(serialize_game(game, (space, space), name="big_cnf"))
+    code, out, err = run(capsys, ["solve", "--game", str(path), "--problem", "eore"])
+    assert (code, json.loads(out)["answer"]) == (EXIT_YES, "yes")
+    assert "Traceback" not in err
 
 
 def test_enumerate_types_threshold_count(fixture_file, capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    LinearProgram,
     deviation_gain,
     distribution_shadow_partial,
     gain_vector,
+    lp_solve,
     lp_vertices,
     partial_order_closure,
     satisfies_space,
@@ -32,7 +34,7 @@ from ordineq.games import (
     outcome_distribution,
     profiles_of,
 )
-from ordineq.linprog import FEASIBLE, GE, LE, LinearProgram, constraint, lp_solve
+from ordineq.linprog import EQ, FEASIBLE, GE, LE, constraint
 from ordineq.randgen import random_game, random_profile_point
 from ordineq.typespaces import enumerate_extreme_types
 
@@ -49,19 +51,38 @@ def _layout_size(game: GameForm) -> int:
 
 
 def _recorded_solve(monkeypatch, game, spaces, query) -> tuple[eq.SolveResult, list[LinearProgram]]:
-    """`solve`'s result, and every LP it hands `lp_solve`, in order: its
-    master LPs, one per round.  No oracle calls `lp_solve`; a distribution
-    order's re-prices a tableau of its own."""
-    lps = []
+    """`solve`'s result, and its master LP at each round, in order, as its
+    one master tableau was handed it: the rows the tableau was built of,
+    then every `add_rows` batch before that round's `optimize`, and the
+    objective that `optimize` was handed.  The master is the one tableau
+    built with the sum-to-one (`=`) rows; a distribution order's oracle
+    builds a tableau of its own, of inequality rows, and adds no rows.
+    Fails unless exactly one master tableau was built, and optimized at
+    least once."""
+    tableaux = []
 
-    def record(lp):
-        lps.append(lp)
-        return lp_solve(lp)
+    class Recording(linprog.Tableau):
+        def __init__(self, num_vars, constraints):
+            super().__init__(num_vars, constraints)
+            self.handed = list(constraints)
+            self.rounds = []
+            tableaux.append(self)
+
+        def add_rows(self, constraints):
+            self.handed += constraints
+            super().add_rows(constraints)
+
+        def optimize(self, objective):
+            self.rounds.append(LinearProgram(self.num_vars, tuple(self.handed), objective))
+            return super().optimize(objective)
 
     with monkeypatch.context() as m:
-        m.setattr(linprog, "lp_solve", record)
+        m.setattr(linprog, "Tableau", Recording)
         result = eq.solve(game, spaces, query)
-    return result, lps
+    masters = [t for t in tableaux if any(c.rel == EQ for c in t.handed)]
+    assert len(masters) == 1, f"{len(masters)} master tableaux in one solve"
+    assert masters[0].rounds, "the master tableau was never optimized"
+    return result, masters[0].rounds
 
 
 def _master_lps(monkeypatch, game, spaces, query) -> list[LinearProgram]:
@@ -86,23 +107,33 @@ def test_base_lp_is_always_feasible(monkeypatch):
 
 @pytest.mark.parametrize("query", [eq.Eore(), eq.Aare({("c1", "c1"): ONE})], ids=["eore", "aare"])
 def test_master_lp_rows_are_built_once(monkeypatch, query):
-    """From round to round the master LP keeps every earlier sum and cut
-    row as the same object at the same index, adds the new cuts after them,
-    and keeps the AARE path rows, one per profile and the same objects,
-    last."""
+    """The master tableau is built of the sum-to-one rows, then the AARE
+    path rows, one per profile.  From round to round it keeps every earlier
+    row as the same object at the same index and adds the new cuts, `>= 0`
+    rows, after them; the objective is the same object.  Each row is read
+    into integers once (`linprog._int_row`), when it reaches the tableau."""
     game, spaces, _ = load_game("prisoners_dilemma_rich")
     fixed = len(list(profiles_of(game))) if isinstance(query, eq.Aare) else 0
+    read = []
+    int_row = linprog._int_row
+
+    def record(values):
+        read.append(values)
+        return int_row(values)
+
+    monkeypatch.setattr(linprog, "_int_row", record)
     lps = _master_lps(monkeypatch, game, spaces, query)
     assert len(lps) >= 3
     assert len(lps[0].constraints) == 1 + game.num_players + fixed
+    assert all(c.rel == EQ for c in lps[0].constraints)
     for before, after in zip(lps, lps[1:]):
         old, new = before.constraints, after.constraints
-        kept = len(old) - fixed
         assert len(new) > len(old)
-        assert all(x is y for x, y in zip(old[:kept], new))
-        assert all(c.rel == GE and c.rhs == 0 for c in new[kept : len(new) - fixed])
-        assert all(x is y for x, y in zip(old[kept:], new[len(new) - fixed :]))
+        assert all(x is y for x, y in zip(old, new))
+        assert all(c.rel == GE and c.rhs == 0 for c in new[len(old) :])
         assert after.objective is before.objective
+    # Total-order oracles and a None objective read nothing else.
+    assert len(read) == len(lps[-1].constraints)
 
 
 def test_finite_separation_none_iff_no_type_gains():
@@ -651,13 +682,14 @@ def test_solve_over_distribution_orders_agrees_with_their_vertices(monkeypatch):
 
 
 def test_each_call_stands_alone(monkeypatch):
-    """No oracle state outlives a call.  Solving a query again over the same
-    space objects, after a different `solve`, a `verify` and a
-    `find_pure_unmediated` on them, hands `lp_solve` the same master LPs,
-    round by round, and gives the same answer and value and a
-    byte-identical serialized profile; `verify` repeats its report.  An
-    oracle kept warm from an earlier call can end on another optimal vertex
-    when a gain's optimum is not unique, and so add other cuts."""
+    """No oracle or master-tableau state outlives a call.  Solving a query
+    again over the same space objects, after a different `solve`, a
+    `verify` and a `find_pure_unmediated` on them, hands its one master
+    tableau the same rows and objectives, round by round, and gives the
+    same answer and value and a byte-identical serialized profile; `verify`
+    repeats its report.  An oracle kept warm from an earlier call can end
+    on another optimal vertex when a gain's optimum is not unique, and so
+    add other cuts."""
     rng = random.Random(83)
 
     def solved(game, spaces, query):

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import satisfies_space
+from conftest import LinearProgram, lp_solve, satisfies_space
 from ordineq.equilibrium import best_cnf_model
 from ordineq.errors import ParseError, ValidationError
 from ordineq.games import PreferenceCnf, TotalOrder
-from ordineq.linprog import FEASIBLE, GE, LE, MAX, LinearProgram, constraint, lp_solve
+from ordineq.linprog import FEASIBLE, GE, LE, MAX, constraint
 from ordineq.hardness import (
     CnfFormula,
     check_cnf_existence,
@@ -243,3 +243,14 @@ def test_cnf_models_attain_the_maximum_over_the_whole_cnf_set():
             assert (ZERO if hit is None else hit[0]) == lp_best
             positive += hit is not None
     assert positive > 200
+
+
+def test_best_cnf_model_searches_1200_outcomes():
+    """The search goes one level deeper per outcome, so 1,200 outcomes must
+    not run out of stack.  Weight 2 on o0 and -1 on o1, and the chain of
+    clauses (o1 >= o0), (o2 >= o1), ...: u(o0) = 1 forces every u to 1, so
+    the optimum is 1, at the all-ones model."""
+    outcomes = tuple(f"o{k}" for k in range(1200))
+    weights = {o: {0: 2, 1: -1}.get(k, 0) for k, o in enumerate(outcomes)}
+    chain = tuple(((b, a),) for a, b in zip(outcomes, outcomes[1:]))
+    assert best_cnf_model(PreferenceCnf(chain), outcomes, weights) == (1, dict.fromkeys(outcomes, 1))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lp_brute_force, lp_vertices, random_boxed_lp
+from conftest import LinearProgram, lp_brute_force, lp_solve, lp_vertices, random_boxed_lp
 from ordineq.errors import MalformedLp
 from ordineq.linprog import (
     EQ,
@@ -14,10 +14,8 @@ from ordineq.linprog import (
     MAX,
     MIN,
     UNBOUNDED,
-    LinearProgram,
     Tableau,
     constraint,
-    lp_solve,
 )
 
 ZERO = Fraction(0)
@@ -164,3 +162,87 @@ def test_optimize_after_an_unbounded_objective():
     assert out.status == FEASIBLE
     assert out.assignment == (ZERO, ZERO) and out.objective_value == ZERO
     assert tableau.optimize(((-ONE, ONE), MIN)).objective_value == -ONE
+
+
+def _random_cut(rng, n):
+    return constraint(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)), GE, 0)
+
+
+def test_add_rows_in_batches_matches_a_fresh_solve():
+    """Random feasible bounded LPs, with and without an objective, gain
+    `>= 0` rows in batches on one tableau.  After each batch, `optimize`
+    answers as a fresh `lp_solve` over every row so far, and its point is a
+    vertex of their feasible region, as is the point the dual simplex ends
+    on, which is already optimal.  A batch can make the rows infeasible,
+    and the tableau stays so."""
+    rng = random.Random(20261020)
+    seen = {"objective": 0, "none": 0, "made infeasible": 0}
+    for trial in range(150):
+        lp = random_boxed_lp(rng)
+        n = lp.num_vars
+        tableau = Tableau(n, lp.constraints)
+        if tableau.optimize(lp.objective).status == INFEASIBLE:
+            continue
+        rows = list(lp.constraints)
+        feasible = True
+        for batch_no in range(3):
+            batch = [_random_cut(rng, n) for _ in range(rng.randint(1, 3))]
+            tableau.add_rows(batch)
+            rows += batch
+            so_far = LinearProgram(n, tuple(rows), lp.objective)
+            fresh = lp_solve(so_far)
+            where = f"trial {trial}, batch {batch_no}"
+            assert tableau.feasible == (fresh.status == FEASIBLE), where
+            if not tableau.feasible:
+                assert tableau.optimize(lp.objective).status == INFEASIBLE, where
+                seen["made infeasible"] += feasible
+                feasible = False
+                continue
+            assert feasible, where
+            # The dual simplex ends on an optimum of the last objective.
+            vertices = lp_vertices(so_far)
+            point = tableau.optimize(None).assignment
+            assert point in vertices, f"{where}: not a vertex"
+            if lp.objective is not None:
+                value = sum(a * v for a, v in zip(lp.objective[0], point))
+                assert value == fresh.objective_value, where
+            out = tableau.optimize(lp.objective)
+            assert out.status == FEASIBLE, where
+            assert out.objective_value == fresh.objective_value, where
+            assert out.assignment in vertices, f"{where}: not a vertex"
+            _check_assignment(so_far, out)
+            seen["none" if lp.objective is None else "objective"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_an_infeasible_batch_answers_infeasible_for_good():
+    """x1 + x2 = 1 with x1 <= 0 and x2 <= 0 added as `>= 0` rows has no
+    point; every later call answers INFEASIBLE."""
+    tableau = Tableau(2, (constraint([1, 1], EQ, 1),))
+    assert tableau.optimize(((ONE, ZERO), MAX)).assignment == (ONE, ZERO)
+    tableau.add_rows((constraint([-1, 0], GE, 0),))
+    assert tableau.optimize(((ONE, ZERO), MAX)).assignment == (ZERO, ONE)
+    tableau.add_rows((constraint([0, -1], GE, 0),))
+    assert not tableau.feasible
+    assert tableau.optimize(None).status == INFEASIBLE
+    tableau.add_rows((constraint([1, 0], GE, 0),))
+    assert tableau.optimize(((ONE, ONE), MIN)).status == INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        constraint([1], GE, 0),
+        constraint([1, 0, 0], GE, 0),
+        constraint([1, -1], LE, 0),
+        constraint([1, -1], EQ, 0),
+        constraint([1, -1], GE, 1),
+        constraint([1, -1], "!=", 0),
+    ],
+    ids=["short", "long", "le", "eq", "rhs", "relation"],
+)
+def test_add_rows_takes_only_ge_zero_rows_of_the_right_length(row):
+    for constraints in ((constraint([1, 1], LE, 1),), (constraint([1, 1], GE, 3), constraint([1, 1], LE, 1))):
+        tableau = Tableau(2, constraints)
+        with pytest.raises(MalformedLp):
+            tableau.add_rows((constraint([1, -1], GE, 0), row))
