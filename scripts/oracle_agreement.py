@@ -6,8 +6,12 @@ preference-CNF spaces, the existence question (and a robust
 social-welfare question) is answered twice: once with the lazy separation
 oracle over the space, and once with every 0/1 extreme type enumerated up
 front as a finite type list.  The two routes must agree on the answer and
-on the optimal value of every trial; any disagreement is printed and
-counted, per space kind.
+on the optimal value of every trial, and `verifier.verify` must accept
+every yes profile of either route as robust over the game's own spaces;
+any disagreement or rejection is printed and counted, per space kind.
+Both routes build their oracles with `equilibrium.make_oracle`; the
+verifier checks the order and CNF oracles' answers against its own scan of
+the enumerated types.
 
 Usage: python scripts/oracle_agreement.py [--trials N] [--seed S]
        [--max-actions A] [--max-outcomes O]
@@ -19,7 +23,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from ordineq import equilibrium
+from ordineq import equilibrium, verifier
 from ordineq.games import FiniteTypes
 from ordineq.randgen import random_game
 from ordineq.typespaces import enumerate_extreme_types
@@ -30,7 +34,7 @@ KINDS = ("total_order", "partial_order", "preference_cnf")
 
 def _agreement(kind: str, args) -> int:
     """Run every trial for one space kind; return its disagreement count."""
-    disagreements = 0
+    disagreements = verified = 0
     t0 = time.monotonic()
     for trial in range(args.trials):
         game, spaces = random_game(
@@ -55,10 +59,21 @@ def _agreement(kind: str, args) -> int:
                     f"DISAGREE {kind} trial={args.seed + trial} query={query}: "
                     f"lazy={got} explicit={want}"
                 )
+            for route, result in (("lazy", lazy), ("explicit", explicit)):
+                if result.profile is None:
+                    continue
+                report = verifier.verify(game, spaces, result.profile)
+                verified += 1
+                if not report.is_equilibrium:
+                    disagreements += 1
+                    print(
+                        f"REJECTED {kind} trial={args.seed + trial} query={query}: "
+                        f"{route} profile, {report.violation}"
+                    )
     dt = time.monotonic() - t0
     print(
-        f"{kind}: {args.trials} games x 2 queries: {disagreements} disagreements "
-        f"({dt:.2f}s)"
+        f"{kind}: {args.trials} games x 2 queries: {disagreements} disagreements, "
+        f"{verified} yes profiles verified ({dt:.2f}s)"
     )
     return disagreements
 

@@ -31,15 +31,20 @@ violated again, so the loop terminates.
 The solver and the verifier walk the same `deviation_hits`, and
 `entails_preference`, which `find_pure_unmediated` asks of every
 unilateral deviation, is one oracle call on the gain vector e_o2 - e_o.
+Each oracle answers each gain vector once: it keeps every answer of its
+call, keyed by the exact gain, and returns the stored one when the same
+gain comes up again, as it does for deviations whose outcomes against the
+punishment are the same.  The answer is the exact maximum over a fixed
+witness family, a function of the gain alone, so reusing it changes no
+answer and no value.
 A distribution order's oracle is one LP tableau of its polytope that each
-gain re-prices (`linprog.Tableau.optimize`), so every call to `solve`,
-`verify` or `find_pure_unmediated` builds its own oracles and drops them
-when it returns.
+new gain re-prices (`linprog.Tableau.optimize`), so every call to `solve`,
+`verify` or `find_pure_unmediated` builds its own oracles and drops them,
+with their answers, when it returns.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,8 +316,11 @@ def best_cnf_model(
 
     Over 0/1 utilities the atom (a >= b) is the Boolean clause
     u_a or not u_b, so the models are assignments of one variable per
-    outcome.  A depth-first branch and bound assigns the variables in order
-    of decreasing |weight|, each first to the value its weight's sign
+    outcome.  An outcome that no clause names takes the value its weight's
+    sign prefers, 1 if the weight is positive, else 0, before the search:
+    its other value would give the same models at a value no higher.  A
+    depth-first branch and bound assigns the named variables in order of
+    decreasing |weight|, each first to the value its weight's sign
     prefers.  The solver passes integer weights in gain units, so the
     search is plain integer work.  A partial assignment is pruned when it
     falsifies a clause, or when its value plus the remaining positive
@@ -333,24 +341,27 @@ def best_cnf_model(
             falsified[idx[a]][0].append(c)
             falsified[idx[b]][1].append(c)
     live = [2 * len(clause) for clause in spec.clauses]
-    order = sorted(range(n), key=lambda k: -abs(w[k]))
-    rest = [0] * (n + 1)  # rest[t]: the positive weights from order[t] on
-    for t in range(n - 1, -1, -1):
+    named = [bool(f0 or f1) for f0, f1 in falsified]
+    order = [k for k in sorted(range(n), key=lambda k: -abs(w[k])) if named[k]]
+    d = len(order)
+    rest = [0] * (d + 1)  # rest[t]: the positive weights from order[t] on
+    for t in range(d - 1, -1, -1):
         rest[t] = rest[t + 1] + max(w[order[t]], 0)
-    u = [0] * n
+    u = [int(wk > 0) for wk in w]  # an unnamed outcome keeps its first bit
     best, best_u = 0, None
     # An explicit stack, not recursion, so any number of outcomes fits:
     # depth t tries the bits of order[t] in `tried[t]` order; value[t] is
-    # the value of the assignment above depth t.
-    value = [0] * (n + 1)
-    tried = [0] * n
+    # the value of the assignment above depth t, unnamed outcomes included.
+    value = [0] * (d + 1)
+    value[0] = sum(wk for wk, nk in zip(w, named) if wk > 0 and not nk)
+    tried = [0] * d
     t, descend = 0, True
     while t >= 0:
         if descend:
             if value[t] + rest[t] <= best:
                 t, descend = t - 1, False
                 continue
-            if t == n:
+            if t == d:
                 best, best_u = value[t], u[:]
                 t, descend = t - 1, False
                 continue
@@ -388,23 +399,42 @@ def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
     type gains.  The solver and the verifier pass integer gains
     (`gain_vectors`).
 
-    A distribution order's oracle keeps one tableau of its polytope, and
-    each gain starts from the basis the last one ended on; so `solve`,
-    `verify` and `find_pure_unmediated` build one oracle per space per
-    call, and nothing outlives the call.  Every gain looks its kind's
-    function up on this module."""
+    The oracle answers each gain once: it keeps a dict from the gain
+    vector, `tuple(gain[o] for o in outcomes)`, to its answer, and a gain
+    it has seen gets the stored answer without a search.  That is exact,
+    because every kind returns the maximum over a fixed witness family, a
+    function of the gain alone; only a distribution order's witness among
+    several of equal gain depends on the basis it starts from.  Nor can a
+    stored answer repeat a cut in `solve`: a stored hit that gains at the
+    current point would mean the point violates a cut it already
+    satisfies.  A distribution order's oracle keeps one tableau of its
+    polytope, and each new gain starts from the basis the last one ended
+    on.  So `solve`, `verify` and `find_pure_unmediated` build one oracle
+    per space per call, and the dict and the tableau go with it when the
+    call returns.  Every new gain looks its kind's function up on this
+    module."""
     if isinstance(spec, FiniteTypes):
-        return lambda gain: finite_scan_oracle(spec, outcomes, gain)
-    if isinstance(spec, TotalOrder):
-        return lambda gain: separation_oracle_total(spec, outcomes, gain)
-    if isinstance(spec, PartialOrder):
-        return lambda gain: separation_oracle_partial(spec, outcomes, gain)
-    if isinstance(spec, DistributionOrder):
+        search = lambda gain: finite_scan_oracle(spec, outcomes, gain)
+    elif isinstance(spec, TotalOrder):
+        search = lambda gain: separation_oracle_total(spec, outcomes, gain)
+    elif isinstance(spec, PartialOrder):
+        search = lambda gain: separation_oracle_partial(spec, outcomes, gain)
+    elif isinstance(spec, DistributionOrder):
         polytope = distribution_polytope(spec, outcomes)
-        return lambda gain: separation_oracle_dist(polytope, outcomes, gain)
-    if isinstance(spec, PreferenceCnf):
-        return lambda gain: best_cnf_model(spec, outcomes, gain)
-    raise UnsupportedSpace(f"no separation oracle for {type(spec).__name__}")
+        search = lambda gain: separation_oracle_dist(polytope, outcomes, gain)
+    elif isinstance(spec, PreferenceCnf):
+        search = lambda gain: best_cnf_model(spec, outcomes, gain)
+    else:
+        raise UnsupportedSpace(f"no separation oracle for {type(spec).__name__}")
+    answers: dict[tuple[Rational, ...], Hit] = {}
+
+    def oracle(gain: Mapping[str, Rational]) -> Hit:
+        key = tuple(gain[o] for o in outcomes)
+        if key not in answers:
+            answers[key] = search(gain)
+        return answers[key]
+
+    return oracle
 
 
 def deviation_hits(game: GameForm, oracles: Sequence[Oracle], profile: MediatedProfile):
@@ -520,12 +550,12 @@ def find_pure_unmediated(
 ) -> list[Profile]:
     """All profiles where every unilateral deviation leads to an outcome the
     deviator weakly disprefers under every consistent type
-    (`entails_preference`).  Each entailment depends only on (player, o, o2),
-    so it is asked once per call, of the player's oracle for this call."""
+    (`entails_preference`), asked of the player's oracle for this call.
+    Each entailment depends only on (player, o, o2), and its swap gain
+    e_o2 - e_o is searched once per call (`make_oracle`)."""
     validate_spaces(game, spaces)
     oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
 
-    @functools.cache
     def entails(i: int, o: str, o2: str) -> bool:
         return o == o2 or oracles[i](_swap_gain(game.outcomes, o, o2)) is None
 

@@ -781,3 +781,60 @@ def test_integer_gains_match_the_reference(kind):
                 assert Fraction(hit[0], den) == best
                 hits += 1
     assert hits
+
+
+ORACLE_FUNCTIONS = {
+    "finite": "finite_scan_oracle",
+    "total_order": "separation_oracle_total",
+    "partial_order": "separation_oracle_partial",
+    "distribution_order": "separation_oracle_dist",
+    "preference_cnf": "best_cnf_model",
+}
+
+
+@pytest.mark.parametrize("kind", ORACLE_FUNCTIONS)
+def test_an_oracle_answers_each_gain_once(monkeypatch, kind):
+    """On random spaces, an oracle asked a gain vector it has answered, as
+    a new dict of integers or of equal `Fraction`s, does not call its
+    kind's function again.  Every answer equals a fresh oracle's: the same
+    amount, and the same witness for every kind but a distribution order,
+    whose witness among equal optima depends on its warm basis."""
+    rng = random.Random(97)
+    name = ORACLE_FUNCTIONS[kind]
+    search = getattr(eq, name)
+    calls = []
+
+    def counted(spec, outcomes, gain):
+        calls.append(gain)
+        return search(spec, outcomes, gain)
+
+    monkeypatch.setattr(eq, name, counted)
+    repeats = hits = 0
+    for _ in range(15):
+        game, spaces = random_game(rng.randint(0, 10**9), max_actions=2, max_outcomes=6, kind=kind)
+        outcomes = game.outcomes
+        oracle = eq.make_oracle(spaces[0], outcomes)
+        answered = set()
+        for _ in range(30):
+            if answered and rng.random() < 0.4:
+                key = rng.choice(sorted(answered))
+                den = rng.randint(1, 3)
+                gain = {o: Fraction(v * den, den) for o, v in zip(outcomes, key)}
+            else:
+                den = rng.choice((1, 1, 2, 3))
+                gain = {o: Fraction(rng.randint(-4, 4), den) for o in outcomes}
+                if den == 1:
+                    gain = {o: int(v) for o, v in gain.items()}
+            key = tuple(gain[o] for o in outcomes)
+            before = len(calls)
+            hit = oracle(gain)
+            assert len(calls) == before + (key not in answered)
+            repeats += key in answered
+            answered.add(key)
+            fresh = eq.make_oracle(spaces[0], outcomes)(gain)
+            if kind == "distribution_order" and hit is not None and fresh is not None:
+                assert hit[0] == fresh[0]
+            else:
+                assert hit == fresh
+            hits += hit is not None
+    assert repeats > 100 and hits > 100

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import LinearProgram, lp_solve, satisfies_space
+from ordineq import equilibrium
 from ordineq.equilibrium import best_cnf_model
 from ordineq.errors import ParseError, ValidationError
 from ordineq.games import PreferenceCnf, TotalOrder
@@ -254,3 +255,87 @@ def test_best_cnf_model_searches_1200_outcomes():
     weights = {o: {0: 2, 1: -1}.get(k, 0) for k, o in enumerate(outcomes)}
     chain = tuple(((b, a),) for a, b in zip(outcomes, outcomes[1:]))
     assert best_cnf_model(PreferenceCnf(chain), outcomes, weights) == (1, dict.fromkeys(outcomes, 1))
+
+
+def test_unnamed_outcomes_take_their_preferred_value():
+    """On 300 random CNFs padded with outcomes that no clause names, and
+    integer or rational weights: each unnamed outcome's bit in the best
+    model is 1 if its weight is positive, else 0, and the value is the
+    largest sum over the models, found by listing every 0/1 vector."""
+    rng = random.Random(17)
+    positive = 0
+    for _ in range(300):
+        named = [f"n{k}" for k in range(rng.randint(1, 4))]
+        outcomes = named + [f"p{k}" for k in range(rng.randint(1, 4))]
+        rng.shuffle(outcomes)
+        outcomes = tuple(outcomes)
+        cnf = PreferenceCnf(
+            tuple(
+                tuple((rng.choice(named), rng.choice(named)) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 3))
+            )
+        )
+        den = rng.choice((1, 3))
+        weights = {o: Fraction(rng.randint(-3, 3), den) for o in outcomes}
+        if den == 1:
+            weights = {o: int(w) for o, w in weights.items()}
+        models = (
+            dict(zip(outcomes, bits))
+            for bits in itertools.product((0, 1), repeat=len(outcomes))
+            if satisfies_space(dict(zip(outcomes, bits)), cnf, outcomes)
+        )
+        brute = max(sum(weights[o] * u[o] for o in outcomes) for u in models)
+        hit = best_cnf_model(cnf, outcomes, weights)
+        if brute <= 0:
+            assert hit is None
+            continue
+        positive += 1
+        assert hit[0] == brute
+        assert satisfies_space(hit[1], cnf, outcomes)
+        assert all(hit[1][o] == int(weights[o] > 0) for o in outcomes if o[0] == "p")
+    assert positive > 150
+
+
+def test_reductions_search_each_gain_once_per_call(monkeypatch):
+    """Solving the reductions of 20 random 3-CNFs over 6-8 variables asks
+    the row player's CNF oracle about many more deviations than it
+    searches: the m + 1 deviations that meet o1 share their gain vector,
+    and `best_cnf_model` runs at most once per distinct gain in each call.
+    The answers are still `not sat_brute`."""
+    rng = random.Random(53)
+    searched, asked = [], []
+    search, make_oracle = equilibrium.best_cnf_model, equilibrium.make_oracle
+
+    def counted_search(spec, outcomes, weights):
+        searched[-1].append(tuple(weights[o] for o in outcomes))
+        return search(spec, outcomes, weights)
+
+    def counted_oracle(spec, outcomes):
+        oracle = make_oracle(spec, outcomes)
+        if not isinstance(spec, PreferenceCnf):
+            return oracle
+
+        def ask(gain):
+            asked[-1] += 1
+            return oracle(gain)
+
+        return ask
+
+    monkeypatch.setattr(equilibrium, "best_cnf_model", counted_search)
+    monkeypatch.setattr(equilibrium, "make_oracle", counted_oracle)
+    answers = set()
+    for _ in range(20):
+        m = rng.randint(6, 8)
+        clauses = tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, m + 1), 3))
+            for _ in range(rng.randint(2 * m, 5 * m))
+        )
+        formula = CnfFormula(m, clauses)
+        searched.append([])
+        asked.append(0)
+        res = check_cnf_existence(*reduce_sat(formula))
+        assert (res.answer != "no") == (not sat_brute(formula))
+        assert len(set(searched[-1])) == len(searched[-1])
+        answers.add(res.answer)
+    assert sum(map(len, searched)) < sum(asked) / 2
+    assert answers == {"no", "yes_over_extreme_types"}

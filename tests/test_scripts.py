@@ -1,6 +1,7 @@
 """The command-line scripts under scripts/, run in-process."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -9,7 +10,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 def test_oracle_agreement_has_no_disagreements(capsys):
     """The lazy total-order, partial-order and preference-CNF oracles and
     the explicit extreme-type lists give the same answer and optimal value
-    on 200 random games of each kind."""
+    on 200 random games of each kind, and the verifier accepts every yes
+    profile of either route."""
     spec = importlib.util.spec_from_file_location(
         "oracle_agreement", SCRIPTS / "oracle_agreement.py"
     )
@@ -20,3 +22,4 @@ def test_oracle_agreement_has_no_disagreements(capsys):
     assert code == 0, out
     for kind in ("total_order", "partial_order", "preference_cnf"):
         assert f"{kind}: 200 games x 2 queries: 0 disagreements" in out
+        assert re.search(rf"{kind}: 200 games x 2 queries: 0 disagreements, [1-9]\d* yes profiles verified", out)

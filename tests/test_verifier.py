@@ -235,19 +235,24 @@ def test_verify_validates_its_spaces():
 def test_cross_check_catches_a_wrong_order_oracle(monkeypatch, as_partial):
     """An oracle that overstates the gain of each player's last deviation is
     caught: the enumerated types serve every deviation of the player.  The
-    oracle sees only the gain vector, so it tells the deviations apart by
-    counting its calls, which come in player and action order."""
-    game, spaces, _ = load_game("matching_pennies_symmetric")
+    oracle sees only the gain vector, and answers each vector once per
+    call, so it recognizes the last deviations by their gain vectors
+    (`gain_vectors`), which no earlier deviation of the robust profile
+    shares."""
+    game, spaces, _ = load_game("prisoners_dilemma_rich")
     if as_partial:
         spaces = tuple(PartialOrder(tuple(zip(s.order, s.order[1:]))) for s in spaces)
-    profile = load_profile("matching_pennies_symmetric_eq", game)
+    profile = load_profile("prisoners_dilemma_rich_eq", game)
+    assert verifier.verify(game, spaces, profile).is_equilibrium
+    _, gains = equilibrium.gain_vectors(game, profile)
+    vectors = [[tuple(g[o] for o in game.outcomes) for g in by_action.values()] for by_action in gains]
+    last = {v[-1] for v in vectors}
+    assert not last & {u for v in vectors for u in v[:-1]}
     name = "separation_oracle_partial" if as_partial else "separation_oracle_total"
     true_oracle = getattr(equilibrium, name)
-    calls = iter([(i, a) for i, actions in enumerate(game.action_sets) for a in actions])
 
     def wrong(spec, outcomes, gain):
-        i, a = next(calls)
-        if a != game.action_sets[i][-1]:
+        if tuple(gain[o] for o in outcomes) not in last:
             return true_oracle(spec, outcomes, gain)
         return ONE, {o: ONE for o in outcomes}
 
