@@ -9,32 +9,64 @@ front as a finite type list.  The two routes must agree on the answer and
 on the optimal value of every trial, and `verifier.verify` must accept
 every yes profile of either route as robust over the game's own spaces;
 any disagreement or rejection is printed and counted, per space kind.
-Both routes build their oracles with `equilibrium.make_oracle`; the
-verifier checks the order and CNF oracles' answers against its own scan of
-the enumerated types.
+Both routes build their oracles with `equilibrium.make_oracle`.
+For total and partial orders, the lazy oracle is also asked about every
+deviation's gain vector at each yes profile and at one random profile per
+trial.  Each answer's flow must pass `verifier.check_flow`, or it counts
+as a certificate failure, and its amount must equal the finite scan's
+over the enumerated types, or it counts as a disagreement.  The verifier
+checks the same flows, and the CNF oracle's answers against its own scan
+of the enumerated models; a `verify` call that raises counts as a
+certificate failure.
 
 Usage: python scripts/oracle_agreement.py [--trials N] [--seed S]
        [--max-actions A] [--max-outcomes O]
-Exit status: 0 when every trial agrees, 1 otherwise.
+Exit status: 0 when every trial agrees and every certificate passes, 1
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import time
 
 from ordineq import equilibrium, verifier
 from ordineq.games import FiniteTypes
-from ordineq.randgen import random_game
+from ordineq.randgen import random_game, random_profile_point
 from ordineq.typespaces import enumerate_extreme_types
 
 
 KINDS = ("total_order", "partial_order", "preference_cnf")
+ORDER_KINDS = ("total_order", "partial_order")
 
 
-def _agreement(kind: str, args) -> int:
-    """Run every trial for one space kind; return its disagreement count."""
-    disagreements = verified = 0
+def _certify(game, spaces, finite, profile, label: str) -> tuple[int, int, int]:
+    """Check the order oracles' answer to every deviation's gain at
+    `profile`: its flow with `verifier.check_flow`, and its amount against
+    the finite scan of `finite`, the enumerated types.  Returns (answers,
+    certificate failures, disagreements)."""
+    lazy = [equilibrium.make_oracle(s, game.outcomes) for s in spaces]
+    scans = [equilibrium.make_oracle(f, game.outcomes) for f in finite]
+    answers = failures = disagreements = 0
+    for i, a, _, gain, hit, flow in equilibrium.deviation_hits(game, lazy, profile):
+        answers += 1
+        try:
+            verifier.check_flow(spaces[i], game.outcomes, gain, hit, flow)
+        except AssertionError as e:
+            failures += 1
+            print(f"CERTIFICATE {label} player={i} deviation={a}: {e}")
+        brute, _ = scans[i](gain)
+        if (0 if hit is None else hit[0]) != (0 if brute is None else brute[0]):
+            disagreements += 1
+            print(f"DISAGREE {label} player={i} deviation={a}: lazy={hit} explicit={brute}")
+    return answers, failures, disagreements
+
+
+def _agreement(kind: str, args) -> tuple[int, int]:
+    """Run every trial for one space kind; return its disagreement and
+    certificate failure counts."""
+    disagreements = verified = certified = failures = 0
     t0 = time.monotonic()
     for trial in range(args.trials):
         game, spaces = random_game(
@@ -48,6 +80,7 @@ def _agreement(kind: str, args) -> int:
             for s in spaces
         )
         target = tuple(acts[0] for acts in game.action_sets)
+        profiles = [random_profile_point(random.Random(args.seed + trial), game)]
         for query in (equilibrium.Eore(), equilibrium.Sire(target)):
             lazy = equilibrium.solve(game, spaces, query)
             explicit = equilibrium.solve(game, finite, query)
@@ -62,7 +95,13 @@ def _agreement(kind: str, args) -> int:
             for route, result in (("lazy", lazy), ("explicit", explicit)):
                 if result.profile is None:
                     continue
-                report = verifier.verify(game, spaces, result.profile)
+                profiles.append(result.profile)
+                try:
+                    report = verifier.verify(game, spaces, result.profile)
+                except AssertionError as e:
+                    failures += 1
+                    print(f"CERTIFICATE {kind} trial={args.seed + trial} query={query}: {route} profile, {e}")
+                    continue
                 verified += 1
                 if not report.is_equilibrium:
                     disagreements += 1
@@ -70,12 +109,19 @@ def _agreement(kind: str, args) -> int:
                         f"REJECTED {kind} trial={args.seed + trial} query={query}: "
                         f"{route} profile, {report.violation}"
                     )
+        if kind in ORDER_KINDS:
+            for profile in profiles:
+                counts = _certify(game, spaces, finite, profile, f"{kind} trial={args.seed + trial}")
+                certified += counts[0]
+                failures += counts[1]
+                disagreements += counts[2]
     dt = time.monotonic() - t0
     print(
         f"{kind}: {args.trials} games x 2 queries: {disagreements} disagreements, "
-        f"{verified} yes profiles verified ({dt:.2f}s)"
+        f"{verified} yes profiles verified, {certified} order answers certified, "
+        f"{failures} certificate failures ({dt:.2f}s)"
     )
-    return disagreements
+    return disagreements, failures
 
 
 def main(argv=None) -> int:
@@ -86,8 +132,8 @@ def main(argv=None) -> int:
     ap.add_argument("--max-outcomes", type=int, default=4)
     args = ap.parse_args(argv)
 
-    disagreements = sum(_agreement(kind, args) for kind in KINDS)
-    return 1 if disagreements else 0
+    counts = [_agreement(kind, args) for kind in KINDS]
+    return 1 if any(d or f for d, f in counts) else 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,9 @@ space, the threshold vectors of a total order, the upward-closed 0/1
 vectors of a partial order, the vertices of a distribution order's
 polytope, and the 0/1 models of a preference CNF, which attain the
 maximum of every gain over the whole CNF set (`best_cnf_model` has the
-proof).
+proof).  The two order oracles also return a flow on the order's pairs
+that proves their answer the maximum over the whole order space, which
+the verifier checks (`verifier.check_flow`); the solver ignores it.
 The solver adds violated constraints in a cutting-plane loop (delayed
 constraint generation) over one master tableau per call, which only ever
 gains rows: it is built of the sum-to-one rows, then the AARE path rows,
@@ -79,9 +81,15 @@ from .games import (
 #: consistent type gains.  Order and CNF witnesses are 0/1 integers.
 Hit = Optional[tuple[Rational, dict[str, Rational]]]
 
+#: An order oracle's certificate: a flow y > 0 on pairs (a, b), a >= b, of
+#: the order, keyed by the pair; a pair the order lists twice, or in both
+#: directions, carries at most one entry (`verifier.check_flow`).
+Flow = dict[tuple[str, str], Rational]
+
 #: One space's separation oracle, a function of the gain vector alone
-#: (`make_oracle`).
-Oracle = Callable[[Mapping[str, Rational]], Hit]
+#: (`make_oracle`): its Hit, with the flow certificate of an order space's
+#: answer, or None for the other kinds.
+Oracle = Callable[[Mapping[str, Rational]], tuple[Hit, Optional[Flow]]]
 
 
 @dataclass(frozen=True)
@@ -201,41 +209,54 @@ def gain_vectors(
 
 def separation_oracle_total(
     spec: TotalOrder, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
-) -> Hit:
-    """Best threshold witness, by one scan over the order's prefixes.
+) -> tuple[Hit, Flow]:
+    """Best threshold witness, by one scan over the order's prefixes, and
+    its flow certificate.
 
     The threshold vector of a prefix gives utility 1 to its outcomes and 0
     to the rest; its gain is the prefix sum of the gain weights.  The first
     prefix of maximum gain is returned: it is the minimal maximum-weight
     closure of the order's chain, the witness the closure oracle would find.
+    With S_k the k-th prefix sum and M = max(0, max_k S_k) the best gain,
+    the certificate puts M - S_k on the chain pair (order[k-1], order[k]):
+    the net weight (`verifier.check_flow`) of the first outcome is then M,
+    of every inner one 0, and of the last one S_n - M <= 0.
     """
     best = 0
     best_k = 0
     acc = 0
+    sums = []
     for k, o in enumerate(spec.order, start=1):
         acc += gain[o]
+        sums.append(acc)
         if acc > best:
             best, best_k = acc, k
+    chain = zip(spec.order, spec.order[1:])
+    flow = {pair: best - s for pair, s in zip(chain, sums) if s < best}
     if best > 0:
         top = set(spec.order[:best_k])
-        return best, {o: int(o in top) for o in outcomes}
-    return None
+        return (best, {o: int(o in top) for o in outcomes}), flow
+    return None, flow
 
 
 def separation_oracle_partial(
     spec: PartialOrder, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
-) -> Hit:
-    """Best 0/1 upward-closed witness, via maximum-weight closure.
+) -> tuple[Hit, Flow]:
+    """Best 0/1 upward-closed witness, via maximum-weight closure, and its
+    flow certificate.
 
     Item values are the gain weights; accepting the item for o' forces
     accepting the item for o whenever o >= o', so the accepted set is
-    exactly the 1-set of a consistent 0/1 vector.
+    exactly the 1-set of a consistent 0/1 vector.  The certificate is the
+    closure's flow on those implication arcs, each keyed by its pair
+    (o, o').
     """
     implications = tuple((b, a) for a, b in spec.pairs if a != b)
-    accepted, best = closure_solve(outcomes, gain, implications)
+    accepted, best, y = closure_solve(outcomes, gain, implications)
+    flow = {(a, b): f for (b, a), f in y.items()}
     if best > 0:
-        return best, {o: int(o in accepted) for o in outcomes}
-    return None
+        return (best, {o: int(o in accepted) for o in outcomes}), flow
+    return None, flow
 
 
 def distribution_polytope(spec: DistributionOrder, outcomes: tuple[str, ...]) -> linprog.Tableau:
@@ -396,8 +417,9 @@ def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
     """The separation oracle of one space, as a function of the gain vector
     alone: the largest gain `sum_o gain[o] * u(o)` over the witness family
     of the space, with a witness u attaining it, or None if no consistent
-    type gains.  The solver and the verifier pass integer gains
-    (`gain_vectors`).
+    type gains; and for a total or partial order, the flow that certifies
+    it, also when no type gains.  The solver and the verifier pass integer
+    gains (`gain_vectors`).
 
     The oracle answers each gain once: it keeps a dict from the gain
     vector, `tuple(gain[o] for o in outcomes)`, to its answer, and a gain
@@ -407,28 +429,29 @@ def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
     several of equal gain depends on the basis it starts from.  Nor can a
     stored answer repeat a cut in `solve`: a stored hit that gains at the
     current point would mean the point violates a cut it already
-    satisfies.  A distribution order's oracle keeps one tableau of its
+    satisfies.  A stored flow certifies the stored hit, as it did when it
+    was found.  A distribution order's oracle keeps one tableau of its
     polytope, and each new gain starts from the basis the last one ended
     on.  So `solve`, `verify` and `find_pure_unmediated` build one oracle
     per space per call, and the dict and the tableau go with it when the
     call returns.  Every new gain looks its kind's function up on this
     module."""
     if isinstance(spec, FiniteTypes):
-        search = lambda gain: finite_scan_oracle(spec, outcomes, gain)
+        search = lambda gain: (finite_scan_oracle(spec, outcomes, gain), None)
     elif isinstance(spec, TotalOrder):
         search = lambda gain: separation_oracle_total(spec, outcomes, gain)
     elif isinstance(spec, PartialOrder):
         search = lambda gain: separation_oracle_partial(spec, outcomes, gain)
     elif isinstance(spec, DistributionOrder):
         polytope = distribution_polytope(spec, outcomes)
-        search = lambda gain: separation_oracle_dist(polytope, outcomes, gain)
+        search = lambda gain: (separation_oracle_dist(polytope, outcomes, gain), None)
     elif isinstance(spec, PreferenceCnf):
-        search = lambda gain: best_cnf_model(spec, outcomes, gain)
+        search = lambda gain: (best_cnf_model(spec, outcomes, gain), None)
     else:
         raise UnsupportedSpace(f"no separation oracle for {type(spec).__name__}")
-    answers: dict[tuple[Rational, ...], Hit] = {}
+    answers: dict[tuple[Rational, ...], tuple[Hit, Optional[Flow]]] = {}
 
-    def oracle(gain: Mapping[str, Rational]) -> Hit:
+    def oracle(gain: Mapping[str, Rational]) -> tuple[Hit, Optional[Flow]]:
         key = tuple(gain[o] for o in outcomes)
         if key not in answers:
             answers[key] = search(gain)
@@ -438,13 +461,15 @@ def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
 
 
 def deviation_hits(game: GameForm, oracles: Sequence[Oracle], profile: MediatedProfile):
-    """Yield (player, deviation, den, gain vector, oracle answer) for every
+    """Yield (player, deviation, den, gain vector, hit, flow) for every
     player's every deviation, in player and action order (`gain_vectors`),
-    asking player i's oracle `oracles[i]`."""
+    from player i's oracle `oracles[i]`: its hit, and its flow certificate
+    or None (`make_oracle`)."""
     den, gains = gain_vectors(game, profile)
     for i, by_action in enumerate(gains):
         for a, gain in by_action.items():
-            yield i, a, den, gain, oracles[i](gain)
+            hit, flow = oracles[i](gain)
+            yield i, a, den, gain, hit, flow
 
 
 def solve(
@@ -499,7 +524,7 @@ def solve(
 
         hits = [
             (i, a, hit[1])
-            for i, a, _, _, hit in deviation_hits(game, oracles, profile)
+            for i, a, _, _, hit, _ in deviation_hits(game, oracles, profile)
             if hit is not None
         ]
 
@@ -542,7 +567,7 @@ def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str
     if o not in outcomes or o2 not in outcomes:
         raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
     # The gain of o == o2 is zero, and no oracle reports a zero gain.
-    return o == o2 or make_oracle(spec, outcomes)(_swap_gain(outcomes, o, o2)) is None
+    return o == o2 or make_oracle(spec, outcomes)(_swap_gain(outcomes, o, o2))[0] is None
 
 
 def find_pure_unmediated(
@@ -557,7 +582,7 @@ def find_pure_unmediated(
     oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
 
     def entails(i: int, o: str, o2: str) -> bool:
-        return o == o2 or oracles[i](_swap_gain(game.outcomes, o, o2)) is None
+        return o == o2 or oracles[i](_swap_gain(game.outcomes, o, o2))[0] is None
 
     result = []
     for prof in profiles_of(game):

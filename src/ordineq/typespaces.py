@@ -6,8 +6,10 @@ sets; for preference-CNF, the 0/1 models of the formula, where the atom
 (a >= b) reads as the Boolean clause u_a or not u_b.  The enumeration is
 exhaustive within the 0/1 class or raises CapExceeded -- silent truncation
 would break soundness downstream.  The solver never enumerates: its
-oracles search these families lazily, and the enumeration serves the
-verifier's cross-check, `ordineq enumerate-types` and the tests.  The
+oracles search these families lazily.  Nor does the verifier for orders,
+whose oracles' answers carry flow certificates; the enumeration serves
+the verifier's cross-check of preference CNFs, `ordineq enumerate-types`,
+`scripts/oracle_agreement.py` and the tests.  The
 largest value of a linear function of u over a space, which also decides
 entailment, is the question of `equilibrium.make_oracle`'s oracles.
 """

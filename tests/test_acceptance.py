@@ -124,8 +124,8 @@ def test_criterion_4_oracle_separation():
     q1 = {("Center",): HALF, ("Right",): HALF}
     gain = gain_vector(game, 0, "Down", p, q1)
     shadow = distribution_shadow_partial(spaces[0])
-    zero_one = eq.separation_oracle_partial(shadow, game.outcomes, gain)
-    lp = eq.make_oracle(spaces[0], game.outcomes)(gain)
+    zero_one, _ = eq.separation_oracle_partial(shadow, game.outcomes, gain)
+    lp, _ = eq.make_oracle(spaces[0], game.outcomes)(gain)
     ok = zero_one is None and lp is not None and lp[0] >= Fraction(1, 20)
     if ok:
         # the reported gap is achieved by the witness, exactly
@@ -234,12 +234,12 @@ def test_criterion_8_flow_and_closure():
             tuple(rng.sample(items, 2))
             for _ in range(rng.randint(0, 2 * n) if n >= 2 else 0)
         )
-        accepted, total = closure_solve(items, values, implications)
+        accepted, total, _ = closure_solve(items, values, implications)
         _, best = closure_brute_force(items, values, implications)
         ok = ok and total == best
         # certificate: on the reduction network, flow value = cut capacity
         net = _closure_network(items, values, implications)
-        value, cut = max_flow(net)
+        value, cut, _ = max_flow(net)
         cap = ZERO
         for frm, to, c in net.edges:
             if frm in cut and to not in cut:

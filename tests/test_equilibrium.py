@@ -156,7 +156,8 @@ def test_finite_separation_none_iff_no_type_gains():
         q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
         for a in game.action_sets[i]:
             gains = [deviation_gain(game, i, a, u, p, q_i) for u in space.types]
-            v = oracle(gain_vector(game, i, a, p, q_i))
+            v, flow = oracle(gain_vector(game, i, a, p, q_i))
+            assert flow is None
             if max(gains) <= 0:
                 assert v is None
                 misses += 1
@@ -242,15 +243,15 @@ def test_partial_oracle_silent_on_zero_one_shadow():
     shadow = distribution_shadow_partial(spaces[0])
     assert set(shadow.pairs) == {("o11", "o22"), ("o11", "o23")}
     gain = gain_vector(game, 0, "Down", p, q1)
-    assert eq.separation_oracle_partial(shadow, game.outcomes, gain) is None
+    assert eq.separation_oracle_partial(shadow, game.outcomes, gain)[0] is None
 
 
 def test_dist_oracle_finds_the_gap():
     game, spaces, _ = load_game("distribution_preference")
     p = {("Top", "Left"): ONE}
     q1 = {("Center",): HALF, ("Right",): HALF}
-    v = eq.make_oracle(spaces[0], game.outcomes)(gain_vector(game, 0, "Down", p, q1))
-    assert v is not None
+    v, flow = eq.make_oracle(spaces[0], game.outcomes)(gain_vector(game, 0, "Down", p, q1))
+    assert v is not None and flow is None
     amount, witness = v
     assert amount >= Fraction(1, 20)
     # the reported amount is exactly the deviation gain of its witness
@@ -273,7 +274,7 @@ def test_dist_oracle_stays_exact_over_a_sequence_of_gains():
             for _ in range(200):
                 gain = {o: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for o in outcomes}
                 best = max(sum(gain[o] * v[k] for k, o in enumerate(outcomes)) for v in vertices)
-                hit = oracle(gain)
+                hit, _ = oracle(gain)
                 if best <= 0:
                     assert hit is None
                     misses += 1
@@ -291,7 +292,7 @@ def test_oracle_silent_when_deviation_changes_nothing():
     p = {("Top", "Left"): ONE}
     q1 = {("Left",): ONE}
     gain = gain_vector(game, 0, "Top", p, q1)
-    assert eq.separation_oracle_partial(PartialOrder(()), game.outcomes, gain) is None
+    assert eq.separation_oracle_partial(PartialOrder(()), game.outcomes, gain) == (None, {})
 
 
 def test_partial_oracle_reproduces_nonexistence_witness():
@@ -302,7 +303,7 @@ def test_partial_oracle_reproduces_nonexistence_witness():
     spec = PartialOrder(
         (("o12", "o11"), ("o21", "o11"), ("o22", "o11"))
     )
-    v = eq.separation_oracle_partial(spec, game.outcomes, gain_vector(game, 1, "Right", p, q2))
+    v, _ = eq.separation_oracle_partial(spec, game.outcomes, gain_vector(game, 1, "Right", p, q2))
     assert v is not None
     amount, witness = v
     # the maximizing up-set avoids o11 and contains the escape outcome o12;
@@ -327,7 +328,7 @@ def test_constant_utility_constraints_mean_no_violation():
         q[("Right",)] = ONE - q[("Left",)]
         for a in game.action_sets[0]:
             gain = gain_vector(game, 0, a, p, q)
-            assert eq.separation_oracle_partial(spec, game.outcomes, gain) is None
+            assert eq.separation_oracle_partial(spec, game.outcomes, gain)[0] is None
 
 
 def test_partial_oracle_matches_up_set_brute_force():
@@ -345,7 +346,7 @@ def test_partial_oracle_matches_up_set_brute_force():
             q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
             deviation = rng.choice(game.action_sets[i])
             gain = gain_vector(game, i, deviation, p, q_i)
-            v = eq.separation_oracle_partial(spec, game.outcomes, gain)
+            v, _ = eq.separation_oracle_partial(spec, game.outcomes, gain)
             best = max(
                 deviation_gain(game, i, deviation, u, p, q_i)
                 for u in upward_closed_vectors(game.outcomes, spec.pairs)
@@ -360,7 +361,9 @@ def test_partial_oracle_matches_up_set_brute_force():
 def test_total_oracle_matches_closure_and_enumeration():
     """200 random (game, p, q, player, deviation) tuples: the prefix scan
     returns the witness and amount of the closure oracle on the order's
-    chain, and the brute-force maximum over the threshold vectors."""
+    chain, and the brute-force maximum over the threshold vectors.  Their
+    flows may differ, as the dual optimum need not be unique; both certify
+    the answer."""
     rng = random.Random(2027)
     trials = hits = 0
     while trials < 200:
@@ -373,8 +376,11 @@ def test_total_oracle_matches_closure_and_enumeration():
             deviation = rng.choice(game.action_sets[i])
             chain = PartialOrder(tuple(zip(spec.order, spec.order[1:])))
             gain = gain_vector(game, i, deviation, p, q_i)
-            v = eq.separation_oracle_total(spec, game.outcomes, gain)
-            assert v == eq.separation_oracle_partial(chain, game.outcomes, gain)
+            v, flow = eq.separation_oracle_total(spec, game.outcomes, gain)
+            chain_v, chain_flow = eq.separation_oracle_partial(chain, game.outcomes, gain)
+            assert v == chain_v
+            verifier.check_flow(spec, game.outcomes, gain, v, flow)
+            verifier.check_flow(chain, game.outcomes, gain, v, chain_flow)
             best = max(
                 deviation_gain(game, i, deviation, u, p, q_i)
                 for u in enumerate_extreme_types(spec, game.outcomes)
@@ -411,7 +417,8 @@ def test_cnf_oracle_matches_enumeration():
             i = rng.randrange(game.num_players)
             deviation = rng.choice(game.action_sets[i])
             gain = gain_vector(game, i, deviation, point.p, point.q[i])
-            v = eq.make_oracle(spec, game.outcomes)(gain)
+            v, flow = eq.make_oracle(spec, game.outcomes)(gain)
+            assert flow is None
             best = max(
                 (
                     deviation_gain(game, i, deviation, u, point.p, point.q[i])
@@ -441,7 +448,7 @@ def test_separate_preference_cnf_matches_enumeration():
         point = random_profile_point(rng, game)
         for deviation in game.action_sets[i]:
             gain = gain_vector(game, i, deviation, point.p, point.q[i])
-            v = oracle(gain)
+            v, _ = oracle(gain)
             best = max(
                 deviation_gain(game, i, deviation, u, point.p, point.q[i]) for u in models
             )
@@ -760,7 +767,8 @@ def _reference_family(spec, outcomes) -> list:
 def test_integer_gains_match_the_reference(kind):
     """On random profiles, every gain vector `deviation_hits` yields is
     integers: over den they are `conftest.gain_vector`, and each hit's
-    amount over den is the largest gain over the kind's reference family."""
+    amount over den is the largest gain over the kind's reference family.
+    Exactly the order kinds hand on a flow, and it certifies the hit."""
     rng = random.Random(71)
     hits = 0
     for _ in range(25):
@@ -768,8 +776,12 @@ def test_integer_gains_match_the_reference(kind):
         families = [_reference_family(spec, game.outcomes) for spec in spaces]
         profile = random_profile_point(rng, game)
         oracles = [eq.make_oracle(spec, game.outcomes) for spec in spaces]
-        for i, a, den, gain, hit in eq.deviation_hits(game, oracles, profile):
+        for i, a, den, gain, hit, flow in eq.deviation_hits(game, oracles, profile):
             assert all(type(v) is int for v in gain.values())
+            if kind in ("total_order", "partial_order"):
+                verifier.check_flow(spaces[i], game.outcomes, gain, hit, flow)
+            else:
+                assert flow is None
             expected = gain_vector(game, i, a, profile.p, profile.q[i])
             assert {o: Fraction(v, den) for o, v in gain.items()} == expected
             # A CNF with an empty clause has no model, and no hit.
@@ -809,6 +821,7 @@ def test_an_oracle_answers_each_gain_once(monkeypatch, kind):
         return search(spec, outcomes, gain)
 
     monkeypatch.setattr(eq, name, counted)
+    flows = kind in ("total_order", "partial_order")
     repeats = hits = 0
     for _ in range(15):
         game, spaces = random_game(rng.randint(0, 10**9), max_actions=2, max_outcomes=6, kind=kind)
@@ -827,14 +840,16 @@ def test_an_oracle_answers_each_gain_once(monkeypatch, kind):
                     gain = {o: int(v) for o, v in gain.items()}
             key = tuple(gain[o] for o in outcomes)
             before = len(calls)
-            hit = oracle(gain)
+            hit, flow = oracle(gain)
             assert len(calls) == before + (key not in answered)
+            assert (flow is not None) == flows
             repeats += key in answered
             answered.add(key)
-            fresh = eq.make_oracle(spaces[0], outcomes)(gain)
+            fresh, fresh_flow = eq.make_oracle(spaces[0], outcomes)(gain)
             if kind == "distribution_order" and hit is not None and fresh is not None:
                 assert hit[0] == fresh[0]
             else:
                 assert hit == fresh
+                assert flow == fresh_flow
             hits += hit is not None
     assert repeats > 100 and hits > 100

@@ -11,7 +11,8 @@ def test_oracle_agreement_has_no_disagreements(capsys):
     """The lazy total-order, partial-order and preference-CNF oracles and
     the explicit extreme-type lists give the same answer and optimal value
     on 200 random games of each kind, and the verifier accepts every yes
-    profile of either route."""
+    profile of either route.  Every order answer the script asks for
+    passes its flow certificate, and none fails."""
     spec = importlib.util.spec_from_file_location(
         "oracle_agreement", SCRIPTS / "oracle_agreement.py"
     )
@@ -23,3 +24,6 @@ def test_oracle_agreement_has_no_disagreements(capsys):
     for kind in ("total_order", "partial_order", "preference_cnf"):
         assert f"{kind}: 200 games x 2 queries: 0 disagreements" in out
         assert re.search(rf"{kind}: 200 games x 2 queries: 0 disagreements, [1-9]\d* yes profiles verified", out)
+        assert re.search(rf"{kind}: .* order answers certified, 0 certificate failures", out)
+    for kind in ("total_order", "partial_order"):
+        assert re.search(rf"{kind}: .* [1-9]\d* order answers certified", out)

@@ -12,7 +12,7 @@ from conftest import (
     satisfies_space,
     stochastic_dominance,
 )
-from ordineq import equilibrium, verifier
+from ordineq import equilibrium, typespaces, verifier
 from ordineq.cli import EXIT_NO, EXIT_YES, run_cli
 from ordineq.errors import UnknownOutcome, ValidationError
 from ordineq.equilibrium import Eore, solve
@@ -20,6 +20,7 @@ from ordineq.fixture_suite import load_game, load_profile
 from ordineq.gamedoc import serialize_game, serialize_profile
 from ordineq.games import (
     FiniteTypes,
+    GameForm,
     MediatedProfile,
     PartialOrder,
     PreferenceCnf,
@@ -182,8 +183,8 @@ def test_verify_rejects_the_distribution_profile_with_gap():
     from ordineq import equilibrium as eq
 
     gain = gain_vector(game, 0, "Down", profile.p, {("Center",): HALF, ("Right",): HALF})
-    down = eq.make_oracle(spaces[0], game.outcomes)(gain)
-    assert down is not None and down[0] == Fraction(1, 10)
+    down, flow = eq.make_oracle(spaces[0], game.outcomes)(gain)
+    assert down is not None and down[0] == Fraction(1, 10) and flow is None
 
 
 def test_verify_accepts_pure_sustained_profiles():
@@ -234,16 +235,20 @@ def test_verify_validates_its_spaces():
 @pytest.mark.parametrize("as_partial", [False, True])
 def test_cross_check_catches_a_wrong_order_oracle(monkeypatch, as_partial):
     """An oracle that overstates the gain of each player's last deviation is
-    caught: the enumerated types serve every deviation of the player.  The
-    oracle sees only the gain vector, and answers each vector once per
-    call, so it recognizes the last deviations by their gain vectors
-    (`gain_vectors`), which no earlier deviation of the robust profile
-    shares."""
+    caught: its witness does not attain the gain it reports.  The oracle
+    sees only the gain vector, and answers each vector once per call, so it
+    recognizes the last deviations by their gain vectors (`gain_vectors`),
+    which no earlier deviation of the robust profile shares.  An oracle
+    that understates every gain as no gain, handing on its true flow, is
+    caught on a profile that a defection beats: that flow bounds the gain
+    by more than 0."""
     game, spaces, _ = load_game("prisoners_dilemma_rich")
     if as_partial:
         spaces = tuple(PartialOrder(tuple(zip(s.order, s.order[1:]))) for s in spaces)
     profile = load_profile("prisoners_dilemma_rich_eq", game)
+    beaten = point_profile(game, ("c1", "c1"))
     assert verifier.verify(game, spaces, profile).is_equilibrium
+    assert not verifier.verify(game, spaces, beaten).is_equilibrium
     _, gains = equilibrium.gain_vectors(game, profile)
     vectors = [[tuple(g[o] for o in game.outcomes) for g in by_action.values()] for by_action in gains]
     last = {v[-1] for v in vectors}
@@ -251,21 +256,73 @@ def test_cross_check_catches_a_wrong_order_oracle(monkeypatch, as_partial):
     name = "separation_oracle_partial" if as_partial else "separation_oracle_total"
     true_oracle = getattr(equilibrium, name)
 
-    def wrong(spec, outcomes, gain):
+    def overstating(spec, outcomes, gain):
+        hit, flow = true_oracle(spec, outcomes, gain)
         if tuple(gain[o] for o in outcomes) not in last:
-            return true_oracle(spec, outcomes, gain)
-        return ONE, {o: ONE for o in outcomes}
+            return hit, flow
+        return (ONE, {o: ONE for o in outcomes}), flow
 
-    monkeypatch.setattr(equilibrium, name, wrong)
-    with pytest.raises(AssertionError, match="disagrees with enumeration"):
+    def understating(spec, outcomes, gain):
+        return None, true_oracle(spec, outcomes, gain)[1]
+
+    monkeypatch.setattr(equilibrium, name, overstating)
+    with pytest.raises(AssertionError, match="does not attain its gain"):
         verifier.verify(game, spaces, profile)
+    monkeypatch.setattr(equilibrium, name, understating)
+    assert verifier.verify(game, spaces, profile).is_equilibrium
+    with pytest.raises(AssertionError, match="differs from its flow's bound"):
+        verifier.verify(game, spaces, beaten)
+
+
+def _fourteen_outcome_game():
+    """A 2 x 7 game with one outcome per cell, o<row><column>, and the same
+    partial order for both players: the outcomes in row-major order, each
+    at least the next, with one pair listed twice and one self-pair."""
+    rows, cols = ("r0", "r1"), tuple(f"c{k}" for k in range(7))
+    cells = [(r, c) for r in rows for c in cols]
+    outcomes = tuple(f"o{r[1]}{c[1]}" for r, c in cells)
+    game = GameForm((rows, cols), outcomes, dict(zip(cells, outcomes)))
+    pairs = tuple(zip(outcomes, outcomes[1:])) + ((outcomes[3], outcomes[4]), (outcomes[5], outcomes[5]))
+    return game, (PartialOrder(pairs), PartialOrder(pairs))
+
+
+def test_a_wrong_partial_order_oracle_is_caught_beyond_enumeration(monkeypatch):
+    """Beyond ENUM_CROSS_CHECK_LIMIT outcomes, which no enumeration covers,
+    an oracle that overstates every gain and one that understates every
+    gain with an empty flow both make `verify` raise.  The point mass on
+    the cell both players rank first is robust; the one on the cell they
+    rank last is beaten by the row player's move up."""
+    game, spaces = _fourteen_outcome_game()
+    assert len(game.outcomes) == 14 > verifier.ENUM_CROSS_CHECK_LIMIT
+    robust = point_profile(game, ("r0", "c0"))
+    beaten = point_profile(game, ("r1", "c6"))
+    assert verifier.verify(game, spaces, robust).is_equilibrium
+    assert verifier.verify(game, spaces, beaten).violation.player == 0
+    true_oracle = equilibrium.separation_oracle_partial
+
+    def overstating(spec, outcomes, gain):
+        hit, flow = true_oracle(spec, outcomes, gain)
+        return (ONE if hit is None else hit[0] + 1, {o: ONE for o in outcomes}), flow
+
+    def understating(spec, outcomes, gain):
+        return None, {}
+
+    monkeypatch.setattr(equilibrium, "separation_oracle_partial", overstating)
+    for profile in (robust, beaten):
+        with pytest.raises(AssertionError, match="does not attain its gain"):
+            verifier.verify(game, spaces, profile)
+    monkeypatch.setattr(equilibrium, "separation_oracle_partial", understating)
+    for profile in (robust, beaten):
+        with pytest.raises(AssertionError, match="differs from its flow's bound"):
+            verifier.verify(game, spaces, profile)
 
 
 def test_types_are_enumerated_only_for_players_reached(monkeypatch):
     """A profile whose first player already violates never enumerates the
-    later players' types: each player's are enumerated when its first
+    later players' CNF models: each player's are enumerated when its first
     deviation comes up."""
     game, spaces, _ = load_game("matching_pennies_symmetric")
+    spaces = tuple(PreferenceCnf(tuple(((a, b),) for a, b in zip(s.order, s.order[1:]))) for s in spaces)
     profile = MediatedProfile({("Top", "Right"): ONE}, ({("Left",): ONE}, {("Top",): ONE}))
     enumerated = []
 
@@ -276,6 +333,87 @@ def test_types_are_enumerated_only_for_players_reached(monkeypatch):
     monkeypatch.setattr(verifier, "enumerate_extreme_types", recording)
     assert verifier.verify(game, spaces, profile).violation.player == 0
     assert enumerated == [spaces[0]]
+    enumerated.clear()
+    robust = load_profile("matching_pennies_symmetric_eq", game)
+    assert verifier.verify(game, spaces, robust).is_equilibrium
+    assert enumerated == list(spaces)
+
+
+def test_verify_never_enumerates_order_spaces(monkeypatch):
+    """Total and partial orders are checked by their flows alone: `verify`
+    enumerates no 0/1 types for them, on robust and on beaten profiles."""
+
+    def refuse(spec, outcomes):
+        raise AssertionError("enumerated an order space")
+
+    monkeypatch.setattr(verifier, "enumerate_extreme_types", refuse)
+    monkeypatch.setattr(typespaces, "enumerate_extreme_types", refuse)
+    rng = random.Random(37)
+    verdicts = set()
+    for kind in ("total_order", "partial_order"):
+        for _ in range(30):
+            game, spaces = random_game(rng.randint(0, 10**9), max_actions=3, max_outcomes=6, kind=kind)
+            verdicts.add(verifier.verify(game, spaces, random_profile_point(rng, game)).is_equilibrium)
+    game, spaces = _fourteen_outcome_game()
+    verdicts.add(verifier.verify(game, spaces, point_profile(game, ("r0", "c0"))).is_equilibrium)
+    assert verdicts == {False, True}
+
+
+def _random_order_case(rng):
+    """Outcomes o0..o<n-1>, n in 2..24, a partial order on them whose pairs
+    may repeat, be self-pairs or close cycles, and an integer gain."""
+    n = rng.randint(2, 24)
+    outcomes = tuple(f"o{k}" for k in range(n))
+    pairs = [tuple(rng.sample(outcomes, 2)) for _ in range(rng.randint(0, 2 * n))]
+    if pairs and rng.random() < 0.5:
+        pairs.append(rng.choice(pairs))
+    if rng.random() < 0.3:
+        o = rng.choice(outcomes)
+        pairs.append((o, o))
+    if rng.random() < 0.3:
+        cycle = rng.sample(outcomes, rng.randint(2, min(n, 4)))
+        pairs += zip(cycle, cycle[1:] + cycle[:1])
+    rng.shuffle(pairs)
+    gain = {o: rng.randint(-9, 9) for o in outcomes}
+    return outcomes, PartialOrder(tuple(pairs)), gain
+
+
+@pytest.mark.parametrize("kind", ["total_order", "partial_order"])
+def test_order_certificates_prove_the_maximum(kind):
+    """On random orders over 2-24 outcomes, every oracle answer's flow
+    passes `check_flow`, and up to ENUM_CROSS_CHECK_LIMIT outcomes its
+    amount is the maximum over the enumerated 0/1 types.  The same flow
+    does not certify a changed answer: no hit for a hit, or a hit one
+    larger; and a flow on a pair the order lacks is refused."""
+    rng = random.Random(41 if kind == "total_order" else 43)
+    oracle = getattr(equilibrium, "separation_oracle_" + kind.split("_")[0])
+    enumerated = hits = 0
+    for _ in range(300):
+        outcomes, spec, gain = _random_order_case(rng)
+        if kind == "total_order":
+            order = list(outcomes)
+            rng.shuffle(order)
+            spec = TotalOrder(tuple(order))
+        hit, flow = oracle(spec, outcomes, gain)
+        verifier.check_flow(spec, outcomes, gain, hit, flow)
+        amount = 0 if hit is None else hit[0]
+        if len(outcomes) <= verifier.ENUM_CROSS_CHECK_LIMIT:
+            types = enumerate_extreme_types(spec, outcomes)
+            assert amount == max(sum(gain[o] * u[o] for o in outcomes) for u in types)
+            enumerated += 1
+        if hit is not None:
+            hits += 1
+            with pytest.raises(AssertionError):
+                verifier.check_flow(spec, outcomes, gain, None, flow)
+        with pytest.raises(AssertionError):
+            top = (amount + 1, dict.fromkeys(outcomes, 1))
+            verifier.check_flow(spec, outcomes, gain, top, flow)
+        pairs = set(zip(spec.order, spec.order[1:])) if kind == "total_order" else set(spec.pairs)
+        stray = next(((a, b) for a in outcomes for b in outcomes if (a, b) not in pairs), None)
+        if stray is not None:
+            with pytest.raises(AssertionError, match="not on a pair"):
+                verifier.check_flow(spec, outcomes, gain, hit, {**flow, stray: 1})
+    assert enumerated > 100 and hits > 100
 
 
 def test_verify_agrees_with_extreme_type_brute_force():
