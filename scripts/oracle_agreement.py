@@ -18,6 +18,14 @@ over the enumerated types, or it counts as a disagreement.  The verifier
 checks the same flows, and the CNF oracle's answers against its own scan
 of the enumerated models; a `verify` call that raises counts as a
 certificate failure.
+A distribution order's witnesses are the vertices of a polytope, not 0/1
+types, so its games are solved by the lazy route only and every yes
+profile is verified.  At each yes profile and at one random profile per
+trial, its oracle, which keeps u <= 1 as column bounds of a boxed
+tableau, is asked about every deviation's gain; its amount must equal the
+optimum of a fresh row-form LP of the same polytope, a plain
+`linprog.Tableau` with an explicit u(o) <= 1 row per outcome, or it counts
+as a disagreement.
 
 Usage: python scripts/oracle_agreement.py [--trials N] [--seed S]
        [--max-actions A] [--max-outcomes O]
@@ -31,13 +39,13 @@ import argparse
 import random
 import time
 
-from ordineq import equilibrium, verifier
+from ordineq import equilibrium, linprog, verifier
 from ordineq.games import FiniteTypes
 from ordineq.randgen import random_game, random_profile_point
 from ordineq.typespaces import enumerate_extreme_types
 
 
-KINDS = ("total_order", "partial_order", "preference_cnf")
+KINDS = ("total_order", "partial_order", "preference_cnf", "distribution_order")
 ORDER_KINDS = ("total_order", "partial_order")
 
 
@@ -63,10 +71,39 @@ def _certify(game, spaces, finite, profile, label: str) -> tuple[int, int, int]:
     return answers, failures, disagreements
 
 
+def _row_form_max(spec, outcomes, gain) -> int:
+    """The largest gain over a distribution order's polytope, at least 0
+    (u = 0 is in it), from a fresh plain tableau of its rows: one row
+    r1·u - r2·u >= 0 per pair and one u(o) <= 1 per outcome."""
+    n = len(outcomes)
+    rows = [
+        linprog.constraint([r1.get(o, 0) - r2.get(o, 0) for o in outcomes], linprog.GE, 0)
+        for r1, r2 in spec.pairs
+    ]
+    rows += (linprog.constraint([int(j == k) for j in range(n)], linprog.LE, 1) for k in range(n))
+    out = linprog.Tableau(n, rows).optimize((tuple(gain[o] for o in outcomes), linprog.MAX))
+    return out.objective_value
+
+
+def _check_dist(game, spaces, profile, label: str) -> tuple[int, int]:
+    """Check the distribution-order oracles' answer to every deviation's
+    gain at `profile` against a row-form LP (`_row_form_max`).  Returns
+    (answers, disagreements)."""
+    lazy = [equilibrium.make_oracle(s, game.outcomes) for s in spaces]
+    answers = disagreements = 0
+    for i, a, _, gain, hit, _ in equilibrium.deviation_hits(game, lazy, profile):
+        answers += 1
+        want = _row_form_max(spaces[i], game.outcomes, gain)
+        if (0 if hit is None else hit[0]) != want:
+            disagreements += 1
+            print(f"DISAGREE {label} player={i} deviation={a}: boxed={hit} row-form={want}")
+    return answers, disagreements
+
+
 def _agreement(kind: str, args) -> tuple[int, int]:
     """Run every trial for one space kind; return its disagreement and
     certificate failure counts."""
-    disagreements = verified = certified = failures = 0
+    disagreements = verified = certified = checked = failures = 0
     t0 = time.monotonic()
     for trial in range(args.trials):
         game, spaces = random_game(
@@ -75,24 +112,29 @@ def _agreement(kind: str, args) -> tuple[int, int]:
             max_outcomes=args.max_outcomes,
             kind=kind,
         )
-        finite = tuple(
-            FiniteTypes(tuple(enumerate_extreme_types(s, game.outcomes)))
-            for s in spaces
-        )
+        finite = None
+        if kind != "distribution_order":
+            finite = tuple(
+                FiniteTypes(tuple(enumerate_extreme_types(s, game.outcomes)))
+                for s in spaces
+            )
         target = tuple(acts[0] for acts in game.action_sets)
         profiles = [random_profile_point(random.Random(args.seed + trial), game)]
         for query in (equilibrium.Eore(), equilibrium.Sire(target)):
             lazy = equilibrium.solve(game, spaces, query)
-            explicit = equilibrium.solve(game, finite, query)
-            got = (lazy.answer, lazy.value)
-            want = (explicit.answer, explicit.value)
-            if got != want:
-                disagreements += 1
-                print(
-                    f"DISAGREE {kind} trial={args.seed + trial} query={query}: "
-                    f"lazy={got} explicit={want}"
-                )
-            for route, result in (("lazy", lazy), ("explicit", explicit)):
+            routes = [("lazy", lazy)]
+            if finite is not None:
+                explicit = equilibrium.solve(game, finite, query)
+                routes.append(("explicit", explicit))
+                got = (lazy.answer, lazy.value)
+                want = (explicit.answer, explicit.value)
+                if got != want:
+                    disagreements += 1
+                    print(
+                        f"DISAGREE {kind} trial={args.seed + trial} query={query}: "
+                        f"lazy={got} explicit={want}"
+                    )
+            for route, result in routes:
                 if result.profile is None:
                     continue
                 profiles.append(result.profile)
@@ -109,17 +151,22 @@ def _agreement(kind: str, args) -> tuple[int, int]:
                         f"REJECTED {kind} trial={args.seed + trial} query={query}: "
                         f"{route} profile, {report.violation}"
                     )
-        if kind in ORDER_KINDS:
-            for profile in profiles:
-                counts = _certify(game, spaces, finite, profile, f"{kind} trial={args.seed + trial}")
+        label = f"{kind} trial={args.seed + trial}"
+        for profile in profiles:
+            if kind in ORDER_KINDS:
+                counts = _certify(game, spaces, finite, profile, label)
                 certified += counts[0]
                 failures += counts[1]
                 disagreements += counts[2]
+            elif kind == "distribution_order":
+                counts = _check_dist(game, spaces, profile, label)
+                checked += counts[0]
+                disagreements += counts[1]
     dt = time.monotonic() - t0
     print(
         f"{kind}: {args.trials} games x 2 queries: {disagreements} disagreements, "
-        f"{verified} yes profiles verified, {certified} order answers certified, "
-        f"{failures} certificate failures ({dt:.2f}s)"
+        f"{verified} yes profiles verified, {checked} distribution answers checked, "
+        f"{certified} order answers certified, {failures} certificate failures ({dt:.2f}s)"
     )
     return disagreements, failures
 

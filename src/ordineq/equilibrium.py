@@ -39,10 +39,12 @@ gain comes up again, as it does for deviations whose outcomes against the
 punishment are the same.  The answer is the exact maximum over a fixed
 witness family, a function of the gain alone, so reusing it changes no
 answer and no value.
-A distribution order's oracle is one LP tableau of its polytope that each
-new gain re-prices (`linprog.Tableau.optimize`), so every call to `solve`,
-`verify` or `find_pure_unmediated` builds its own oracles and drops them,
-with their answers, when it returns.
+A distribution order's oracle is one boxed LP tableau of its polytope,
+which keeps the bounds u <= 1 on its columns, not as rows
+(`distribution_polytope`), and which each new gain re-prices
+(`linprog.Tableau.optimize`), so every call to `solve`, `verify` or
+`find_pure_unmediated` builds its own oracles and drops them, with their
+answers, when it returns.
 """
 
 from __future__ import annotations
@@ -260,25 +262,23 @@ def separation_oracle_partial(
 
 
 def distribution_polytope(spec: DistributionOrder, outcomes: tuple[str, ...]) -> linprog.Tableau:
-    """The tableau of a distribution order's polytope in [0,1]^O: one row
-    r1·u - r2·u >= 0 per pair, then u(o) <= 1 per outcome.  Every row starts
-    on its slack (`linprog.Tableau`), so its first basis is the vertex 0 and
-    no phase 1 runs."""
+    """The boxed tableau (`linprog.Tableau(..., boxed=True)`) of a
+    distribution order's polytope in [0,1]^O: one row r1·u - r2·u >= 0 per
+    pair, in integer numerators over the lcm of the pair's weight
+    denominators, and no row for the box u <= 1, which the tableau keeps on
+    its columns.  Every row starts on its slack, so its first basis is the
+    vertex 0 and no phase 1 runs."""
     idx = {name: k for k, name in enumerate(outcomes)}
     n = len(outcomes)
     rows = []
     for r1, r2 in spec.pairs:
+        den = math.lcm(*(w.denominator for r in (r1, r2) for w in r.values()))
         row = [0] * n
-        for name, w in r1.items():
-            row[idx[name]] += w
-        for name, w in r2.items():
-            row[idx[name]] -= w
+        for sign, r in ((1, r1), (-1, r2)):
+            for name, w in r.items():
+                row[idx[name]] += sign * w.numerator * (den // w.denominator)
         rows.append(linprog.constraint(row, linprog.GE, 0))
-    for k in range(n):
-        row = [0] * n
-        row[k] = 1
-        rows.append(linprog.constraint(row, linprog.LE, 1))
-    return linprog.Tableau(n, rows)
+    return linprog.Tableau(n, rows, boxed=True)
 
 
 def separation_oracle_dist(
@@ -287,12 +287,15 @@ def separation_oracle_dist(
     """Best witness in a distribution order's polytope
     (`distribution_polytope`), by phase 2 from the polytope's current
     basis.  The polytope contains 0 and is bounded, so the optimum exists;
-    the returned witness is a vertex of it."""
+    the returned witness is a vertex of it.  The vertex is read
+    (`linprog.Tableau.point`) only when the optimum is positive, so a
+    miss, which every call is in `verify` of a robust profile, builds no
+    `Fraction` of it."""
     out = polytope.optimize((tuple(gain[o] for o in outcomes), linprog.MAX))
     if out.status != linprog.FEASIBLE:
         raise AssertionError(f"distribution-order LP is {out.status}; 0 is always feasible")
     if out.objective_value > 0:
-        return out.objective_value, dict(zip(outcomes, out.assignment))
+        return out.objective_value, dict(zip(outcomes, polytope.point()))
     return None
 
 
@@ -430,11 +433,12 @@ def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
     stored answer repeat a cut in `solve`: a stored hit that gains at the
     current point would mean the point violates a cut it already
     satisfies.  A stored flow certifies the stored hit, as it did when it
-    was found.  A distribution order's oracle keeps one tableau of its
-    polytope, and each new gain starts from the basis the last one ended
-    on.  So `solve`, `verify` and `find_pure_unmediated` build one oracle
-    per space per call, and the dict and the tableau go with it when the
-    call returns.  Every new gain looks its kind's function up on this
+    was found.  A distribution order's oracle keeps one boxed tableau of
+    its polytope (`distribution_polytope`), and each new gain starts from
+    the basis, and the flipped columns, the last one ended on.  So
+    `solve`, `verify` and `find_pure_unmediated` build one oracle per
+    space per call, and the dict and the tableau go with it when the call
+    returns.  Every new gain looks its kind's function up on this
     module."""
     if isinstance(spec, FiniteTypes):
         search = lambda gain: (finite_scan_oracle(spec, outcomes, gain), None)
@@ -520,7 +524,7 @@ def solve(
             return SolveResult(answer=False)
         if out.status != linprog.FEASIBLE:
             raise AssertionError(f"master LP is {out.status}; the (p, q) polytope is bounded")
-        profile = layout.decode(out.assignment)
+        profile = layout.decode(tableau.point())
 
         hits = [
             (i, a, hit[1])

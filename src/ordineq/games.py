@@ -8,6 +8,7 @@ Type spaces are per-player and may be heterogeneous.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -175,20 +176,26 @@ def validate_profile(game: GameForm, profile: MediatedProfile) -> None:
 
 def check_distribution(dist: Mapping, support: set, name: str) -> None:
     """Raise ValidationError unless `dist` is a distribution over `support`
-    (profiles, or outcomes) with exact rational weights."""
-    total = 0
+    (profiles, or outcomes) with exact rational weights.  The weights are
+    summed as integer numerators over the lcm of their denominators, which
+    grows as they come, so no `Fraction` is added."""
+    num, den = 0, 1
     for key, w in dist.items():
         if key not in support:
             raise ValidationError(f"{name} has weight on unknown profile {key}")
         try:
-            negative = w.numerator < 0
+            wn, wd = w.numerator, w.denominator
         except AttributeError:
             raise ValidationError(f"{name} weight {w!r} on {key} is not rational") from None
-        if negative:
+        if wn < 0:
             raise ValidationError(f"{name} has negative weight on {key}")
-        total += w
-    if total != 1:
-        raise ValidationError(f"{name} sums to {total}, expected 1")
+        if den % wd:
+            lcm = math.lcm(den, wd)
+            num *= lcm // den
+            den = lcm
+        num += wn * (den // wd)
+    if num != den:
+        raise ValidationError(f"{name} sums to {Fraction(num, den)}, expected 1")
 
 
 def check_unit_interval(values: Mapping, name: str) -> None:

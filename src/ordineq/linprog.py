@@ -1,6 +1,11 @@
 """Exact linear programming over rationals.
 
-Every variable is nonnegative; an upper bound or any other limit is a row.
+Every variable is nonnegative, and any other limit is a row, except on a
+boxed tableau (`Tableau(..., boxed=True)`), where every structural
+variable also lies at most at 1 and that bound is kept on the column
+instead (Dantzig's upper-bounding technique, 1955): a column whose
+variable x_j sits at its bound is complemented, i.e. it stands for
+x'_j = 1 - x_j, so the box costs no row and no slack column.
 A dense simplex, primal in two phases and dual for added rows, with
 Bland's rule in every phase, so termination is unconditional (no cycling)
 and no epsilon appears anywhere.  Every feasible answer is a basic
@@ -16,7 +21,8 @@ positive right-hand side; an LP of only such rows starts at its vertex 0.
 There is one simplex path, in three steps.  A `Tableau` reads the rows and
 makes them feasible, by phase 1 if any row needs it, once.  Its `optimize`
 prices an objective against the current basis (subtracting each basic row
-times the objective's entry in its column) and runs phase 2 from there.
+times the objective's entry in its column) and runs phase 2 from there;
+its `point` reads the basic solution the last call ended on.
 The basis an optimization ends on is kept, and it is primal feasible for
 any objective, so a caller that asks many objectives over the same rows,
 as a distribution order's separation oracle does, pays phase-2 pivots
@@ -32,7 +38,8 @@ column of minimum ratio cost_j / -a_rj over a_rj < 0, ties to the lowest
 column.  A negative row with no negative entry proves the rows infeasible.
 The cutting-plane loop of `equilibrium.solve` keeps one tableau per call
 and adds each round's cuts this way, so no row is read or made feasible
-twice.
+twice.  A boxed tableau takes no added rows: no caller needs a dual
+simplex with bounds.
 
 The tableau is dense and exact: each row, with its right-hand side last,
 is a list of integer numerators over one positive row denominator, and the
@@ -40,9 +47,13 @@ objective row being minimized is the tableau's last row while a phase
 runs.  One integer pivot serves the primal and dual loops, the drive-out
 of artificials and the pricing, so the arithmetic is plain integer work
 with one gcd reduction per row; ratios are compared by cross-multiplying.
+Complementing a column negates its entry in every row, the objective row
+included, and subtracts the old entry from the row's right-hand side; the
+row denominators stay, and so does each row's gcd.
 Fractions appear only where rows or an objective are read and where the
-`LpOutcome` is built.  Problems here are desk-scale (tens of variables,
-at most a few hundred rows), so a dense tableau is entirely adequate.
+`LpOutcome` or the point is built.  Problems here are desk-scale (tens of
+variables, at most a few hundred rows), so a dense tableau is entirely
+adequate.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ from typing import Optional, Sequence
 from .errors import MalformedLp
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 LE = "<="
 EQ = "="
@@ -85,8 +97,10 @@ def constraint(coeffs: Sequence, rel: str, rhs) -> Constraint:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """An optimization's status and, for an optimum, its value; the point
+    is `Tableau.point()`."""
+
     status: str
-    assignment: Optional[tuple[Fraction, ...]] = None
     objective_value: Optional[Fraction] = None
 
 
@@ -149,16 +163,43 @@ def _pivot(T, basis, r, c) -> None:
     basis[r] = c
 
 
-def _simplex_min(T, basis) -> bool:
+def _flip(T, flipped, c) -> None:
+    """Complement boxed column c, x_c = 1 - x'_c: negate its entry in every
+    row of T, objective rows included, and subtract the old entry from
+    the row's right-hand side."""
+    for nums, _ in T:
+        f = nums[c]
+        if f:
+            nums[c] = -f
+            nums[-1] -= f
+    flipped[c] = not flipped[c]
+
+
+def _simplex_min(T, basis, flipped) -> bool:
     """Minimize the objective in the last row of T; False if unbounded.
 
     The other rows are the constraint rows, one per entry of the basis.
     The objective row holds reduced costs and, last, minus the current
-    value.  Bland's rule: entering = lowest-index column with negative
-    reduced cost; leaving = lowest basis index among minimum-ratio rows.
+    value.  The first len(flipped) columns are boxed in [0, 1]; flipped[j]
+    says whether column j is complemented.  Bland's rule: entering =
+    lowest-index column with negative reduced cost.  It rises until a
+    basic variable reaches 0 (a positive entry) or, if boxed, 1 (a
+    negative entry), or until it reaches its own bound 1 if it is boxed.
+    The smallest of these steps wins; a tie goes to the entering bound,
+    then to the row of lowest basis index.  A stop at the entering bound
+    flips the column (`_flip`) and changes no basis.  A stop at a basic
+    variable's 1 flips that column, where only its own row is nonzero, and
+    pivots.
+
+    Termination: a flip is a step of length 1 at a negative reduced cost,
+    so it strictly lowers the objective, as a nondegenerate pivot does.
+    Only degenerate pivots (step 0) keep the objective, and they follow
+    Bland's rule, which cannot cycle (Bland 1977).  So no basis and
+    complement pattern repeats.
     """
     m = len(basis)
     w = len(T[-1][0]) - 1
+    nb = len(flipped)
     while True:
         on = T[-1][0]
         c = None
@@ -168,20 +209,33 @@ def _simplex_min(T, basis) -> bool:
                 break
         if c is None:
             return True
+        # The step is sn/sd, sd > 0: the entering bound 1/1, or b_i/a_ic
+        # (to 0) or (1 - b_i)/-a_ic (to 1), whose row denominators cancel.
         r = None
+        sn, sd = (1, 1) if c < nb else (None, None)
         for i in range(m):
-            row = T[i][0]
-            if row[c] > 0:
-                if r is None:
-                    r, best = i, row
-                else:
-                    # compare b_i/a_ic with b_r/a_rc; denominators cancel
-                    lhs = row[w] * best[c]
-                    rhs = best[w] * row[c]
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                        r, best = i, row
-        if r is None:
+            row, den = T[i]
+            a = row[c]
+            if a > 0:
+                tn, td = row[w], a
+            elif a < 0 and basis[i] < nb:
+                tn, td = den - row[w], -a
+            else:
+                continue
+            if sn is None:
+                r, sn, sd = i, tn, td
+                continue
+            lhs = tn * sd
+            rhs = sn * td
+            if lhs < rhs or (lhs == rhs and r is not None and basis[i] < basis[r]):
+                r, sn, sd = i, tn, td
+        if sn is None:
             return False
+        if r is None:
+            _flip(T, flipped, c)
+            continue
+        if T[r][0][c] < 0:
+            _flip(T, flipped, basis[r])
         _pivot(T, basis, r, c)
 
 
@@ -229,14 +283,24 @@ class Tableau:
     """The rows of an LP in standard form over a feasible basis, found once
     by the flip and, if some row needs it, phase 1 (see the module
     docstring).  `optimize` re-prices an objective against the kept basis
-    and runs phase 2 from it; `add_rows` adds `>= 0` rows and restores
-    feasibility by dual simplex.  `feasible` is False, for good, once
-    phase 1 or the dual simplex finds the rows infeasible.
+    and runs phase 2 from it, and `point` reads the basic solution;
+    `add_rows` adds `>= 0` rows and restores feasibility by dual simplex.
+    `feasible` is False, for good, once phase 1 or the dual simplex finds
+    the rows infeasible.
+
+    With `boxed`, every one of the num_vars variables lies in [0, 1]
+    without a row for it: the first num_vars columns are boxed, and
+    `flipped[j]` says whether column j stands for 1 - x_j (see
+    `_simplex_min`).  Both phases honour the box, and `optimize` prices an
+    objective through the flipped columns.  A boxed tableau takes no
+    added rows.
     """
 
-    def __init__(self, num_vars: int, constraints: Sequence[Constraint]):
+    def __init__(self, num_vars: int, constraints: Sequence[Constraint], boxed: bool = False):
         _validate_rows(num_vars, constraints)
         self.num_vars = num_vars
+        self.boxed = boxed
+        self.flipped = [False] * num_vars if boxed else []
 
         # Each row, right-hand side last, as integers, with rhs >= 0 and
         # no `>=` row of rhs 0.
@@ -289,7 +353,7 @@ class Tableau:
         for i in range(m):
             if basis[i] >= n_struct:
                 _pivot(T, basis, i, basis[i])  # price out the artificial
-        if not _simplex_min(T, basis):
+        if not _simplex_min(T, basis, self.flipped):
             raise AssertionError("phase 1 is unbounded; it is bounded below by 0")
         if T.pop()[0][-1] < 0:  # minus a positive phase-1 value
             self.feasible = False
@@ -309,10 +373,11 @@ class Tableau:
 
     def optimize(self, objective: Optional[tuple[tuple[Fraction, ...], str]]) -> LpOutcome:
         """Optimize (coefficient vector, "max" | "min") over the rows, or,
-        for None, return the current basic solution.  The basis the call
-        ends on is kept for the next call, and so are the reduced costs of
-        an optimum (all zero for None or an unbounded objective) for
-        `add_rows`."""
+        for None, stay on the current basis; `point` reads where the call
+        ends.  The basis the call ends on is kept for the next call, and so
+        are the reduced costs of an optimum (all zero for None or an
+        unbounded objective) for `add_rows`.  On a boxed tableau, a flipped
+        column j prices c_j x_j as c_j - c_j x'_j."""
         n = self.num_vars
         if objective is not None:
             _validate_objective(n, objective)
@@ -329,28 +394,43 @@ class Tableau:
             if direction == MAX:
                 nums = [-v for v in nums]
             on = nums[:n] + [0] * (self.width - n) + nums[n:]
+            for j, f in enumerate(self.flipped):
+                if f and on[j]:
+                    on[-1] -= on[j]
+                    on[j] = -on[j]
             T.append(_eliminate(on, den, T, basis))
-            bounded = _simplex_min(T, basis)
+            bounded = _simplex_min(T, basis, self.flipped)
             on, den = T.pop()
             if not bounded:
                 return LpOutcome(UNBOUNDED)
             self.cost = (on, den)
-            value = Fraction(-on[-1], den)
-            if direction == MAX:
-                value = -value
+            # The last entry is minus the internal minimum.
+            value = Fraction(on[-1] if direction == MAX else -on[-1], den)
+        return LpOutcome(FEASIBLE, value)
 
-        x = [ZERO] * n
-        for (nums, den), bi in zip(T, basis):
-            if bi < n:
-                x[bi] = Fraction(nums[-1], den)
-        return LpOutcome(FEASIBLE, tuple(x), value)
+    def point(self) -> Optional[tuple[Fraction, ...]]:
+        """The basic solution the tableau stands on, a vertex of the rows'
+        polyhedron, or None once the rows are infeasible.  A nonbasic
+        variable is 0, or 1 if its column is flipped; a basic one reads its
+        row's right-hand side b, or 1 - b if its column is flipped."""
+        if not self.feasible:
+            return None
+        flipped = self.flipped
+        x = [ONE if f else ZERO for f in flipped] if flipped else [ZERO] * self.num_vars
+        for (nums, den), bi in zip(self.rows, self.basis):
+            if bi < self.num_vars:
+                b = nums[-1]
+                x[bi] = Fraction(den - b if flipped and flipped[bi] else b, den)
+        return tuple(x)
 
     def add_rows(self, constraints: Sequence[Constraint]) -> None:
         """Add rows c · x >= 0, each as -c · x <= 0 on a new slack column
         that is basic in it, and restore feasibility by a dual simplex
         against the kept reduced costs (see the module docstring).  A row
         that the current point violates starts at a negative right-hand
-        side."""
+        side.  A boxed tableau raises MalformedLp."""
+        if self.boxed:
+            raise MalformedLp("rows cannot be added to a boxed tableau")
         n = self.num_vars
         for k, c in enumerate(constraints):
             if len(c.coeffs) != n:

@@ -36,7 +36,6 @@ from ordineq.linprog import (
     MAX,
     MIN,
     Constraint,
-    LpOutcome,
     Tableau,
     constraint as make_constraint,
 )
@@ -85,10 +84,23 @@ class LinearProgram:
     objective: Optional[tuple[tuple[Fraction, ...], str]] = None
 
 
-def lp_solve(lp: LinearProgram) -> LpOutcome:
+@dataclass(frozen=True)
+class LpSolution:
+    """An LP's status, its point (None when infeasible or unbounded) and
+    its optimal value (None without an objective)."""
+
+    status: str
+    assignment: Optional[tuple[Fraction, ...]] = None
+    objective_value: Optional[Fraction] = None
+
+
+def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve an exact LP: feasibility, or optimization when an objective is
-    set.  One `Tableau` of the rows, optimized once."""
-    return Tableau(lp.num_vars, lp.constraints).optimize(lp.objective)
+    set.  One `Tableau` of the rows, optimized once, and its point."""
+    tableau = Tableau(lp.num_vars, lp.constraints)
+    out = tableau.optimize(lp.objective)
+    point = tableau.point() if out.status == FEASIBLE else None
+    return LpSolution(out.status, point, out.objective_value)
 
 
 # ---------------------------------------------------------------------------

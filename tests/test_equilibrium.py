@@ -56,14 +56,15 @@ def _recorded_solve(monkeypatch, game, spaces, query) -> tuple[eq.SolveResult, l
     then every `add_rows` batch before that round's `optimize`, and the
     objective that `optimize` was handed.  The master is the one tableau
     built with the sum-to-one (`=`) rows; a distribution order's oracle
-    builds a tableau of its own, of inequality rows, and adds no rows.
+    builds a boxed tableau of its own, of inequality rows, and adds no
+    rows.
     Fails unless exactly one master tableau was built, and optimized at
     least once."""
     tableaux = []
 
     class Recording(linprog.Tableau):
-        def __init__(self, num_vars, constraints):
-            super().__init__(num_vars, constraints)
+        def __init__(self, num_vars, constraints, boxed=False):
+            super().__init__(num_vars, constraints, boxed=boxed)
             self.handed = list(constraints)
             self.rounds = []
             tableaux.append(self)
@@ -284,6 +285,45 @@ def test_dist_oracle_stays_exact_over_a_sequence_of_gains():
                     assert tuple(witness[o] for o in outcomes) in vertices
                     hits += 1
     assert hits > 500 and misses > 100
+
+
+def test_distribution_polytope_has_a_row_per_pair_and_a_miss_reads_no_vertex(monkeypatch):
+    """A distribution order's boxed tableau holds one row, and one slack
+    column, per pair, and none for u <= 1.  Its oracle reads the vertex
+    (`Tableau.point`) once per hit and never on a miss, and `verify` of a
+    robust profile, where every call is a miss, reads none."""
+    rng = random.Random(89)
+    reads = []
+    point = linprog.Tableau.point
+
+    def counted(tableau):
+        reads.append(tableau)
+        return point(tableau)
+
+    monkeypatch.setattr(linprog.Tableau, "point", counted)
+    hits = misses = robust = 0
+    for _ in range(25):
+        game, spaces = random_game(rng.randint(0, 10**9), max_outcomes=6, kind="distribution_order")
+        outcomes = game.outcomes
+        for spec in spaces:
+            polytope = eq.distribution_polytope(spec, outcomes)
+            assert polytope.boxed and polytope.feasible
+            assert len(polytope.rows) == len(spec.pairs)
+            assert polytope.width == len(outcomes) + len(spec.pairs)
+            for _ in range(20):
+                gain = {o: rng.randint(-4, 4) for o in outcomes}
+                reads.clear()
+                hit = eq.separation_oracle_dist(polytope, outcomes, gain)
+                assert reads == ([] if hit is None else [polytope])
+                hits += hit is not None
+                misses += hit is None
+        result = eq.solve(game, spaces, eq.Eore())
+        if result.answer:
+            reads.clear()
+            assert verifier.verify(game, spaces, result.profile).is_equilibrium
+            assert reads == []
+            robust += 1
+    assert hits > 100 and misses > 100 and robust > 5
 
 
 def test_oracle_silent_when_deviation_changes_nothing():

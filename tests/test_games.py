@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from ordineq.games import (
     FiniteTypes,
     GameForm,
     MediatedProfile,
+    check_distribution,
     opponents_profiles_of,
     outcome_distribution,
     profiles_of,
@@ -176,6 +178,41 @@ def test_profile_masses_validated():
     )
     with pytest.raises(ValidationError):
         validate_profile(game, negative)
+
+
+def test_a_sum_off_by_one_over_the_lcm_is_rejected_exactly():
+    """Weights over coprime and shared denominators that sum to 1 pass;
+    moving one weight by 1/lcm of the denominators is rejected, and the
+    message gives the exact total.  Unknown keys, inexact and negative
+    weights keep their own errors."""
+    rng = random.Random(29)
+    support = {f"k{j}" for j in range(6)}
+    checked = 0
+    while checked < 200:
+        dens = [rng.choice((2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 16)) for _ in range(rng.randint(1, 5))]
+        dist = {f"k{j}": Fraction(rng.randint(0, d), d) for j, d in enumerate(dens)}
+        last = 1 - sum(dist.values())
+        if last < 0:
+            continue
+        dist["k5"] = last
+        check_distribution(dist, support, "d")
+        lcm = math.lcm(*(w.denominator for w in dist.values()))
+        for off in (Fraction(1, lcm), Fraction(-1, lcm)):
+            key = rng.choice([k for k, w in dist.items() if w + off >= 0])
+            wrong = {**dist, key: dist[key] + off}
+            with pytest.raises(ValidationError, match=f"^d sums to {1 + off}, expected 1$"):
+                check_distribution(wrong, support, "d")
+            checked += 1
+    cases = {
+        "has weight on unknown profile x": {"x": ONE},
+        "weight 0.5 on k0 is not rational": {"k0": 0.5, "k1": ONE / 2},
+        "has negative weight on k1": {"k0": ONE + ONE, "k1": -ONE},
+        "sums to 0, expected 1": {},
+        "sums to 7/6, expected 1": {"k0": ONE / 2, "k1": Fraction(2, 3)},
+    }
+    for message, dist in cases.items():
+        with pytest.raises(ValidationError, match=f"^d {message}$"):
+            check_distribution(dist, support, "d")
 
 
 def test_finite_types_validated():

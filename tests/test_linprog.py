@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import LinearProgram, lp_brute_force, lp_solve, lp_vertices, random_boxed_lp
+from ordineq import linprog
 from ordineq.errors import MalformedLp
 from ordineq.linprog import (
     EQ,
@@ -87,8 +88,7 @@ def test_dimension_mismatch_rejected():
         )
 
 
-def _check_assignment(lp, out):
-    x = out.assignment
+def _check_assignment(lp, x):
     for c in lp.constraints:
         lhs = sum(a * v for a, v in zip(c.coeffs, x))
         if c.rel == LE:
@@ -111,7 +111,7 @@ def test_agrees_with_vertex_enumeration_on_random_lps():
         status, best = lp_brute_force(lp)
         assert out.status == status, f"trial {trial}: {out.status} != {status}"
         if status == FEASIBLE:
-            _check_assignment(lp, out)
+            _check_assignment(lp, out.assignment)
             assert out.assignment in lp_vertices(lp), f"trial {trial}: not a vertex"
             if lp.objective is not None:
                 assert out.objective_value == best, f"trial {trial}"
@@ -142,13 +142,14 @@ def test_optimize_reprices_one_tableau_for_many_objectives():
                 coeffs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(lp.num_vars))
                 objective = (coeffs, rng.choice((MAX, MIN)))
             out = tableau.optimize(objective)
+            point = tableau.point()
             fresh = lp_solve(LinearProgram(lp.num_vars, lp.constraints, objective))
             assert out.status == fresh.status == FEASIBLE, f"trial {trial}"
             assert out.objective_value == fresh.objective_value, f"trial {trial}, objective {k}"
-            assert out.assignment in vertices, f"trial {trial}, objective {k}: not a vertex"
-            _check_assignment(lp, out)
+            assert point in vertices, f"trial {trial}, objective {k}: not a vertex"
+            _check_assignment(lp, point)
             if objective is not None:
-                val = sum(a * v for a, v in zip(objective[0], out.assignment))
+                val = sum(a * v for a, v in zip(objective[0], point))
                 assert val == out.objective_value, f"trial {trial}, objective {k}"
     assert feasible >= 40
 
@@ -160,7 +161,7 @@ def test_optimize_after_an_unbounded_objective():
     assert tableau.optimize(((ONE, ZERO), MAX)).status == UNBOUNDED
     out = tableau.optimize(((ONE, ONE), MIN))
     assert out.status == FEASIBLE
-    assert out.assignment == (ZERO, ZERO) and out.objective_value == ZERO
+    assert tableau.point() == (ZERO, ZERO) and out.objective_value == ZERO
     assert tableau.optimize(((-ONE, ONE), MIN)).objective_value == -ONE
 
 
@@ -201,7 +202,8 @@ def test_add_rows_in_batches_matches_a_fresh_solve():
             assert feasible, where
             # The dual simplex ends on an optimum of the last objective.
             vertices = lp_vertices(so_far)
-            point = tableau.optimize(None).assignment
+            assert tableau.optimize(None).status == FEASIBLE, where
+            point = tableau.point()
             assert point in vertices, f"{where}: not a vertex"
             if lp.objective is not None:
                 value = sum(a * v for a, v in zip(lp.objective[0], point))
@@ -209,8 +211,8 @@ def test_add_rows_in_batches_matches_a_fresh_solve():
             out = tableau.optimize(lp.objective)
             assert out.status == FEASIBLE, where
             assert out.objective_value == fresh.objective_value, where
-            assert out.assignment in vertices, f"{where}: not a vertex"
-            _check_assignment(so_far, out)
+            assert tableau.point() in vertices, f"{where}: not a vertex"
+            _check_assignment(so_far, tableau.point())
             seen["none" if lp.objective is None else "objective"] += 1
     assert min(seen.values()) >= 10, seen
 
@@ -219,9 +221,11 @@ def test_an_infeasible_batch_answers_infeasible_for_good():
     """x1 + x2 = 1 with x1 <= 0 and x2 <= 0 added as `>= 0` rows has no
     point; every later call answers INFEASIBLE."""
     tableau = Tableau(2, (constraint([1, 1], EQ, 1),))
-    assert tableau.optimize(((ONE, ZERO), MAX)).assignment == (ONE, ZERO)
+    tableau.optimize(((ONE, ZERO), MAX))
+    assert tableau.point() == (ONE, ZERO)
     tableau.add_rows((constraint([-1, 0], GE, 0),))
-    assert tableau.optimize(((ONE, ZERO), MAX)).assignment == (ZERO, ONE)
+    tableau.optimize(((ONE, ZERO), MAX))
+    assert tableau.point() == (ZERO, ONE)
     tableau.add_rows((constraint([0, -1], GE, 0),))
     assert not tableau.feasible
     assert tableau.optimize(None).status == INFEASIBLE
@@ -246,3 +250,110 @@ def test_add_rows_takes_only_ge_zero_rows_of_the_right_length(row):
         tableau = Tableau(2, constraints)
         with pytest.raises(MalformedLp):
             tableau.add_rows((constraint([1, -1], GE, 0), row))
+
+
+def _random_box_rows(rng, n):
+    """Rows over n variables in [0, 1]: `<=`, `=` and `>=` rows, some at
+    right-hand side 0 (degenerate at the vertex 0), some repeated or
+    scaled, and some all-zero.  Most right-hand sides let a random point of
+    {0, 1/2, 1}^n satisfy the row, so most row sets are feasible."""
+    x0 = [Fraction(rng.randint(0, 2), 2) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            c = rng.choice(rows)
+            k = rng.choice((1, 2, Fraction(1, 3)))
+            rows.append(constraint([k * v for v in c.coeffs], c.rel, k * c.rhs))
+            continue
+        if kind < 0.25:
+            coeffs = [0] * n
+        else:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(n)]
+        rel = rng.choice((LE, EQ, GE))
+        at_x0 = sum(a * v for a, v in zip(coeffs, x0))
+        slack = {LE: 1, EQ: 0, GE: -1}[rel] * rng.randint(0, 2)
+        rhs = rng.choice((0, at_x0, at_x0 + slack, at_x0 + slack, Fraction(rng.randint(-3, 4), 2)))
+        rows.append(constraint(coeffs, rel, rhs))
+    return rows
+
+
+def _limit_steps(monkeypatch, limit):
+    """Make the simplex fail, instead of looping, once it has taken more
+    than `limit` pivots and column flips since the returned counter was
+    last set to zero."""
+    steps = [0]
+
+    def counted(step):
+        def run(*args):
+            steps[0] += 1
+            if steps[0] > limit:
+                raise AssertionError(f"more than {limit} simplex steps")
+            return step(*args)
+
+        return run
+
+    monkeypatch.setattr(linprog, "_pivot", counted(linprog._pivot))
+    monkeypatch.setattr(linprog, "_flip", counted(linprog._flip))
+    return steps
+
+
+def test_boxed_tableau_matches_explicit_unit_rows(monkeypatch):
+    """A boxed tableau, which keeps every x_j <= 1 on its columns, answers
+    as `lp_solve` over the same rows with an explicit x_j <= 1 row per
+    variable: the same status, and for each of 20 objectives asked in a
+    row of one tableau, the same value, at a point that lies in [0, 1]^n,
+    satisfies every row, attains the value and is a vertex of the explicit
+    LP's polytope.  The rows include degenerate, repeated and zero rows,
+    and `=` and `>=` rows that need phase 1.  No construction or
+    optimization takes more than 200 steps, so a simplex that cycles
+    fails here instead of hanging."""
+    rng = random.Random(20261101)
+    steps = _limit_steps(monkeypatch, 200)
+    seen = {"infeasible": 0, "phase 1": 0, "flipped": 0, "optima": 0}
+    for trial in range(160):
+        n = rng.randint(1, 4)
+        rows = _random_box_rows(rng, n)
+        units = [constraint([int(k == j) for k in range(n)], LE, 1) for j in range(n)]
+        explicit = LinearProgram(n, tuple(rows + units))
+        steps[0] = 0
+        tableau = Tableau(n, rows, boxed=True)
+        vertices = lp_vertices(explicit)
+        where = f"trial {trial}"
+        assert tableau.feasible == bool(vertices), where
+        seen["phase 1"] += any(c.rel == EQ or (c.rel == GE and c.rhs > 0) for c in rows)
+        if not vertices:
+            seen["infeasible"] += 1
+            assert tableau.optimize(None).status == INFEASIBLE, where
+            assert tableau.point() is None, where
+            continue
+        for k in range(20):
+            objective = None
+            if k % 7:
+                coeffs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+                objective = (coeffs, rng.choice((MAX, MIN)))
+            steps[0] = 0
+            out = tableau.optimize(objective)
+            point = tableau.point()
+            fresh = lp_solve(LinearProgram(n, explicit.constraints, objective))
+            assert out.status == fresh.status == FEASIBLE, f"{where}, objective {k}"
+            assert out.objective_value == fresh.objective_value, f"{where}, objective {k}"
+            assert all(0 <= v <= 1 for v in point), f"{where}, objective {k}: {point}"
+            _check_assignment(explicit, point)
+            assert point in vertices, f"{where}, objective {k}: not a vertex"
+            if objective is not None:
+                value = sum(a * v for a, v in zip(objective[0], point))
+                assert value == out.objective_value, f"{where}, objective {k}"
+                seen["optima"] += 1
+            seen["flipped"] += any(tableau.flipped)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_boxed_tableau_takes_no_added_rows():
+    tableau = Tableau(2, (constraint([1, -1], GE, 0),), boxed=True)
+    with pytest.raises(MalformedLp):
+        tableau.add_rows((constraint([1, 0], GE, 0),))
+    with pytest.raises(MalformedLp):
+        tableau.add_rows(())
+    assert tableau.optimize(((ONE, ONE), MAX)).objective_value == 2
+    assert tableau.point() == (ONE, ONE)

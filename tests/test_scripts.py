@@ -12,7 +12,9 @@ def test_oracle_agreement_has_no_disagreements(capsys):
     the explicit extreme-type lists give the same answer and optimal value
     on 200 random games of each kind, and the verifier accepts every yes
     profile of either route.  Every order answer the script asks for
-    passes its flow certificate, and none fails."""
+    passes its flow certificate, and none fails.  The boxed
+    distribution-order oracle gives the amount of a row-form LP of the
+    same polytope on every answer the script checks."""
     spec = importlib.util.spec_from_file_location(
         "oracle_agreement", SCRIPTS / "oracle_agreement.py"
     )
@@ -27,3 +29,5 @@ def test_oracle_agreement_has_no_disagreements(capsys):
         assert re.search(rf"{kind}: .* order answers certified, 0 certificate failures", out)
     for kind in ("total_order", "partial_order"):
         assert re.search(rf"{kind}: .* [1-9]\d* order answers certified", out)
+    assert "distribution_order: 200 games x 2 queries: 0 disagreements" in out
+    assert re.search(r"distribution_order: .* [1-9]\d* distribution answers checked", out)
