@@ -267,7 +267,7 @@ def distribution_polytope(spec: DistributionOrder, outcomes: tuple[str, ...]) ->
     pair, in integer numerators over the lcm of the pair's weight
     denominators, and no row for the box u <= 1, which the tableau keeps on
     its columns.  Every row starts on its slack, so its first basis is the
-    vertex 0 and no phase 1 runs."""
+    vertex 0, reached with no pivot."""
     idx = {name: k for k, name in enumerate(outcomes)}
     n = len(outcomes)
     rows = []
@@ -285,9 +285,9 @@ def separation_oracle_dist(
     polytope: linprog.Tableau, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
 ) -> Hit:
     """Best witness in a distribution order's polytope
-    (`distribution_polytope`), by phase 2 from the polytope's current
-    basis.  The polytope contains 0 and is bounded, so the optimum exists;
-    the returned witness is a vertex of it.  The vertex is read
+    (`distribution_polytope`), by the primal simplex from the polytope's
+    current basis.  The polytope contains 0 and is bounded, so the optimum
+    exists; the returned witness is a vertex of it.  The vertex is read
     (`linprog.Tableau.point`) only when the optimum is positive, so a
     miss, which every call is in `verify` of a robust profile, builds no
     `Fraction` of it."""

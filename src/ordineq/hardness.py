@@ -19,6 +19,7 @@ consistent vector (`equilibrium.best_cnf_model` has the proof).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,6 +50,18 @@ class CnfFormula:
                     raise ValidationError(f"literal {lit} out of range")
 
 
+_INTS_RE = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
+
+
+def _ints(text: str) -> list[int]:
+    """The whitespace-separated integers of text, each ASCII `-?[0-9]+`:
+    `int` alone would also take `1_0`, `+1` and non-ASCII digits.
+    ValueError otherwise."""
+    if not _INTS_RE.fullmatch(text):
+        raise ValueError("not a list of integers")
+    return [int(tok) for tok in text.split()]
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Read DIMACS cnf: "p cnf <m> <k>" header, 0-terminated clause lines,
     "c" comment lines ignored."""
@@ -65,14 +78,14 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"line {lineno}: bad problem line {line!r}")
             try:
-                num_vars, declared = int(parts[2]), int(parts[3])
+                num_vars, declared = _ints(" ".join(parts[2:]))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad problem line {line!r}")
             continue
         if num_vars is None:
             raise ParseError(f"line {lineno}: clause before problem line")
         try:
-            lits = [int(tok) for tok in line.split()]
+            lits = _ints(line)
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer literal in {line!r}")
         for lit in lits:

@@ -6,54 +6,52 @@ variable also lies at most at 1 and that bound is kept on the column
 instead (Dantzig's upper-bounding technique, 1955): a column whose
 variable x_j sits at its bound is complemented, i.e. it stands for
 x'_j = 1 - x_j, so the box costs no row and no slack column.
-A dense simplex, primal in two phases and dual for added rows, with
-Bland's rule in every phase, so termination is unconditional (no cycling)
+A dense simplex, primal for an objective and dual for rows that join,
+with Bland's rule in both, so termination is unconditional (no cycling)
 and no epsilon appears anywhere.  Every feasible answer is a basic
 (vertex) solution of the feasible polyhedron; the cutting-plane loop in
 `equilibrium` relies on that to bound the number of distinct witnesses.
 
-The flip: each row is negated if needed so that its right-hand side is
-nonnegative, and a `>=` row whose right-hand side is zero is negated into a
-`<=` row.  Every `<=` row then starts on its slack, so phase 1 and its
-artificial variables are needed only for `=` rows and for `>=` rows with a
-positive right-hand side; an LP of only such rows starts at its vertex 0.
+Rows join a `Tableau` in one way, whether it is being built or takes
+cuts (`add_rows`).  A `>=` row is negated into a `<=` row, and a `<=` row
+goes on a new slack column that is basic in it.  An `=` row has no slack:
+it is pivoted on its first nonzero column, or, if it has none, dropped
+when its right-hand side is 0 and found infeasible otherwise.  Each row
+is first eliminated against the current basis, so its basic variable
+starts at the row's slack at the current point, which is negative where
+the point violates the row.  The reduced costs of the last objective,
+which `optimize` keeps (all zero before any objective), are nonnegative,
+so a dual simplex (Lemke 1954) restores feasibility: Bland's rule on the
+dual takes the leaving row of lowest basic index among the rows with a
+negative right-hand side, and the entering column of minimum ratio
+cost_j / -a_rj over a_rj < 0, ties to the lowest column.  A negative row
+with no negative entry proves the rows infeasible.  While the costs are
+all zero, as they are at construction, every ratio is 0, and the same
+loop finds a first feasible basis.  The dual simplex ignores the box, so
+a boxed tableau takes only rows that the point 0 satisfies, which it
+starts on, and takes no added rows.
 
-There is one simplex path, in three steps.  A `Tableau` reads the rows and
-makes them feasible, by phase 1 if any row needs it, once.  Its `optimize`
-prices an objective against the current basis (subtracting each basic row
-times the objective's entry in its column) and runs phase 2 from there;
-its `point` reads the basic solution the last call ended on.
-The basis an optimization ends on is kept, and it is primal feasible for
-any objective, so a caller that asks many objectives over the same rows,
-as a distribution order's separation oracle does, pays phase-2 pivots
-from the last optimum only.  Its `add_rows` takes `>= 0` rows (cuts), each
-negated into a `<=` row on a new slack column and eliminated against the
-current basis, so the slack is basic at minus the cut's value at the
-current point, which is negative where the cut is violated.  The reduced
-costs of the last objective, which `optimize` keeps (all zero when there
-is none), stay nonnegative, so a dual simplex (Lemke 1954) restores
-feasibility: Bland's rule on the dual takes the leaving row of lowest basic
-index among the rows with a negative right-hand side, and the entering
-column of minimum ratio cost_j / -a_rj over a_rj < 0, ties to the lowest
-column.  A negative row with no negative entry proves the rows infeasible.
-The cutting-plane loop of `equilibrium.solve` keeps one tableau per call
-and adds each round's cuts this way, so no row is read or made feasible
-twice.  A boxed tableau takes no added rows: no caller needs a dual
-simplex with bounds.
+Its `optimize` prices an objective against the current basis
+(subtracting each basic row times the objective's entry in its column)
+and runs the primal simplex from there; its `point` reads the basic
+solution the last call ended on.  The basis an optimization ends on is
+kept, and it is primal feasible for any objective, so a caller that asks
+many objectives over the same rows, as a distribution order's separation
+oracle does, pays pivots from the last optimum only.  The cutting-plane
+loop of `equilibrium.solve` keeps one tableau per call and adds each
+round's cuts, so no row is read or made feasible twice.
 
 The tableau is dense and exact: each row, with its right-hand side last,
 is a list of integer numerators over one positive row denominator, and the
-objective row being minimized is the tableau's last row while a phase
-runs.  One integer pivot serves the primal and dual loops, the drive-out
-of artificials and the pricing, so the arithmetic is plain integer work
-with one gcd reduction per row; ratios are compared by cross-multiplying.
+objective row being minimized is the tableau's last row while the primal
+or the dual simplex runs.  One integer pivot serves both loops, the `=`
+rows and the pricing, so the arithmetic is plain integer work with one gcd
+reduction per row; ratios are compared by cross-multiplying.
 Complementing a column negates its entry in every row, the objective row
 included, and subtracts the old entry from the row's right-hand side; the
 row denominators stay, and so does each row's gcd.
 Fractions appear only where rows or an objective are read and where the
-`LpOutcome` or the point is built.  Problems here are desk-scale (tens of
-variables, at most a few hundred rows), so a dense tableau is entirely
-adequate.
+`LpOutcome` or the point is built.
 """
 
 from __future__ import annotations
@@ -280,96 +278,81 @@ def _eliminate(nums: list[int], den: int, T, basis) -> tuple[list[int], int]:
 
 
 class Tableau:
-    """The rows of an LP in standard form over a feasible basis, found once
-    by the flip and, if some row needs it, phase 1 (see the module
-    docstring).  `optimize` re-prices an objective against the kept basis
-    and runs phase 2 from it, and `point` reads the basic solution;
-    `add_rows` adds `>= 0` rows and restores feasibility by dual simplex.
-    `feasible` is False, for good, once phase 1 or the dual simplex finds
-    the rows infeasible.
+    """The rows of an LP in standard form over a feasible basis: columns
+    are the structural variables, then one slack per `<=` or `>=` row in
+    the order the rows joined.  Rows join by `_join` (see the module
+    docstring), at construction and in `add_rows`, which takes `>= 0`
+    rows.  `optimize` re-prices an objective against the kept basis and
+    runs the primal simplex from it, and `point` reads the basic solution.
+    `feasible` is False, for good, once a joining row makes the rows
+    infeasible.
 
     With `boxed`, every one of the num_vars variables lies in [0, 1]
     without a row for it: the first num_vars columns are boxed, and
     `flipped[j]` says whether column j stands for 1 - x_j (see
-    `_simplex_min`).  Both phases honour the box, and `optimize` prices an
-    objective through the flipped columns.  A boxed tableau takes no
-    added rows.
+    `_simplex_min`).  The primal simplex honours the box, and `optimize`
+    prices an objective through the flipped columns.  A boxed tableau
+    takes only rows that the point 0 satisfies, which is its first basis,
+    and no added rows, since the dual simplex does not honour the box.
     """
 
     def __init__(self, num_vars: int, constraints: Sequence[Constraint], boxed: bool = False):
         _validate_rows(num_vars, constraints)
+        if boxed:
+            for k, c in enumerate(constraints):
+                if not (c.rhs >= 0 if c.rel == LE else c.rhs <= 0 if c.rel == GE else c.rhs == 0):
+                    raise MalformedLp(f"constraint {k}: a boxed tableau takes only rows that 0 satisfies")
         self.num_vars = num_vars
         self.boxed = boxed
         self.flipped = [False] * num_vars if boxed else []
+        self.width = num_vars
+        self.rows: list[tuple[list[int], int]] = []
+        self.basis: list[int] = []
+        self.feasible = True
+        # The reduced costs of the last objective, right-hand side last.
+        self.cost = ([0] * (num_vars + 1), 1)
+        self._join(constraints)
 
-        # Each row, right-hand side last, as integers, with rhs >= 0 and
-        # no `>=` row of rhs 0.
-        rows: list[tuple[list[int], int, str]] = []
+    def _join(self, constraints: Sequence[Constraint]) -> None:
+        """Add the rows, in order, each eliminated against the current
+        basis, and restore feasibility by the dual simplex (see the module
+        docstring).  The objective row is last in T while rows join, so
+        every pivot keeps the reduced costs priced; an `=` row's pivot
+        keeps them nonnegative only while they are all zero, which they
+        are at construction, the only place such a row joins."""
+        n, w = self.num_vars, self.width
+        T, basis = self.rows, self.basis
+        new = [0] * sum(c.rel != EQ for c in constraints)
+        for nums, _ in (*T, self.cost):
+            nums[w:w] = new
+        T.append(self.cost)
+        s = w
         for c in constraints:
             nums, den = _int_row([*c.coeffs, c.rhs])
-            rel = c.rel
-            if nums[-1] < 0 or (nums[-1] == 0 and rel == GE):
+            if c.rel == GE:
                 nums = [-v for v in nums]
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            rows.append((nums, den, rel))
-
-        # Standard form: slack for <=, surplus + artificial for >=,
-        # artificial for =.  Identity entries are the row denominator, i.e.
-        # one.
-        m = len(rows)
-        n_struct = num_vars + sum(1 for _, _, rel in rows if rel != EQ)
-        total = n_struct + sum(1 for _, _, rel in rows if rel != LE)
-        pad = [0] * (total - num_vars)
-        T = []
-        basis = [-1] * m
-        s = num_vars
-        a = n_struct
-        for i, (nums, den, rel) in enumerate(rows):
-            row = nums[:num_vars] + pad + nums[num_vars:]
-            if rel == LE:
+            row = nums[:n] + [0] * (w - n) + new + nums[n:]
+            if c.rel != EQ:
                 row[s] = den
-                basis[i] = s
-                s += 1
-            elif rel == GE:
-                row[s] = -den
-                row[a] = den
-                basis[i] = a
-                s += 1
-                a += 1
+            row, den = _eliminate(row, den, T, basis)
+            if c.rel != EQ:
+                col, s = s, s + 1
             else:
-                row[a] = den
-                basis[i] = a
-                a += 1
-            T.append((row, den))
-        self.width = n_struct  # columns left after phase 1
-        self.rows, self.basis, self.feasible = T, basis, True
-        # The reduced costs of the last objective, right-hand side last.
-        self.cost = ([0] * (n_struct + 1), 1)
-        if total == n_struct:
-            return
-
-        # Phase 1: drive artificials to zero.
-        T.append(([0] * n_struct + [1] * (total - n_struct) + [0], 1))
-        for i in range(m):
-            if basis[i] >= n_struct:
-                _pivot(T, basis, i, basis[i])  # price out the artificial
-        if not _simplex_min(T, basis, self.flipped):
-            raise AssertionError("phase 1 is unbounded; it is bounded below by 0")
-        if T.pop()[0][-1] < 0:  # minus a positive phase-1 value
-            self.feasible = False
-            return
-        # Pivot remaining artificials out of the basis; drop redundant rows.
-        keep = []
-        for i in range(m):
-            if basis[i] >= n_struct:
-                row = T[i][0]
-                c = next((j for j in range(n_struct) if row[j] != 0), None)
-                if c is None:
-                    continue  # redundant row
-                _pivot(T, basis, i, c)
-            keep.append(i)
-        self.basis = [basis[i] for i in keep]
-        self.rows = [(T[i][0][:n_struct] + T[i][0][-1:], T[i][1]) for i in keep]
+                col = next((j for j, v in enumerate(row[:-1]) if v), None)
+                if col is None:
+                    if row[-1]:
+                        self.feasible = False
+                        break
+                    continue  # 0 = 0
+            r = len(basis)
+            T.insert(r, (row, den))
+            basis.append(col)
+            if c.rel == EQ:
+                _pivot(T, basis, r, col)
+        self.width = w + len(new)
+        if self.feasible:
+            self.feasible = _dual_simplex(T, basis)
+        self.cost = T.pop()
 
     def optimize(self, objective: Optional[tuple[tuple[Fraction, ...], str]]) -> LpOutcome:
         """Optimize (coefficient vector, "max" | "min") over the rows, or,
@@ -424,11 +407,9 @@ class Tableau:
         return tuple(x)
 
     def add_rows(self, constraints: Sequence[Constraint]) -> None:
-        """Add rows c · x >= 0, each as -c · x <= 0 on a new slack column
-        that is basic in it, and restore feasibility by a dual simplex
-        against the kept reduced costs (see the module docstring).  A row
-        that the current point violates starts at a negative right-hand
-        side.  A boxed tableau raises MalformedLp."""
+        """Add rows c · x >= 0, each as -c · x <= 0 on a new slack column,
+        and restore feasibility by the dual simplex against the kept
+        reduced costs (`_join`).  A boxed tableau raises MalformedLp."""
         if self.boxed:
             raise MalformedLp("rows cannot be added to a boxed tableau")
         n = self.num_vars
@@ -437,22 +418,5 @@ class Tableau:
                 raise MalformedLp(f"added row {k}: {len(c.coeffs)} coefficients, expected {n}")
             if c.rel != GE or c.rhs != 0:
                 raise MalformedLp(f"added row {k}: not a `>= 0` row")
-        if not self.feasible or not constraints:
-            return
-        T, basis = self.rows, self.basis
-        w = self.width
-        new = [0] * len(constraints)
-        for nums, _ in (*T, self.cost):
-            nums[w:w] = new
-        added = []
-        for k, c in enumerate(constraints):
-            nums, den = _int_row(c.coeffs)
-            row = [-v for v in nums] + [0] * (w - n) + new + [0]
-            row[w + k] = den
-            added.append(_eliminate(row, den, T, basis))
-        T += added
-        basis += range(w, w + len(constraints))
-        self.width = w + len(constraints)
-        T.append(self.cost)
-        self.feasible = _dual_simplex(T, basis)
-        self.cost = T.pop()
+        if self.feasible:
+            self._join(constraints)

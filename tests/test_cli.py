@@ -306,6 +306,16 @@ def test_bad_input_decimal_rational(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
+def test_bad_input_rational_with_a_trailing_newline(tmp_path, capsys):
+    doc = json.loads(fixture_text("matching_pennies_symmetric.game"))
+    doc["type_spaces"][0] = {"kind": "finite", "types": [{"o1": "1/2\n", "o2": "0"}]}
+    bad = tmp_path / "bad.game"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["solve", "--game", str(bad), "--problem", "eore"])
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ")
+
+
 def _set(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]

@@ -326,6 +326,47 @@ def test_distribution_polytope_has_a_row_per_pair_and_a_miss_reads_no_vertex(mon
     assert hits > 100 and misses > 100 and robust > 5
 
 
+def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monkeypatch):
+    """An EORE `solve` on a 2-player game builds its master tableau with
+    one pivot per sum-to-one row, onto the first variable of each block,
+    the first basis its answers rest on; each distribution order's boxed
+    tableau starts on its slacks, with no pivot."""
+    pivots = [0]
+    pivot = linprog._pivot
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    built = []
+
+    class Counting(linprog.Tableau):
+        def __init__(self, num_vars, constraints, boxed=False):
+            before = pivots[0]
+            super().__init__(num_vars, constraints, boxed=boxed)
+            built.append((self.boxed, pivots[0] - before, list(self.basis)))
+
+    monkeypatch.setattr(linprog, "_pivot", counted)
+    monkeypatch.setattr(linprog, "Tableau", Counting)
+    rng = random.Random(20261102)
+    games = [load_game("distribution_preference")[:2]]
+    games += [random_game(rng.randint(0, 10**9), kind="distribution_order") for _ in range(10)]
+    for game, spaces in games:
+        assert game.num_players == 2
+        built.clear()
+        eq.solve(game, spaces, eq.Eore())
+        (boxed, count, basis), *polytopes = built
+        layout = eq.VariableLayout(game)
+        blocks = [layout.p_index, *layout.q_index]
+        assert not boxed and count == len(blocks) == 3
+        assert basis == [min(block.values()) for block in blocks]
+        distribution = [s for s in spaces if isinstance(s, DistributionOrder)]
+        assert len(polytopes) == len(distribution) >= 1
+        for (boxed, count, basis), spec in zip(polytopes, distribution):
+            assert boxed and count == 0
+            assert basis == list(range(len(game.outcomes), len(game.outcomes) + len(spec.pairs)))
+
+
 def test_oracle_silent_when_deviation_changes_nothing():
     game, _, _ = load_game("matching_pennies_symmetric")
     # q_{-1} and p produce the same outcome distribution under the deviation

@@ -49,6 +49,16 @@ def test_parse_dimacs_rejects_clause_count_mismatch():
         parse_dimacs("p cnf 1 2\n1 0\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["p cnf 10 1\n1_0 0\n", "p cnf 1 1\n\u0661 0\n", "p cnf 1 1\n+1 0\n", "p cnf 1_0 1\n1 0\n", "p cnf \u0661 1\n1 0\n"],
+    ids=["underscore", "arabic-indic", "plus", "header-underscore", "header-arabic-indic"],
+)
+def test_parse_dimacs_takes_only_ascii_integers(text):
+    with pytest.raises(ParseError):
+        parse_dimacs(text)
+
+
 # ---------------------------------------------------------------------------
 # brute-force SAT
 

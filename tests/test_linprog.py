@@ -55,8 +55,8 @@ def test_unbounded_detected():
 def test_equality_constraint():
     cases = [
         ((constraint([1, 1], EQ, 1),), (ONE, -ONE)),
-        # the second row repeats the first: phase 1 leaves its artificial
-        # basic in an all-zero structural row, which must be dropped
+        # the second row repeats the first: eliminated against the basis
+        # the first one pivoted to, it is all zero, 0 = 0, and is dropped
         (
             (
                 constraint([1, 1], EQ, 1),
@@ -253,11 +253,10 @@ def test_add_rows_takes_only_ge_zero_rows_of_the_right_length(row):
 
 
 def _random_box_rows(rng, n):
-    """Rows over n variables in [0, 1]: `<=`, `=` and `>=` rows, some at
-    right-hand side 0 (degenerate at the vertex 0), some repeated or
-    scaled, and some all-zero.  Most right-hand sides let a random point of
-    {0, 1/2, 1}^n satisfy the row, so most row sets are feasible."""
-    x0 = [Fraction(rng.randint(0, 2), 2) for _ in range(n)]
+    """Rows over n variables in [0, 1] that the point 0 satisfies: `<=`
+    rows with a nonnegative right-hand side, `>=` rows with a nonpositive
+    one and `=` rows with 0, some at right-hand side 0 (degenerate at the
+    vertex 0), some repeated or scaled, and some all-zero."""
     rows = []
     for _ in range(rng.randint(0, 6)):
         kind = rng.random()
@@ -270,11 +269,9 @@ def _random_box_rows(rng, n):
             coeffs = [0] * n
         else:
             coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(n)]
-        rel = rng.choice((LE, EQ, GE))
-        at_x0 = sum(a * v for a, v in zip(coeffs, x0))
-        slack = {LE: 1, EQ: 0, GE: -1}[rel] * rng.randint(0, 2)
-        rhs = rng.choice((0, at_x0, at_x0 + slack, at_x0 + slack, Fraction(rng.randint(-3, 4), 2)))
-        rows.append(constraint(coeffs, rel, rhs))
+        rel = rng.choice((LE, LE, EQ, GE, GE))
+        rhs = 0 if rel == EQ else rng.choice((0, Fraction(rng.randint(0, 6), 2)))
+        rows.append(constraint(coeffs, rel, -rhs if rel == GE else rhs))
     return rows
 
 
@@ -301,16 +298,16 @@ def _limit_steps(monkeypatch, limit):
 def test_boxed_tableau_matches_explicit_unit_rows(monkeypatch):
     """A boxed tableau, which keeps every x_j <= 1 on its columns, answers
     as `lp_solve` over the same rows with an explicit x_j <= 1 row per
-    variable: the same status, and for each of 20 objectives asked in a
-    row of one tableau, the same value, at a point that lies in [0, 1]^n,
-    satisfies every row, attains the value and is a vertex of the explicit
-    LP's polytope.  The rows include degenerate, repeated and zero rows,
-    and `=` and `>=` rows that need phase 1.  No construction or
+    variable: for each of 20 objectives asked in a row of one tableau, the
+    same value, at a point that lies in [0, 1]^n, satisfies every row,
+    attains the value and is a vertex of the explicit LP's polytope.  The
+    rows, which the point 0 satisfies, include degenerate, repeated and
+    zero rows, and `=` rows with right-hand side 0.  No construction or
     optimization takes more than 200 steps, so a simplex that cycles
     fails here instead of hanging."""
     rng = random.Random(20261101)
     steps = _limit_steps(monkeypatch, 200)
-    seen = {"infeasible": 0, "phase 1": 0, "flipped": 0, "optima": 0}
+    seen = {"equation": 0, "flipped": 0, "optima": 0}
     for trial in range(160):
         n = rng.randint(1, 4)
         rows = _random_box_rows(rng, n)
@@ -320,13 +317,8 @@ def test_boxed_tableau_matches_explicit_unit_rows(monkeypatch):
         tableau = Tableau(n, rows, boxed=True)
         vertices = lp_vertices(explicit)
         where = f"trial {trial}"
-        assert tableau.feasible == bool(vertices), where
-        seen["phase 1"] += any(c.rel == EQ or (c.rel == GE and c.rhs > 0) for c in rows)
-        if not vertices:
-            seen["infeasible"] += 1
-            assert tableau.optimize(None).status == INFEASIBLE, where
-            assert tableau.point() is None, where
-            continue
+        assert tableau.feasible and vertices, where
+        seen["equation"] += any(c.rel == EQ and any(c.coeffs) for c in rows)
         for k in range(20):
             objective = None
             if k % 7:
@@ -349,6 +341,16 @@ def test_boxed_tableau_matches_explicit_unit_rows(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
+@pytest.mark.parametrize(
+    "row",
+    [constraint([1, 1], GE, 1), constraint([1, -1], EQ, 1), constraint([1, -1], EQ, -1), constraint([1, 1], LE, -1)],
+    ids=["ge-positive", "eq-positive", "eq-negative", "le-negative"],
+)
+def test_a_boxed_tableau_takes_only_rows_that_zero_satisfies(row):
+    with pytest.raises(MalformedLp):
+        Tableau(2, (constraint([1, 0], LE, 1), row), boxed=True)
+
+
 def test_a_boxed_tableau_takes_no_added_rows():
     tableau = Tableau(2, (constraint([1, -1], GE, 0),), boxed=True)
     with pytest.raises(MalformedLp):
@@ -357,3 +359,28 @@ def test_a_boxed_tableau_takes_no_added_rows():
         tableau.add_rows(())
     assert tableau.optimize(((ONE, ONE), MAX)).objective_value == 2
     assert tableau.point() == (ONE, ONE)
+
+
+def test_inconsistent_repeated_equations_are_infeasible():
+    """x + y = 1 and 2x + 2y = 3: the second row, eliminated against the
+    first, is 0 = 1."""
+    tableau = Tableau(2, (constraint([1, 1], EQ, 1), constraint([2, 2], EQ, 3)))
+    assert not tableau.feasible
+    assert tableau.optimize(((ONE, ZERO), MAX)).status == INFEASIBLE
+    assert tableau.point() is None
+
+
+def test_a_zero_equals_zero_row_is_dropped():
+    tableau = Tableau(2, (constraint([0, 0], EQ, 0), constraint([1, 1], EQ, 1), constraint([0, 0], EQ, 0)))
+    assert tableau.feasible
+    assert len(tableau.rows) == len(tableau.basis) == 1
+    assert tableau.width == 2
+    out = tableau.optimize(((ZERO, ONE), MAX))
+    assert (out.status, out.objective_value, tableau.point()) == (FEASIBLE, ONE, (ZERO, ONE))
+
+
+def test_an_all_zero_row_with_a_negative_bound_is_infeasible():
+    """0 <= -1 starts on its slack at -1, a row with no negative entry."""
+    tableau = Tableau(2, (constraint([1, 1], LE, 1), constraint([0, 0], LE, -1)))
+    assert not tableau.feasible
+    assert tableau.optimize(None).status == INFEASIBLE

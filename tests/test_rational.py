@@ -22,7 +22,7 @@ def test_parse_non_dyadic():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "0.5", "1/0", "1/-2", "1 / 2", "+1", "1/2/3", "a", "1.0", " 1"],
+    ["", "0.5", "1/0", "1/-2", "1 / 2", "+1", "1/2/3", "a", "1.0", " 1", "1\n", "1/2\n", "\u0661/2", "1/\u0662", "1_0"],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
