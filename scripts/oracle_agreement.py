@@ -81,8 +81,7 @@ def _row_form_max(spec, outcomes, gain) -> int:
         for r1, r2 in spec.pairs
     ]
     rows += (linprog.constraint([int(j == k) for j in range(n)], linprog.LE, 1) for k in range(n))
-    out = linprog.Tableau(n, rows).optimize((tuple(gain[o] for o in outcomes), linprog.MAX))
-    return out.objective_value
+    return linprog.Tableau(n, rows).optimize(tuple(gain[o] for o in outcomes))
 
 
 def _check_dist(game, spaces, profile, label: str) -> tuple[int, int]:

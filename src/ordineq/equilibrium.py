@@ -30,8 +30,9 @@ and each cut becomes its row once, when it is found, and joins the
 tableau, whose dual simplex restores feasibility
 (`linprog.Tableau.add_rows`).  An added constraint can never be strictly
 violated again, so the loop terminates.
-The solver and the verifier walk the same `deviation_hits`, and
-`entails_preference`, which `find_pure_unmediated` asks of every
+The solver and the verifier walk the same `deviation_hits`.  A
+preference entailment, which `entails_preference` asks of a one-shot
+oracle and `find_pure_unmediated` of the player's oracle for every
 unilateral deviation, is one oracle call on the gain vector e_o2 - e_o.
 Each oracle answers each gain vector once: it keeps every answer of its
 call, keyed by the exact gain, and returns the stored one when the same
@@ -156,12 +157,12 @@ class VariableLayout:
             )
         return MediatedProfile(p, tuple(q))
 
-    def p_objective(self, weights: Mapping[Profile, Rational]) -> tuple[tuple[Rational, ...], str]:
-        """Maximize sum_a weights[a] p(a)."""
+    def p_objective(self, weights: Mapping[Profile, Rational]) -> tuple[Rational, ...]:
+        """The coefficients of sum_a weights[a] p(a)."""
         coeffs = [0] * self.num_vars
         for prof, w in weights.items():
             coeffs[self.p_index[prof]] = w
-        return tuple(coeffs), linprog.MAX
+        return tuple(coeffs)
 
 
 def incentive_row(
@@ -285,17 +286,16 @@ def separation_oracle_dist(
     polytope: linprog.Tableau, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
 ) -> Hit:
     """Best witness in a distribution order's polytope
-    (`distribution_polytope`), by the primal simplex from the polytope's
-    current basis.  The polytope contains 0 and is bounded, so the optimum
-    exists; the returned witness is a vertex of it.  The vertex is read
-    (`linprog.Tableau.point`) only when the optimum is positive, so a
-    miss, which every call is in `verify` of a robust profile, builds no
+    (`distribution_polytope`): the maximum gain over it, by
+    `linprog.Tableau.optimize` from the basis the last gain ended on, and a
+    vertex attaining it.  The polytope holds 0 and lies in the unit box, so
+    the maximum exists and is at least 0.  The vertex is read
+    (`linprog.Tableau.point`) only when the maximum is positive, so a miss,
+    which every call is in `verify` of a robust profile, builds no
     `Fraction` of it."""
-    out = polytope.optimize((tuple(gain[o] for o in outcomes), linprog.MAX))
-    if out.status != linprog.FEASIBLE:
-        raise AssertionError(f"distribution-order LP is {out.status}; 0 is always feasible")
-    if out.objective_value > 0:
-        return out.objective_value, dict(zip(outcomes, polytope.point()))
+    value = polytope.optimize(tuple(gain[o] for o in outcomes))
+    if value > 0:
+        return value, dict(zip(outcomes, polytope.point()))
     return None
 
 
@@ -519,11 +519,9 @@ def solve(
     oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
 
     while True:
-        out = tableau.optimize(objective)
-        if out.status == linprog.INFEASIBLE:
+        value = tableau.optimize(objective)
+        if not tableau.feasible:
             return SolveResult(answer=False)
-        if out.status != linprog.FEASIBLE:
-            raise AssertionError(f"master LP is {out.status}; the (p, q) polytope is bounded")
         profile = layout.decode(tableau.point())
 
         hits = [
@@ -535,11 +533,8 @@ def solve(
         if not hits:
             if isinstance(query, (Eore, Aare)):
                 return SolveResult(answer=True, profile=profile)
-            if isinstance(query, Sire):
-                ok = out.objective_value > 0
-                return SolveResult(ok, profile if ok else None, out.objective_value)
-            ok = out.objective_value >= query.objective.threshold
-            return SolveResult(ok, profile if ok else None, out.objective_value)
+            ok = value > 0 if isinstance(query, Sire) else value >= query.objective.threshold
+            return SolveResult(ok, profile if ok else None, value)
 
         hits.sort(key=lambda h: h[:2])
         for i, a, witness in hits:
@@ -552,12 +547,16 @@ def solve(
         tableau.add_rows([incentive_row(game, layout, i, a, witness) for i, a, witness in hits])
 
 
-def _swap_gain(outcomes: tuple[str, ...], o: str, o2: str) -> dict[str, int]:
-    """The gain e_o2 - e_o of swapping outcome o for o2 (o != o2)."""
+def _entails(oracle: Oracle, outcomes: tuple[str, ...], o: str, o2: str) -> bool:
+    """True iff no witness of the oracle's space gains from swapping outcome
+    o for o2, gain e_o2 - e_o.  The oracle is not asked when o == o2: that
+    gain is zero, and no oracle reports a zero gain."""
+    if o == o2:
+        return True
     gain = dict.fromkeys(outcomes, 0)
     gain[o2] = 1
     gain[o] = -1
-    return gain
+    return oracle(gain)[0] is None
 
 
 def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str, ...]) -> bool:
@@ -566,33 +565,30 @@ def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str
     The 0/1 witnesses suffice for orders, whose polytope's vertices are the
     up-set indicator vectors (Stanley, "Two poset polytopes", 1986), and
     for preference CNFs, because the gain sums to zero (`best_cnf_model`).
-    The space is validated first, and a one-shot oracle answers."""
+    The space is validated first, and a one-shot oracle, built only when
+    asked, answers (`_entails`)."""
     validate_space(spec, outcomes)
     if o not in outcomes or o2 not in outcomes:
         raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
-    # The gain of o == o2 is zero, and no oracle reports a zero gain.
-    return o == o2 or make_oracle(spec, outcomes)(_swap_gain(outcomes, o, o2))[0] is None
+    return _entails(lambda gain: make_oracle(spec, outcomes)(gain), outcomes, o, o2)
 
 
 def find_pure_unmediated(
     game: GameForm, spaces: Sequence[TypeSpaceSpec]
 ) -> list[Profile]:
     """All profiles where every unilateral deviation leads to an outcome the
-    deviator weakly disprefers under every consistent type
-    (`entails_preference`), asked of the player's oracle for this call.
-    Each entailment depends only on (player, o, o2), and its swap gain
-    e_o2 - e_o is searched once per call (`make_oracle`)."""
+    deviator weakly disprefers under every consistent type, asked of the
+    player's oracle for this call (`_entails`, as `entails_preference`
+    does).  Each entailment depends only on (player, o, o2), and its swap
+    gain e_o2 - e_o is searched once per call (`make_oracle`)."""
     validate_spaces(game, spaces)
-    oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
-
-    def entails(i: int, o: str, o2: str) -> bool:
-        return o == o2 or oracles[i](_swap_gain(game.outcomes, o, o2))[0] is None
-
+    outcomes = game.outcomes
+    oracles = [make_oracle(spec, outcomes) for spec in spaces]
     result = []
     for prof in profiles_of(game):
         o = game.outcome_of(prof)
         if all(
-            entails(i, o, game.outcome_of(game.insert(i, a, prof[:i] + prof[i + 1 :])))
+            _entails(oracles[i], outcomes, o, game.outcome_of(game.insert(i, a, prof[:i] + prof[i + 1 :])))
             for i in range(game.num_players)
             for a in game.action_sets[i]
         ):

@@ -14,8 +14,10 @@ class ValidationError(OrdineqError):
 
 
 class MalformedLp(OrdineqError):
-    """Dimension mismatch, bad relation or a non-`>= 0` added row in an LP
-    handed to `linprog`; caller bug."""
+    """An LP that `linprog` cannot answer: a dimension mismatch, a bad
+    relation, a row a boxed tableau cannot take, an added row that is not
+    `>= 0`, or an unbounded objective.  A caller bug: the package only
+    builds bounded LPs."""
 
 
 class UnknownOutcome(OrdineqError):

@@ -153,10 +153,15 @@ def _space_to_obj(spec: TypeSpaceSpec) -> dict:
 
 
 def _json(text: str) -> Any:
+    """The document, or ParseError: for malformed JSON, for an integer
+    literal past Python's int/str digit limit (both `ValueError`), and for
+    nesting too deep for the parser (`RecursionError`)."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def parse_game(text: str) -> tuple[GameForm, tuple[TypeSpaceSpec, ...], Optional[str]]:

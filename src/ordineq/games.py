@@ -15,6 +15,7 @@ from numbers import Rational
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import UnknownOutcome, ValidationError
+from .rational import rational_render
 
 Profile = tuple[str, ...]
 
@@ -195,7 +196,7 @@ def check_distribution(dist: Mapping, support: set, name: str) -> None:
             den = lcm
         num += wn * (den // wd)
     if num != den:
-        raise ValidationError(f"{name} sums to {Fraction(num, den)}, expected 1")
+        raise ValidationError(f"{name} sums to {rational_render(Fraction(num, den))}, expected 1")
 
 
 def check_unit_interval(values: Mapping, name: str) -> None:
@@ -208,7 +209,7 @@ def check_unit_interval(values: Mapping, name: str) -> None:
         except AttributeError:
             raise ValidationError(f"{name} {u!r} for {key!r} is not rational") from None
         if not ok:
-            raise ValidationError(f"{name} {u} for {key!r} outside [0,1]")
+            raise ValidationError(f"{name} {rational_render(u)} for {key!r} outside [0,1]")
 
 
 @dataclass(frozen=True)

@@ -19,39 +19,35 @@ it is pivoted on its first nonzero column, or, if it has none, dropped
 when its right-hand side is 0 and found infeasible otherwise.  Each row
 is first eliminated against the current basis, so its basic variable
 starts at the row's slack at the current point, which is negative where
-the point violates the row.  The reduced costs of the last objective,
-which `optimize` keeps (all zero before any objective), are nonnegative,
-so a dual simplex (Lemke 1954) restores feasibility: Bland's rule on the
-dual takes the leaving row of lowest basic index among the rows with a
-negative right-hand side, and the entering column of minimum ratio
-cost_j / -a_rj over a_rj < 0, ties to the lowest column.  A negative row
-with no negative entry proves the rows infeasible.  While the costs are
-all zero, as they are at construction, every ratio is 0, and the same
-loop finds a first feasible basis.  The dual simplex ignores the box, so
-a boxed tableau takes only rows that the point 0 satisfies, which it
-starts on, and takes no added rows.
+the point violates the row.  The reduced costs of the last objective are
+nonnegative (all zero before any objective), so a dual simplex (Lemke
+1954) restores feasibility: Bland's rule on the dual takes the leaving
+row of lowest basic index among the rows with a negative right-hand side,
+and the entering column of minimum ratio cost_j / -a_rj over a_rj < 0,
+ties to the lowest column.  A negative row with no negative entry proves
+the rows infeasible, and `Tableau.feasible` turns False for good.  While
+the costs are all zero, as they are at construction, every ratio is 0,
+and the same loop finds a first feasible basis.  The dual simplex ignores
+the box, so a boxed tableau takes only rows that the point 0 satisfies,
+which it starts on, and takes no added rows.
 
-Its `optimize` prices an objective against the current basis
-(subtracting each basic row times the objective's entry in its column)
-and runs the primal simplex from there; its `point` reads the basic
-solution the last call ended on.  The basis an optimization ends on is
-kept, and it is primal feasible for any objective, so a caller that asks
-many objectives over the same rows, as a distribution order's separation
-oracle does, pays pivots from the last optimum only.  The cutting-plane
-loop of `equilibrium.solve` keeps one tableau per call and adds each
-round's cuts, so no row is read or made feasible twice.
+`optimize(coeffs)` maximizes coeffs · x, by minimizing its negation with
+the primal simplex from the basis the last call ended on, and returns the
+optimum; `point` reads the vertex the tableau stands on.  A caller that
+asks many objectives over the same rows, as a distribution order's
+separation oracle does, pays pivots from the last optimum only, and the
+cutting-plane loop of `equilibrium.solve` keeps one tableau per call, so
+no row is read or made feasible twice.
 
 The tableau is dense and exact: each row, with its right-hand side last,
 is a list of integer numerators over one positive row denominator, and the
 objective row being minimized is the tableau's last row while the primal
 or the dual simplex runs.  One integer pivot serves both loops, the `=`
-rows and the pricing, so the arithmetic is plain integer work with one gcd
-reduction per row; ratios are compared by cross-multiplying.
-Complementing a column negates its entry in every row, the objective row
-included, and subtracts the old entry from the row's right-hand side; the
-row denominators stay, and so does each row's gcd.
-Fractions appear only where rows or an objective are read and where the
-`LpOutcome` or the point is built.
+rows and the pricing, with one gcd reduction per row; ratios are compared
+by cross-multiplying.  Complementing a column negates its entry in every
+row, the objective row included, and subtracts the old entry from the
+row's right-hand side.  Fractions appear only where rows or an objective
+are read and where the optimum or the point is built.
 """
 
 from __future__ import annotations
@@ -71,13 +67,6 @@ EQ = "="
 GE = ">="
 _RELATIONS = (LE, EQ, GE)
 
-MAX = "max"
-MIN = "min"
-
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -93,15 +82,6 @@ def constraint(coeffs: Sequence, rel: str, rhs) -> Constraint:
     return Constraint(tuple(coeffs), rel, rhs)
 
 
-@dataclass(frozen=True)
-class LpOutcome:
-    """An optimization's status and, for an optimum, its value; the point
-    is `Tableau.point()`."""
-
-    status: str
-    objective_value: Optional[Fraction] = None
-
-
 def _validate_rows(num_vars: int, constraints: Sequence[Constraint]) -> None:
     if num_vars < 0:
         raise MalformedLp("negative variable count")
@@ -110,14 +90,6 @@ def _validate_rows(num_vars: int, constraints: Sequence[Constraint]) -> None:
             raise MalformedLp(f"constraint {k}: {len(c.coeffs)} coefficients, expected {num_vars}")
         if c.rel not in _RELATIONS:
             raise MalformedLp(f"constraint {k}: bad relation {c.rel!r}")
-
-
-def _validate_objective(num_vars: int, objective) -> None:
-    coeffs, direction = objective
-    if len(coeffs) != num_vars:
-        raise MalformedLp("objective length mismatch")
-    if direction not in (MAX, MIN):
-        raise MalformedLp(f"bad objective direction {direction!r}")
 
 
 def _int_row(values) -> tuple[list[int], int]:
@@ -280,12 +252,9 @@ def _eliminate(nums: list[int], den: int, T, basis) -> tuple[list[int], int]:
 class Tableau:
     """The rows of an LP in standard form over a feasible basis: columns
     are the structural variables, then one slack per `<=` or `>=` row in
-    the order the rows joined.  Rows join by `_join` (see the module
-    docstring), at construction and in `add_rows`, which takes `>= 0`
-    rows.  `optimize` re-prices an objective against the kept basis and
-    runs the primal simplex from it, and `point` reads the basic solution.
+    the order the rows joined (`_join`, at construction and in `add_rows`).
     `feasible` is False, for good, once a joining row makes the rows
-    infeasible.
+    infeasible; it is the only place infeasibility is reported.
 
     With `boxed`, every one of the num_vars variables lies in [0, 1]
     without a row for it: the first num_vars columns are boxed, and
@@ -354,42 +323,38 @@ class Tableau:
             self.feasible = _dual_simplex(T, basis)
         self.cost = T.pop()
 
-    def optimize(self, objective: Optional[tuple[tuple[Fraction, ...], str]]) -> LpOutcome:
-        """Optimize (coefficient vector, "max" | "min") over the rows, or,
-        for None, stay on the current basis; `point` reads where the call
-        ends.  The basis the call ends on is kept for the next call, and so
-        are the reduced costs of an optimum (all zero for None or an
-        unbounded objective) for `add_rows`.  On a boxed tableau, a flipped
-        column j prices c_j x_j as c_j - c_j x'_j."""
+    def optimize(self, coeffs: Optional[Sequence]) -> Optional[Fraction]:
+        """The maximum of coeffs · x over the rows, from the current basis;
+        None for None, which stays on the basis, and on an infeasible
+        tableau.  An unbounded objective raises MalformedLp and leaves the
+        tableau on a feasible basis.  The basis is kept for the next call,
+        and so are the reduced costs of an optimum (all zero otherwise) for
+        `add_rows`.  A flipped column j prices c_j x_j as c_j - c_j x'_j."""
         n = self.num_vars
-        if objective is not None:
-            _validate_objective(n, objective)
+        if coeffs is not None and len(coeffs) != n:
+            raise MalformedLp("objective length mismatch")
         if not self.feasible:
-            return LpOutcome(INFEASIBLE)
+            return None
         T, basis = self.rows, self.basis
         self.cost = ([0] * (self.width + 1), 1)
-        value = None
-        if objective is not None:
-            coeffs, direction = objective
-            # Internal objective: minimize.  Pricing gives every basic
-            # column a zero reduced cost.
-            nums, den = _int_row([*coeffs, 0])
-            if direction == MAX:
-                nums = [-v for v in nums]
-            on = nums[:n] + [0] * (self.width - n) + nums[n:]
-            for j, f in enumerate(self.flipped):
-                if f and on[j]:
-                    on[-1] -= on[j]
-                    on[j] = -on[j]
-            T.append(_eliminate(on, den, T, basis))
-            bounded = _simplex_min(T, basis, self.flipped)
-            on, den = T.pop()
-            if not bounded:
-                return LpOutcome(UNBOUNDED)
-            self.cost = (on, den)
-            # The last entry is minus the internal minimum.
-            value = Fraction(on[-1] if direction == MAX else -on[-1], den)
-        return LpOutcome(FEASIBLE, value)
+        if coeffs is None:
+            return None
+        # Minimize -coeffs · x; pricing gives every basic column a zero
+        # reduced cost.
+        nums, den = _int_row(coeffs)
+        on = [-v for v in nums] + [0] * (self.width - n + 1)
+        for j, f in enumerate(self.flipped):
+            if f and on[j]:
+                on[-1] -= on[j]
+                on[j] = -on[j]
+        T.append(_eliminate(on, den, T, basis))
+        bounded = _simplex_min(T, basis, self.flipped)
+        on, den = T.pop()
+        if not bounded:
+            raise MalformedLp("unbounded objective")
+        self.cost = (on, den)
+        # The last entry is minus the minimum of -coeffs · x.
+        return Fraction(on[-1], den)
 
     def point(self) -> Optional[tuple[Fraction, ...]]:
         """The basic solution the tableau stands on, a vertex of the rows'

@@ -31,10 +31,6 @@ from ordineq.linprog import (
     EQ,
     GE,
     LE,
-    FEASIBLE,
-    INFEASIBLE,
-    MAX,
-    MIN,
     Constraint,
     Tableau,
     constraint as make_constraint,
@@ -42,6 +38,13 @@ from ordineq.linprog import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: The statuses of a whole LP and the directions of its objective, as the
+#: helpers below report and take them.
+FEASIBLE = "feasible"
+INFEASIBLE = "infeasible"
+MAX = "max"
+MIN = "min"
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +97,27 @@ class LpSolution:
     objective_value: Optional[Fraction] = None
 
 
+def optimum(tableau: Tableau, objective) -> Optional[Fraction]:
+    """`tableau.optimize` of a (coefficients, "max" | "min") objective or
+    None: a minimum is minus the maximum of the negated coefficients."""
+    if objective is None:
+        return tableau.optimize(None)
+    coeffs, direction = objective
+    if direction == MAX:
+        return tableau.optimize(coeffs)
+    value = tableau.optimize(tuple(-v for v in coeffs))
+    return None if value is None else -value
+
+
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve an exact LP: feasibility, or optimization when an objective is
-    set.  One `Tableau` of the rows, optimized once, and its point."""
+    set.  One `Tableau` of the rows, optimized once, and its point.  An
+    unbounded objective raises MalformedLp."""
     tableau = Tableau(lp.num_vars, lp.constraints)
-    out = tableau.optimize(lp.objective)
-    point = tableau.point() if out.status == FEASIBLE else None
-    return LpSolution(out.status, point, out.objective_value)
+    value = optimum(tableau, lp.objective)
+    if not tableau.feasible:
+        return LpSolution(INFEASIBLE)
+    return LpSolution(FEASIBLE, tableau.point(), value)
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,63 @@ def test_unreadable_input_file_is_bad_input(fixture_file, tmp_path, capsys, flag
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("flag", sorted(set(FILE_FLAGS) - {"--dimacs"}))
+@pytest.mark.parametrize("nesting", ["array", "object"])
+def test_deeply_nested_json_is_bad_input(fixture_file, tmp_path, capsys, flag, nesting):
+    """A JSON document nested 5,000 deep, past what the JSON parser
+    recurses into, given to any JSON file flag, ends in exit 65 with one
+    error line, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000 if nesting == "array" else '{"a": ' * 5000 + "1" + "}" * 5000)
+    game = fixture_file("matching_pennies_symmetric.game")
+    rest = [arg.format(game=game, tmp=tmp_path) for arg in FILE_FLAGS[flag]]
+    code, out, err = run(capsys, rest + [flag, str(path)])
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "weight, threshold, expected",
+    [("1", "1/" + NINES, (EXIT_YES, "1")), ("1", NINES, (EXIT_NO, "1")), ("1/" + NINES, "0", (EXIT_YES, "1/" + NINES))],
+    ids=["long-threshold-yes", "long-threshold-no", "long-value"],
+)
+def test_numbers_past_the_int_str_digit_limit_get_an_exact_answer(
+    fixture_file, tmp_path, capsys, weight, threshold, expected
+):
+    """Python converts at most 4,300 digits between `int` and `str` by
+    default.  A threshold of 5,000 digits is still read exactly, and an
+    optimum of 5,000 digits is still printed exactly."""
+    game = fixture_file("coordination_ordinal.game")
+    objective = tmp_path / "objective.json"
+    objective.write_text(json.dumps({"Top,Left": weight}))
+    argv = ["solve", "--game", game, "--problem", "omire", "--objective", str(objective), "--threshold", threshold]
+    code, out, _ = run(capsys, argv)
+    assert (code, json.loads(out)["value"]) == expected
+
+
+@pytest.mark.parametrize("flag", ["--game", "--profile"])
+def test_a_document_number_past_the_int_str_digit_limit_is_bad_input(fixture_file, tmp_path, capsys, flag):
+    """A JSON integer literal of 5,000 digits in a game, and profile weights
+    that sum to a rational of 5,000 digits, end in exit 65 with one error
+    line, not a traceback."""
+    files = {
+        "--game": fixture_file("matching_pennies_symmetric.game"),
+        "--profile": fixture_file("matching_pennies_symmetric_eq.profile"),
+    }
+    bad = tmp_path / "bad.json"
+    if flag == "--game":
+        bad.write_text(fixture_text("matching_pennies_symmetric.game").replace('"players": 2', '"players": ' + NINES))
+    else:
+        bad.write_text(fixture_text("matching_pennies_symmetric_eq.profile").replace('"1/4"', '"1/' + NINES + '"'))
+    files[flag] = str(bad)
+    code, out, err = run(capsys, ["verify", *(arg for item in files.items() for arg in item)])
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+
+
 def test_reduce_sat_into_a_directory_is_bad_input(tmp_path, capsys):
     dimacs = tmp_path / "f.cnf"
     dimacs.write_text("p cnf 1 1\n1 0\n")

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    FEASIBLE,
+    MAX,
     LinearProgram,
     deviation_gain,
     distribution_shadow_partial,
@@ -34,7 +36,7 @@ from ordineq.games import (
     outcome_distribution,
     profiles_of,
 )
-from ordineq.linprog import EQ, FEASIBLE, GE, LE, constraint
+from ordineq.linprog import EQ, GE, LE, constraint
 from ordineq.randgen import random_game, random_profile_point
 from ordineq.typespaces import enumerate_extreme_types
 
@@ -54,7 +56,7 @@ def _recorded_solve(monkeypatch, game, spaces, query) -> tuple[eq.SolveResult, l
     """`solve`'s result, and its master LP at each round, in order, as its
     one master tableau was handed it: the rows the tableau was built of,
     then every `add_rows` batch before that round's `optimize`, and the
-    objective that `optimize` was handed.  The master is the one tableau
+    coefficients that `optimize` was handed, as a maximization.  The master is the one tableau
     built with the sum-to-one (`=`) rows; a distribution order's oracle
     builds a boxed tableau of its own, of inequality rows, and adds no
     rows.
@@ -73,9 +75,10 @@ def _recorded_solve(monkeypatch, game, spaces, query) -> tuple[eq.SolveResult, l
             self.handed += constraints
             super().add_rows(constraints)
 
-        def optimize(self, objective):
+        def optimize(self, coeffs):
+            objective = None if coeffs is None else (coeffs, MAX)
             self.rounds.append(LinearProgram(self.num_vars, tuple(self.handed), objective))
-            return super().optimize(objective)
+            return super().optimize(coeffs)
 
     with monkeypatch.context() as m:
         m.setattr(linprog, "Tableau", Recording)
@@ -111,7 +114,7 @@ def test_master_lp_rows_are_built_once(monkeypatch, query):
     """The master tableau is built of the sum-to-one rows, then the AARE
     path rows, one per profile.  From round to round it keeps every earlier
     row as the same object at the same index and adds the new cuts, `>= 0`
-    rows, after them; the objective is the same object.  Each row is read
+    rows, after them; the objective is the same.  Each row is read
     into integers once (`linprog._int_row`), when it reaches the tableau."""
     game, spaces, _ = load_game("prisoners_dilemma_rich")
     fixed = len(list(profiles_of(game))) if isinstance(query, eq.Aare) else 0
@@ -132,7 +135,7 @@ def test_master_lp_rows_are_built_once(monkeypatch, query):
         assert len(new) > len(old)
         assert all(x is y for x, y in zip(old, new))
         assert all(c.rel == GE and c.rhs == 0 for c in new[len(old) :])
-        assert after.objective is before.objective
+        assert after.objective == before.objective
     # Total-order oracles and a None objective read nothing else.
     assert len(read) == len(lps[-1].constraints)
 

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import LinearProgram, lp_solve, satisfies_space
+from conftest import FEASIBLE, MAX, LinearProgram, lp_solve, satisfies_space
 from ordineq import equilibrium
 from ordineq.equilibrium import best_cnf_model
 from ordineq.errors import ParseError, ValidationError
 from ordineq.games import PreferenceCnf, TotalOrder
-from ordineq.linprog import FEASIBLE, GE, LE, MAX, constraint
+from ordineq.linprog import GE, LE, constraint
 from ordineq.hardness import (
     CnfFormula,
     check_cnf_existence,

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ordineq.errors import ParseError
@@ -36,7 +36,17 @@ rationals = st.builds(
 )
 
 
+class _Long(Fraction):
+    """A rational whose repr gives only its length: hypothesis prints every
+    explicit example, and `Fraction`'s repr fails past Python's limit on
+    the digits that `int` and `str` convert between (4,300 by default)."""
+
+    def __repr__(self):
+        return f"<a rational of {len(rational_render(self))} characters>"
+
+
 @given(rationals)
+@example(_Long(-(2 * 10**4999 + 1), 10**4999))  # 5,000 digits above and below
 def test_render_parse_round_trip(a):
     assert rational_parse(rational_render(a)) == a
 

@@ -1,7 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
-import tomllib
+import re
 from pathlib import Path
 
 import ordineq
@@ -128,6 +128,18 @@ def _package_uses(path: Path, tree: ast.Module, modules: set[str]) -> set[tuple[
     return uses
 
 
+def _entry_points() -> set[tuple[str, str]]:
+    """The (module, function) targets of `[project.scripts]`, read line by
+    line: `tomllib` is new in Python 3.11, and the package supports 3.10."""
+    targets, section = set(), None
+    for line in PYPROJECT.read_text().splitlines():
+        if line.startswith("["):
+            section = line.strip()
+        elif section == "[project.scripts]" and (m := re.fullmatch(r'\s*[\w.-]+\s*=\s*"([\w.]+):(\w+)"\s*', line)):
+            targets.add(m.groups())
+    return targets
+
+
 def test_every_package_name_is_used():
     """A top-level function, class or constant of a package module is used:
     read in that module, imported from it, or read as an attribute of it
@@ -142,8 +154,7 @@ def test_every_package_name_is_used():
     uses = set()
     for path in paths:
         uses |= _package_uses(path, ast.parse(path.read_text(), str(path)), modules)
-    scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"].values()
-    uses |= {tuple(target.split(":")) for target in scripts}
+    uses |= _entry_points()
     dead = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for name in _top_level_names(ast.parse(path.read_text(), str(path))):
