@@ -1,51 +1,24 @@
-"""Incentive-constraint generation, separation oracles, and the solver for
-the four decision problems (existence, support, attainability, objective
-maximization) over robust mediated equilibria.
+"""Incentive constraints, separation oracles and the cutting-plane solver
+for the four decision problems (existence, support, attainability,
+objective maximization) over robust mediated equilibria.
 
-The feasibility system has one variable per on-path profile weight p(a)
-and one per punishment weight q_{-i}(a_{-i}).  Incentive constraints say
-that for a witness utility vector u, player i, and deviation a_i':
+The master LP weighs on-path profiles p(a), grouped into classes of equal
+columns, and punishments q_{-i}(a_{-i}) (`VariableLayout`).  For a witness
+utility vector u, player i and deviation a_i', the incentive constraint is
 
     sum_a u(o(a)) p(a)  >=  sum_{a_{-i}} u(o(a_i', a_{-i})) q_{-i}(a_{-i})
 
-RHS - LHS is linear in u: its per-outcome weights are the deviation's
-gain vector, which `gain_vectors` builds once per (player, deviation) from
-the on-path outcome distribution, in integers over the profile's common
-denominator (every oracle's comparisons are invariant under a positive
-scale).  Each of the five type-space kinds has one separation oracle of
-that vector alone, built per space by `make_oracle(spec, outcomes)`: it
-returns the largest gain over the kind's finite witness family, with a
-witness attaining it.  The families are the listed types of a finite
-space, the threshold vectors of a total order, the upward-closed 0/1
-vectors of a partial order, the vertices of a distribution order's
-polytope, and the 0/1 models of a preference CNF, which attain the
-maximum of every gain over the whole CNF set (`best_cnf_model` has the
-proof).  The two order oracles also return a flow on the order's pairs
-that proves their answer the maximum over the whole order space, which
-the verifier checks (`verifier.check_flow`); the solver ignores it.
-The solver adds violated constraints in a cutting-plane loop (delayed
-constraint generation) over one master tableau per call, which only ever
-gains rows: it is built of the sum-to-one rows, then the AARE path rows,
-and each cut becomes its row once, when it is found, and joins the
-tableau, whose dual simplex restores feasibility
-(`linprog.Tableau.add_rows`).  An added constraint can never be strictly
-violated again, so the loop terminates.
-The solver and the verifier walk the same `deviation_hits`.  A
-preference entailment, which `entails_preference` asks of a one-shot
-oracle and `find_pure_unmediated` of the player's oracle for every
-unilateral deviation, is one oracle call on the gain vector e_o2 - e_o.
-Each oracle answers each gain vector once: it keeps every answer of its
-call, keyed by the exact gain, and returns the stored one when the same
-gain comes up again, as it does for deviations whose outcomes against the
-punishment are the same.  The answer is the exact maximum over a fixed
-witness family, a function of the gain alone, so reusing it changes no
-answer and no value.
-A distribution order's oracle is one boxed LP tableau of its polytope,
-which keeps the bounds u <= 1 on its columns, not as rows
-(`distribution_polytope`), and which each new gain re-prices
-(`linprog.Tableau.optimize`), so every call to `solve`, `verify` or
-`find_pure_unmediated` builds its own oracles and drops them, with their
-answers, when it returns.
+RHS - LHS is linear in u, with the deviation's gain vector as its
+per-outcome weights (`gain_vectors`).  Each type-space kind has one
+separation oracle of that vector alone (`make_oracle`): the largest gain
+over the kind's witness family (the listed types, the threshold vectors of
+a total order, the up-sets of a partial order, the vertices of a
+distribution order's polytope, the 0/1 models of a preference CNF), with a
+witness attaining it.  `solve` adds the violated constraints as cuts to one
+master tableau per call; a cut can never be strictly violated again, so
+the loop terminates.  The verifier walks the same `deviation_hits`, and a
+preference entailment is one oracle call on the gain e_o2 - e_o
+(`_entails`).  No oracle, tableau or table outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -126,19 +99,64 @@ class SolveResult:
 
 
 class VariableLayout:
-    """p variables first (profile order), then q_{-i} blocks per player."""
+    """The master LP's columns: p columns first, in profile order, then one
+    q_{-i} block per player, in opponent-profile order.
 
-    def __init__(self, game: GameForm):
+    One p column stands for a class of profiles whose master columns are
+    equal, the duplicate-column step of LP presolve (Andersen & Andersen,
+    "Presolving in linear programming", Math. Programming 71, 1995).  A
+    profile a's column has 1 in the sum row, witness[o(a)] in every cut and
+    `weights[a]` in the objective, so a class is an (outcome, weight) pair:
+    the outcome alone for EORE (no weights), the outcome and whether a is
+    the target for SIRE (weight 1), the outcome and g(a) for OMIRE.  With
+    `weights` None, as for AARE, whose path rows tell profiles apart, each
+    profile is its own class.  A class's column is its first profile:
+    `p_index` maps these representatives to their columns, and `profiles`
+    lists every profile.
+
+    Dropping the later profiles of a class changes no pivot and no vertex.
+    Take equal columns j < j'.  Under a basis that holds neither, their
+    tableau columns and reduced costs are equal, and every choice Bland's
+    rule makes between them goes to j: the primal simplex enters the lowest
+    column of negative reduced cost, the dual ratio test breaks ties to the
+    lowest column, and an `=` row joins on its first nonzero column.  Under
+    a basis that holds j, column j' is the unit column of j's row with
+    reduced cost 0, and a joining row, eliminated against that row, gets 0
+    in it: j' neither prices negative nor has a negative entry in a
+    leaving row.  So j' never enters, and its variable stays 0.  Without
+    it the other columns keep their order, so Bland's rule makes the same
+    choices, and a profile left out decodes to weight 0, as it did.
+
+    A cut's row (`cut_row`) is read from two tables built with the layout:
+    the outcome of each p column, and for each (player, deviation) the
+    outcome each q column of the player's block meets.
+    """
+
+    def __init__(self, game: GameForm, weights: Optional[Mapping[Profile, Rational]]):
         self.game = game
+        self.weights = weights
         self.profiles = tuple(profiles_of(game))
-        self.p_index = {prof: k for k, prof in enumerate(self.profiles)}
+        if weights is None:
+            representatives = self.profiles
+        else:
+            first: dict[tuple[str, Rational], Profile] = {}
+            for prof in self.profiles:
+                first.setdefault((game.outcome_of(prof), weights.get(prof, 0)), prof)
+            representatives = first.values()
+        self.p_index = {prof: k for k, prof in enumerate(representatives)}
         self.q_index = []
-        base = len(self.profiles)
+        base = len(self.p_index)
         for i in range(game.num_players):
             opp = tuple(opponents_profiles_of(game, i))
             self.q_index.append({prof: base + k for k, prof in enumerate(opp)})
             base += len(opp)
         self.num_vars = base
+        self.p_outcomes = [(k, game.outcome_of(prof)) for prof, k in self.p_index.items()]
+        self.deviation_outcomes = {
+            (i, a): [(k, game.outcome_of(game.insert(i, a, opp))) for opp, k in q_i.items()]
+            for i, q_i in enumerate(self.q_index)
+            for a in game.action_sets[i]
+        }
 
     def decode(self, assignment: Sequence[Fraction]) -> MediatedProfile:
         p = {
@@ -157,25 +175,23 @@ class VariableLayout:
             )
         return MediatedProfile(p, tuple(q))
 
-    def p_objective(self, weights: Mapping[Profile, Rational]) -> tuple[Rational, ...]:
-        """The coefficients of sum_a weights[a] p(a)."""
+    def p_objective(self) -> tuple[Rational, ...]:
+        """The coefficients of sum_a weights[a] p(a): each column carries its
+        class's weight."""
         coeffs = [0] * self.num_vars
-        for prof, w in weights.items():
-            coeffs[self.p_index[prof]] = w
+        for prof, k in self.p_index.items():
+            coeffs[k] = self.weights.get(prof, 0)
         return tuple(coeffs)
 
-
-def incentive_row(
-    game: GameForm, layout: VariableLayout, i: int, a: str, witness: Mapping[str, Rational]
-) -> linprog.Constraint:
-    """The cut LHS - RHS >= 0 of the witness against player i's deviation
-    to a."""
-    row = [0] * layout.num_vars
-    for prof, k in layout.p_index.items():
-        row[k] += witness[game.outcome_of(prof)]
-    for opp, k in layout.q_index[i].items():
-        row[k] -= witness[game.outcome_of(game.insert(i, a, opp))]
-    return linprog.constraint(row, linprog.GE, 0)
+    def cut_row(self, i: int, a: str, witness: Mapping[str, Rational]) -> linprog.Constraint:
+        """The cut LHS - RHS >= 0 of the witness against player i's
+        deviation to a."""
+        row = [0] * self.num_vars
+        for k, o in self.p_outcomes:
+            row[k] = witness[o]
+        for k, o in self.deviation_outcomes[i, a]:
+            row[k] = -witness[o]
+        return linprog.constraint(row, linprog.GE, 0)
 
 
 def _indicator(n: int, indices, rhs: Rational) -> linprog.Constraint:
@@ -483,36 +499,42 @@ def solve(
 ) -> SolveResult:
     """Answer one of the four decision problems.
 
-    Every space is first validated against the game's outcomes.  One master
-    tableau serves the whole call: its layout and objective are built once,
-    and it is built of the sum-to-one rows, then the AARE path rows, with no
-    cuts.  Each round optimizes the objective from the basis the last round
-    ended on, builds the gain vector of every player's every deviation at
-    the LP's point and asks the player's oracle for its most violated
-    constraint (`deviation_hits`); each player's oracle is built once per
-    call (`make_oracle`).  Each becomes its row once; the batch, sorted by
-    (player, deviation) for reproducibility, is added after the earlier
-    cuts and feasibility restored (`linprog.Tableau.add_rows`).  The
-    tableau and the oracles are dropped when the call returns.
+    Every space and the query are first validated against the game.  One
+    master tableau serves the whole call: its layout, one p column per class
+    of equal profile columns (`VariableLayout`), and its objective are built
+    once, and it is built of the sum-to-one rows, then the AARE path rows,
+    with no cuts.  Each round optimizes the objective from the basis the
+    last round ended on, builds the gain vector of every player's every
+    deviation at the LP's point and asks the player's oracle for its most
+    violated constraint (`deviation_hits`); each player's oracle is built
+    once per call (`make_oracle`).  Each becomes its row once (`cut_row`);
+    the batch, sorted by (player, deviation) for reproducibility, is added
+    after the earlier cuts and feasibility restored
+    (`linprog.Tableau.add_rows`).  The layout, the tableau and the oracles
+    are dropped when the call returns.
     """
     validate_spaces(game, spaces)
-    layout = VariableLayout(game)
+    if isinstance(query, Eore):
+        weights = {}
+    elif isinstance(query, Sire):
+        if not isinstance(query.target, tuple) or query.target not in set(profiles_of(game)):
+            raise ValidationError(f"unknown target profile {query.target}")
+        weights = {query.target: 1}
+    elif isinstance(query, Aare):
+        check_distribution(query.dist, set(profiles_of(game)), "AARE path")
+        weights = None
+    elif isinstance(query, Omire):
+        query.objective.validate(game)
+        weights = query.objective.g
+    else:
+        raise ValidationError(f"unknown query {query!r}")
+    layout = VariableLayout(game, weights)
     n = layout.num_vars
     rows = [_indicator(n, layout.p_index.values(), 1)]
     rows += (_indicator(n, q_i.values(), 1) for q_i in layout.q_index)
-    objective = None
-    if isinstance(query, Sire):
-        if not isinstance(query.target, tuple) or query.target not in layout.p_index:
-            raise ValidationError(f"unknown target profile {query.target}")
-        objective = layout.p_objective({query.target: 1})
-    elif isinstance(query, Aare):
-        check_distribution(query.dist, set(layout.profiles), "AARE path")
+    if isinstance(query, Aare):
         rows += (_indicator(n, (k,), query.dist.get(prof, 0)) for prof, k in layout.p_index.items())
-    elif isinstance(query, Omire):
-        query.objective.validate(game)
-        objective = layout.p_objective(query.objective.g)
-    elif not isinstance(query, Eore):
-        raise ValidationError(f"unknown query {query!r}")
+    objective = layout.p_objective() if isinstance(query, (Sire, Omire)) else None
 
     tableau = linprog.Tableau(n, rows)
     seen: set[tuple[int, str, tuple[Rational, ...]]] = set()
@@ -544,7 +566,7 @@ def solve(
                     "separation oracle repeated a witness; cutting plane would not terminate"
                 )
             seen.add(key)
-        tableau.add_rows([incentive_row(game, layout, i, a, witness) for i, a, witness in hits])
+        tableau.add_rows([layout.cut_row(i, a, witness) for i, a, witness in hits])
 
 
 def _entails(oracle: Oracle, outcomes: tuple[str, ...], o: str, o2: str) -> bool:

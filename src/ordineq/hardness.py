@@ -52,14 +52,31 @@ class CnfFormula:
 
 _INTS_RE = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
 
+#: The most digits a DIMACS integer may have: the lowest int/str digit
+#: limit a process can set (`sys.set_int_max_str_digits`), so `int` reads
+#: every shorter token whatever the process's limit, and far more than any
+#: variable index or count needs.
+_MAX_DIGITS = 640
+
+#: Error messages quote at most this many characters of a line.
+_QUOTED = 40
+
+
+def _quote(line: str) -> str:
+    return repr(line if len(line) <= _QUOTED else line[:_QUOTED] + "...")
+
 
 def _ints(text: str) -> list[int]:
     """The whitespace-separated integers of text, each ASCII `-?[0-9]+`:
     `int` alone would also take `1_0`, `+1` and non-ASCII digits.
-    ValueError otherwise."""
+    ValueError otherwise, and OverflowError, before any conversion, for a
+    token of more than `_MAX_DIGITS` digits."""
     if not _INTS_RE.fullmatch(text):
         raise ValueError("not a list of integers")
-    return [int(tok) for tok in text.split()]
+    tokens = text.split()
+    if any(len(tok.lstrip("-")) > _MAX_DIGITS for tok in tokens):
+        raise OverflowError(f"more than {_MAX_DIGITS} digits")
+    return [int(tok) for tok in tokens]
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -76,18 +93,22 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"line {lineno}: bad problem line {line!r}")
+                raise ParseError(f"line {lineno}: bad problem line {_quote(line)}")
             try:
                 num_vars, declared = _ints(" ".join(parts[2:]))
+            except OverflowError as e:
+                raise ParseError(f"line {lineno}: count too long ({e}) in problem line {_quote(line)}")
             except ValueError:
-                raise ParseError(f"line {lineno}: bad problem line {line!r}")
+                raise ParseError(f"line {lineno}: bad problem line {_quote(line)}")
             continue
         if num_vars is None:
             raise ParseError(f"line {lineno}: clause before problem line")
         try:
             lits = _ints(line)
+        except OverflowError as e:
+            raise ParseError(f"line {lineno}: literal too long ({e}) in {_quote(line)}")
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer literal in {line!r}")
+            raise ParseError(f"line {lineno}: non-integer literal in {_quote(line)}")
         for lit in lits:
             if lit == 0:
                 clauses.append(tuple(pending))

@@ -21,7 +21,7 @@ from conftest import (
 from ordineq import equilibrium as eq
 from ordineq import linprog, verifier
 from ordineq.errors import UnknownOutcome, ValidationError
-from ordineq.fixture_suite import load_game, load_profile
+from ordineq.fixture_suite import GAME_NAMES, load_game, load_profile
 from ordineq.gamedoc import serialize_profile
 from ordineq.games import (
     DistributionOrder,
@@ -45,11 +45,51 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-def _layout_size(game: GameForm) -> int:
-    return len(list(profiles_of(game))) + sum(
+def _weights(query):
+    """The objective weights `solve` hands its layout for the query: none for
+    EORE, 1 on the SIRE target, g for OMIRE, and None for AARE, whose path
+    rows keep one column per profile."""
+    if isinstance(query, eq.Sire):
+        return {query.target: ONE}
+    if isinstance(query, eq.Omire):
+        return query.objective.g
+    return None if isinstance(query, eq.Aare) else {}
+
+
+def _master_width(game: GameForm, query) -> int:
+    """One p column per class of profiles, the profile itself for AARE and
+    its (outcome, objective weight) otherwise, then one q column per
+    opponent profile of each player."""
+    weights = _weights(query)
+    if weights is None:
+        classes = set(profiles_of(game))
+    else:
+        classes = {(game.outcome_of(prof), weights.get(prof, ZERO)) for prof in profiles_of(game)}
+    return len(classes) + sum(
         len(list(opponents_profiles_of(game, i)))
         for i in range(game.num_players)
     )
+
+
+def _later_profile(game: GameForm, rng: random.Random):
+    """A profile that is not the first of its outcome, or None."""
+    first = {}
+    later = [prof for prof in profiles_of(game) if first.setdefault(game.outcome_of(prof), prof) != prof]
+    return rng.choice(later) if later else None
+
+
+def _split_objective(game: GameForm, rng: random.Random) -> ObjectiveSpec:
+    """Random OMIRE weights in {0, 1/2, 1} that give the first two cells of
+    a shared outcome, if there are any, the weights 0 and 1."""
+    g = {prof: Fraction(rng.randint(0, 2), 2) for prof in profiles_of(game)}
+    by_outcome = {}
+    for prof in profiles_of(game):
+        by_outcome.setdefault(game.outcome_of(prof), []).append(prof)
+    shared = [cells for cells in by_outcome.values() if len(cells) > 1]
+    if shared:
+        a, b = rng.choice(shared)[:2]
+        g[a], g[b] = ZERO, ONE
+    return ObjectiveSpec(g, HALF)
 
 
 def _recorded_solve(monkeypatch, game, spaces, query) -> tuple[eq.SolveResult, list[LinearProgram]]:
@@ -94,11 +134,30 @@ def _master_lps(monkeypatch, game, spaces, query) -> list[LinearProgram]:
 
 
 def test_variable_count_matches_contract(monkeypatch):
+    """The master has one p column per class of equal profile columns and
+    one q column per opponent profile, for each kind of query, in every
+    round.  On these games, where outcomes repeat, EORE and SIRE get fewer
+    p columns than profiles; AARE, whose path rows tell profiles apart,
+    gets one per profile."""
+    rng = random.Random(5)
     for name in ("matching_pennies_symmetric", "prisoners_dilemma_rich"):
         game, spaces, _ = load_game(name)
-        assert eq.VariableLayout(game).num_vars == _layout_size(game)
-        lps = _master_lps(monkeypatch, game, spaces, eq.Eore())
-        assert {lp.num_vars for lp in lps} == {_layout_size(game)}
+        per_profile = _master_width(game, eq.Aare({}))
+        queries = (
+            eq.Eore(),
+            eq.Sire(_later_profile(game, rng)),
+            eq.Aare({next(profiles_of(game)): ONE}),
+            eq.Omire(_split_objective(game, rng)),
+        )
+        for query in queries:
+            width = _master_width(game, query)
+            assert eq.VariableLayout(game, _weights(query)).num_vars == width
+            lps = _master_lps(monkeypatch, game, spaces, query)
+            assert {lp.num_vars for lp in lps} == {width}
+            if isinstance(query, eq.Aare):
+                assert width == per_profile
+            elif not isinstance(query, eq.Omire):
+                assert width < per_profile
 
 
 def test_base_lp_is_always_feasible(monkeypatch):
@@ -330,10 +389,11 @@ def test_distribution_polytope_has_a_row_per_pair_and_a_miss_reads_no_vertex(mon
 
 
 def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monkeypatch):
-    """An EORE `solve` on a 2-player game builds its master tableau with
-    one pivot per sum-to-one row, onto the first variable of each block,
-    the first basis its answers rest on; each distribution order's boxed
-    tableau starts on its slacks, with no pivot."""
+    """An EORE `solve` on a 2-player game builds its master tableau, one p
+    column per outcome, with one pivot per sum-to-one row, onto the first
+    variable of each block, the first basis its answers rest on; each
+    distribution order's boxed tableau starts on its slacks, with no
+    pivot."""
     pivots = [0]
     pivot = linprog._pivot
 
@@ -359,7 +419,7 @@ def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monk
         built.clear()
         eq.solve(game, spaces, eq.Eore())
         (boxed, count, basis), *polytopes = built
-        layout = eq.VariableLayout(game)
+        layout = eq.VariableLayout(game, {})
         blocks = [layout.p_index, *layout.q_index]
         assert not boxed and count == len(blocks) == 3
         assert basis == [min(block.values()) for block in blocks]
@@ -368,6 +428,97 @@ def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monk
         for (boxed, count, basis), spec in zip(polytopes, distribution):
             assert boxed and count == 0
             assert basis == list(range(len(game.outcomes), len(game.outcomes) + len(spec.pairs)))
+
+
+class _PerProfileLayout(eq.VariableLayout):
+    """The layout with one p column per profile whatever the weights, as it
+    was before profiles were grouped into classes."""
+
+    def __init__(self, game, weights):
+        super().__init__(game, None)
+        self.weights = weights
+
+
+def _solved_with_pivots(monkeypatch, game, spaces, query, per_profile=False):
+    """`solve`'s result, its serialized profile and the number of
+    `linprog._pivot` calls it made, on the solver's layout or, with
+    `per_profile`, on one p column per profile."""
+    pivots = [0]
+    pivot = linprog._pivot
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(linprog, "_pivot", counted)
+        if per_profile:
+            m.setattr(eq, "VariableLayout", _PerProfileLayout)
+        res = eq.solve(game, spaces, query)
+    text = None if res.profile is None else serialize_profile(res.profile)
+    return res, text, pivots[0]
+
+
+def test_outcome_classes_change_no_answer_and_no_pivot(monkeypatch):
+    """Grouping equal p columns is exact: on every bundled game and on 30
+    random games of 2 and 3 players with more cells than outcomes, each of
+    the four queries gets the same `SolveResult`, byte for byte the same
+    serialized profile and the same number of pivots as with one p column
+    per profile.  The SIRE target is a profile that is not the first of its
+    outcome where there is one, the OMIRE objective weighs two cells of one
+    outcome 0 and 1, and the AARE path is the EORE answer's, if it has
+    one."""
+    rng = random.Random(23)
+    games = [load_game(name)[:2] for name in GAME_NAMES]
+    kinds = ("total_order", "partial_order", "distribution_order", "preference_cnf", "finite")
+    while len(games) < len(GAME_NAMES) + 30:
+        players = 3 if len(games) % 3 == 0 else 2
+        game, spaces = random_game(rng.randint(0, 10**9), num_players=players, kind=kinds[len(games) % 5])
+        if len(list(profiles_of(game))) > len(game.outcomes):
+            games.append((game, spaces))
+    for game, spaces in games:
+        eore = eq.solve(game, spaces, eq.Eore())
+        path = eore.profile.p if eore.answer else random_profile_point(rng, game).p
+        target = _later_profile(game, rng) or rng.choice(list(profiles_of(game)))
+        queries = (eq.Eore(), eq.Sire(target), eq.Aare(path), eq.Omire(_split_objective(game, rng)))
+        for query in queries:
+            got = _solved_with_pivots(monkeypatch, game, spaces, query)
+            assert got == _solved_with_pivots(monkeypatch, game, spaces, query, per_profile=True)
+
+
+def test_a_sire_target_gets_a_column_of_its_own():
+    """A SIRE target that is not the first profile of its outcome is checked
+    against every profile, not against the classes' first profiles, and
+    keeps a column apart from the rest of its outcome, so the answer is
+    about the target cell; an unknown target is still a ValidationError."""
+    game, spaces, _ = load_game("prisoners_dilemma_rich")
+    first = next(prof for prof in profiles_of(game) if game.outcome_of(prof) == game.outcome_of(("c2", "c2")))
+    assert first != ("c2", "c2")
+    layout = eq.VariableLayout(game, {("c2", "c2"): ONE})
+    assert ("c2", "c2") not in eq.VariableLayout(game, {}).p_index
+    assert {first, ("c2", "c2")} <= set(layout.p_index)
+    res = eq.solve(game, spaces, eq.Sire(("c2", "c2")))
+    assert res.answer and res.value == res.profile.p[("c2", "c2")] > 0
+    assert verifier.verify(game, spaces, res.profile).is_equilibrium
+    with pytest.raises(ValidationError, match="unknown target profile"):
+        eq.solve(game, spaces, eq.Sire(("c2", "c9")))
+
+
+def test_an_objective_tells_cells_of_one_outcome_apart():
+    """OMIRE weights that differ on two cells of one outcome give them two
+    columns, and the optimum puts the outcome's mass on the heavier cell.
+    An objective over a profile the game lacks is a ValidationError, raised
+    before the layout reads the weights."""
+    game, spaces, _ = load_game("matching_pennies_symmetric")
+    cells = [prof for prof in profiles_of(game) if game.outcome_of(prof) == "o1"]
+    assert len(cells) == 2
+    g = {cells[0]: ZERO, cells[1]: ONE}
+    assert set(cells) <= set(eq.VariableLayout(game, g).p_index)
+    res = eq.solve(game, spaces, eq.Omire(ObjectiveSpec(g, HALF)))
+    assert res.answer and res.value == HALF
+    assert res.profile.p.get(cells[1]) == HALF and cells[0] not in res.profile.p
+    with pytest.raises(ValidationError, match="unknown profile"):
+        eq.solve(game, spaces, eq.Omire(ObjectiveSpec({("Top", "Middle"): ONE}, HALF)))
 
 
 def test_oracle_silent_when_deviation_changes_nothing():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import FEASIBLE, MAX, LinearProgram, lp_solve, satisfies_space
-from ordineq import equilibrium
+from ordineq import equilibrium, hardness
+from ordineq.cli import EXIT_BAD_INPUT, run_cli
 from ordineq.equilibrium import best_cnf_model
 from ordineq.errors import ParseError, ValidationError
 from ordineq.games import PreferenceCnf, TotalOrder
@@ -57,6 +58,28 @@ def test_parse_dimacs_rejects_clause_count_mismatch():
 def test_parse_dimacs_takes_only_ascii_integers(text):
     with pytest.raises(ParseError):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("p cnf 1 1\n" + "9" * 5000 + " 0\n", "literal too long"), ("p cnf " + "9" * 5000 + " 1\n1 0\n", "count too long")],
+    ids=["literal", "header-count"],
+)
+def test_parse_dimacs_reports_a_too_long_number(monkeypatch, tmp_path, capsys, text, message):
+    """A literal or a header count of 5,000 digits, past Python's int/str
+    digit limit, is a ParseError that says it is too long and quotes only
+    the start of its line; the number is never read, so `reduce_sat`,
+    behind the CLI, never sees it (exit 65)."""
+    with pytest.raises(ParseError, match=message) as err:
+        parse_dimacs(text)
+    assert len(str(err.value)) < 120
+    dimacs = tmp_path / "long.cnf"
+    dimacs.write_text(text)
+    reduced = []
+    monkeypatch.setattr(hardness, "reduce_sat", reduced.append)
+    assert run_cli(["reduce-sat", "--dimacs", str(dimacs), "--out", str(tmp_path / "out.game")]) == EXIT_BAD_INPUT
+    assert reduced == []
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
