@@ -23,9 +23,9 @@ types, so its games are solved by the lazy route only and every yes
 profile is verified.  At each yes profile and at one random profile per
 trial, its oracle, which keeps u <= 1 as column bounds of a boxed
 tableau, is asked about every deviation's gain; its amount must equal the
-optimum of a fresh row-form LP of the same polytope, a plain
-`linprog.Tableau` with an explicit u(o) <= 1 row per outcome, or it counts
-as a disagreement.
+optimum of a fresh unboxed LP of the same polytope, a plain
+`linprog.Tableau` with an explicit equation u(o) + s_o = 1 per outcome, or
+it counts as a disagreement.
 
 Usage: python scripts/oracle_agreement.py [--trials N] [--seed S]
        [--max-actions A] [--max-outcomes O]
@@ -71,31 +71,30 @@ def _certify(game, spaces, finite, profile, label: str) -> tuple[int, int, int]:
     return answers, failures, disagreements
 
 
-def _row_form_max(spec, outcomes, gain) -> int:
+def _unboxed_max(spec, outcomes, gain) -> int:
     """The largest gain over a distribution order's polytope, at least 0
-    (u = 0 is in it), from a fresh plain tableau of its rows: one row
-    r1·u - r2·u >= 0 per pair and one u(o) <= 1 per outcome."""
+    (u = 0 is in it), from a fresh plain tableau over u and one slack s_o
+    per outcome: the equation u(o) + s_o = 1 per outcome and the `>= 0`
+    row r1·u - r2·u per pair."""
     n = len(outcomes)
-    rows = [
-        linprog.constraint([r1.get(o, 0) - r2.get(o, 0) for o in outcomes], linprog.GE, 0)
-        for r1, r2 in spec.pairs
-    ]
-    rows += (linprog.constraint([int(j == k) for j in range(n)], linprog.LE, 1) for k in range(n))
-    return linprog.Tableau(n, rows).optimize(tuple(gain[o] for o in outcomes))
+    units = [[int(j in (k, n + k)) for j in range(2 * n)] for k in range(n)]
+    rows = [[r1.get(o, 0) - r2.get(o, 0) for o in outcomes] + [0] * n for r1, r2 in spec.pairs]
+    tableau = linprog.Tableau(2 * n, [(u, 1) for u in units], rows)
+    return tableau.optimize([gain[o] for o in outcomes] + [0] * n)
 
 
 def _check_dist(game, spaces, profile, label: str) -> tuple[int, int]:
     """Check the distribution-order oracles' answer to every deviation's
-    gain at `profile` against a row-form LP (`_row_form_max`).  Returns
+    gain at `profile` against an unboxed LP (`_unboxed_max`).  Returns
     (answers, disagreements)."""
     lazy = [equilibrium.make_oracle(s, game.outcomes) for s in spaces]
     answers = disagreements = 0
     for i, a, _, gain, hit, _ in equilibrium.deviation_hits(game, lazy, profile):
         answers += 1
-        want = _row_form_max(spaces[i], game.outcomes, gain)
+        want = _unboxed_max(spaces[i], game.outcomes, gain)
         if (0 if hit is None else hit[0]) != want:
             disagreements += 1
-            print(f"DISAGREE {label} player={i} deviation={a}: boxed={hit} row-form={want}")
+            print(f"DISAGREE {label} player={i} deviation={a}: boxed={hit} unboxed={want}")
     return answers, disagreements
 
 

@@ -30,7 +30,7 @@ from numbers import Rational
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import linprog
-from .errors import UnknownOutcome, UnsupportedSpace, ValidationError
+from .errors import UnsupportedSpace, ValidationError
 from .flow import closure_solve
 from .games import (
     DistributionOrder,
@@ -47,7 +47,6 @@ from .games import (
     opponents_profiles_of,
     outcome_distribution,
     profiles_of,
-    validate_space,
     validate_spaces,
 )
 
@@ -119,7 +118,7 @@ class VariableLayout:
     tableau columns and reduced costs are equal, and every choice Bland's
     rule makes between them goes to j: the primal simplex enters the lowest
     column of negative reduced cost, the dual ratio test breaks ties to the
-    lowest column, and an `=` row joins on its first nonzero column.  Under
+    lowest column, and an equation joins on its first nonzero column.  Under
     a basis that holds j, column j' is the unit column of j's row with
     reduced cost 0, and a joining row, eliminated against that row, gets 0
     in it: j' neither prices negative nor has a negative entry in a
@@ -183,23 +182,23 @@ class VariableLayout:
             coeffs[k] = self.weights.get(prof, 0)
         return tuple(coeffs)
 
-    def cut_row(self, i: int, a: str, witness: Mapping[str, Rational]) -> linprog.Constraint:
-        """The cut LHS - RHS >= 0 of the witness against player i's
-        deviation to a."""
+    def cut_row(self, i: int, a: str, witness: Mapping[str, Rational]) -> list[Rational]:
+        """The coefficients of the cut LHS - RHS >= 0 of the witness
+        against player i's deviation to a."""
         row = [0] * self.num_vars
         for k, o in self.p_outcomes:
             row[k] = witness[o]
         for k, o in self.deviation_outcomes[i, a]:
             row[k] = -witness[o]
-        return linprog.constraint(row, linprog.GE, 0)
+        return row
 
 
-def _indicator(n: int, indices, rhs: Rational) -> linprog.Constraint:
-    """The row: the variables at `indices` sum to rhs."""
+def _indicator(n: int, indices, rhs: Rational) -> tuple[list[int], Rational]:
+    """The equation: the variables at `indices` sum to rhs."""
     row = [0] * n
     for k in indices:
         row[k] = 1
-    return linprog.constraint(row, linprog.EQ, rhs)
+    return row, rhs
 
 
 def gain_vectors(
@@ -294,8 +293,8 @@ def distribution_polytope(spec: DistributionOrder, outcomes: tuple[str, ...]) ->
         for sign, r in ((1, r1), (-1, r2)):
             for name, w in r.items():
                 row[idx[name]] += sign * w.numerator * (den // w.denominator)
-        rows.append(linprog.constraint(row, linprog.GE, 0))
-    return linprog.Tableau(n, rows, boxed=True)
+        rows.append(row)
+    return linprog.Tableau(n, rows=rows, boxed=True)
 
 
 def separation_oracle_dist(
@@ -502,11 +501,11 @@ def solve(
     Every space and the query are first validated against the game.  One
     master tableau serves the whole call: its layout, one p column per class
     of equal profile columns (`VariableLayout`), and its objective are built
-    once, and it is built of the sum-to-one rows, then the AARE path rows,
-    with no cuts.  Each round optimizes the objective from the basis the
-    last round ended on, builds the gain vector of every player's every
-    deviation at the LP's point and asks the player's oracle for its most
-    violated constraint (`deviation_hits`); each player's oracle is built
+    once, and it is built of the sum-to-one equations, then the AARE path
+    equations, with no cuts.  Each round optimizes the objective from the
+    basis the last round ended on, builds the gain vector of every player's
+    every deviation at the LP's point and asks the player's oracle for its
+    most violated constraint (`deviation_hits`); each player's oracle is built
     once per call (`make_oracle`).  Each becomes its row once (`cut_row`);
     the batch, sorted by (player, deviation) for reproducibility, is added
     after the earlier cuts and feasibility restored
@@ -530,13 +529,13 @@ def solve(
         raise ValidationError(f"unknown query {query!r}")
     layout = VariableLayout(game, weights)
     n = layout.num_vars
-    rows = [_indicator(n, layout.p_index.values(), 1)]
-    rows += (_indicator(n, q_i.values(), 1) for q_i in layout.q_index)
+    equations = [_indicator(n, layout.p_index.values(), 1)]
+    equations += (_indicator(n, q_i.values(), 1) for q_i in layout.q_index)
     if isinstance(query, Aare):
-        rows += (_indicator(n, (k,), query.dist.get(prof, 0)) for prof, k in layout.p_index.items())
+        equations += (_indicator(n, (k,), query.dist.get(prof, 0)) for prof, k in layout.p_index.items())
     objective = layout.p_objective() if isinstance(query, (Sire, Omire)) else None
 
-    tableau = linprog.Tableau(n, rows)
+    tableau = linprog.Tableau(n, equations)
     seen: set[tuple[int, str, tuple[Rational, ...]]] = set()
     oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
 
@@ -581,28 +580,14 @@ def _entails(oracle: Oracle, outcomes: tuple[str, ...], o: str, o2: str) -> bool
     return oracle(gain)[0] is None
 
 
-def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str, ...]) -> bool:
-    """True iff every utility vector consistent with the space has
-    u(o) >= u(o2): iff no witness gains from the swap, gain e_o2 - e_o.
-    The 0/1 witnesses suffice for orders, whose polytope's vertices are the
-    up-set indicator vectors (Stanley, "Two poset polytopes", 1986), and
-    for preference CNFs, because the gain sums to zero (`best_cnf_model`).
-    The space is validated first, and a one-shot oracle, built only when
-    asked, answers (`_entails`)."""
-    validate_space(spec, outcomes)
-    if o not in outcomes or o2 not in outcomes:
-        raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
-    return _entails(lambda gain: make_oracle(spec, outcomes)(gain), outcomes, o, o2)
-
-
 def find_pure_unmediated(
     game: GameForm, spaces: Sequence[TypeSpaceSpec]
 ) -> list[Profile]:
     """All profiles where every unilateral deviation leads to an outcome the
     deviator weakly disprefers under every consistent type, asked of the
-    player's oracle for this call (`_entails`, as `entails_preference`
-    does).  Each entailment depends only on (player, o, o2), and its swap
-    gain e_o2 - e_o is searched once per call (`make_oracle`)."""
+    player's oracle for this call (`_entails`).  Each entailment depends
+    only on (player, o, o2), and its swap gain e_o2 - e_o is searched once
+    per call (`make_oracle`)."""
     validate_spaces(game, spaces)
     outcomes = game.outcomes
     oracles = [make_oracle(spec, outcomes) for spec in spaces]

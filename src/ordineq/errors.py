@@ -14,10 +14,9 @@ class ValidationError(OrdineqError):
 
 
 class MalformedLp(OrdineqError):
-    """An LP that `linprog` cannot answer: a dimension mismatch, a bad
-    relation, a row a boxed tableau cannot take, an added row that is not
-    `>= 0`, or an unbounded objective.  A caller bug: the package only
-    builds bounded LPs."""
+    """An LP that `linprog` cannot answer: a row or objective of the wrong
+    width, an equation or an added row on a boxed tableau, or an unbounded
+    objective.  A caller bug: the package only builds bounded LPs."""
 
 
 class UnknownOutcome(OrdineqError):

@@ -43,6 +43,12 @@ class GameForm:
                 raise ValidationError(f"outcome_map missing profile {prof}")
             if o not in known:
                 raise ValidationError(f"profile {prof} maps to unknown outcome {o!r}")
+        actions = [set(acts) for acts in self.action_sets]
+        for prof in self.outcome_map:
+            if not isinstance(prof, tuple) or len(prof) != len(actions) or any(
+                a not in acts for a, acts in zip(prof, actions)
+            ):
+                raise ValidationError(f"outcome_map has {prof!r}, not a profile of the action sets")
 
     @property
     def num_players(self) -> int:

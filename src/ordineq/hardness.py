@@ -80,8 +80,8 @@ def _ints(text: str) -> list[int]:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Read DIMACS cnf: "p cnf <m> <k>" header, 0-terminated clause lines,
-    "c" comment lines ignored."""
+    """Read DIMACS cnf: one "p cnf <m> <k>" header, 0-terminated clause
+    lines, "c" comment lines ignored."""
     num_vars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
@@ -91,6 +91,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError(f"line {lineno}: second problem line {_quote(line)}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"line {lineno}: bad problem line {_quote(line)}")

@@ -1,59 +1,56 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over rationals, on the two row shapes the
+package builds: equations coeffs · x = rhs, and homogeneous rows
+coeffs · x >= 0.
 
-Every variable is nonnegative, and any other limit is a row, except on a
-boxed tableau (`Tableau(..., boxed=True)`), where every structural
-variable also lies at most at 1 and that bound is kept on the column
-instead (Dantzig's upper-bounding technique, 1955): a column whose
-variable x_j sits at its bound is complemented, i.e. it stands for
-x'_j = 1 - x_j, so the box costs no row and no slack column.
-A dense simplex, primal for an objective and dual for rows that join,
-with Bland's rule in both, so termination is unconditional (no cycling)
-and no epsilon appears anywhere.  Every feasible answer is a basic
-(vertex) solution of the feasible polyhedron; the cutting-plane loop in
-`equilibrium` relies on that to bound the number of distinct witnesses.
+Every variable is nonnegative.  On a boxed tableau (`Tableau(...,
+boxed=True)`) every structural variable also lies at most at 1, and that
+bound is kept on the column instead of a row (Dantzig's upper-bounding
+technique, 1955): a column whose variable x_j sits at its bound is
+complemented, i.e. it stands for x'_j = 1 - x_j.  A dense simplex, primal
+for an objective and dual for rows that join, with Bland's rule in both,
+so termination is unconditional (no cycling) and no epsilon appears
+anywhere.  Every feasible answer is a basic (vertex) solution of the
+feasible polyhedron; the cutting-plane loop in `equilibrium` relies on
+that to bound the number of distinct witnesses.
 
-Rows join a `Tableau` in one way, whether it is being built or takes
-cuts (`add_rows`).  A `>=` row is negated into a `<=` row, and a `<=` row
-goes on a new slack column that is basic in it.  An `=` row has no slack:
-it is pivoted on its first nonzero column, or, if it has none, dropped
-when its right-hand side is 0 and found infeasible otherwise.  Each row
-is first eliminated against the current basis, so its basic variable
-starts at the row's slack at the current point, which is negative where
-the point violates the row.  The reduced costs of the last objective are
-nonnegative (all zero before any objective), so a dual simplex (Lemke
-1954) restores feasibility: Bland's rule on the dual takes the leaving
-row of lowest basic index among the rows with a negative right-hand side,
-and the entering column of minimum ratio cost_j / -a_rj over a_rj < 0,
-ties to the lowest column.  A negative row with no negative entry proves
-the rows infeasible, and `Tableau.feasible` turns False for good.  While
-the costs are all zero, as they are at construction, every ratio is 0,
-and the same loop finds a first feasible basis.  The dual simplex ignores
-the box, so a boxed tableau takes only rows that the point 0 satisfies,
-which it starts on, and takes no added rows.
+Equations join only at construction, first, each eliminated against the
+current basis and pivoted on its first nonzero column; one that is all
+zero is dropped when it reads 0 = 0 and makes the tableau infeasible
+otherwise.  A `>= 0` row c · x >= 0 joins as -c · x + s = 0 on a new
+slack column s that is basic in it, at construction and by `add_rows`
+alike (`_join`).  Eliminated against the current basis, it starts at
+s = c · x, negative where the point violates the row.  The reduced costs
+of the last objective are nonnegative (all zero before any objective), so
+a dual simplex (Lemke 1954) restores feasibility: Bland's rule on the
+dual takes the leaving row of lowest basic index among the rows with a
+negative right-hand side, and the entering column of minimum ratio
+cost_j / -a_rj over a_rj < 0, ties to the lowest column.  A negative row
+with no negative entry proves the rows infeasible, and `Tableau.feasible`
+turns False for good.  While the costs are all zero, as they are at
+construction, every ratio is 0, and the same loop finds a first feasible
+basis.  Every `>= 0` row holds at the point 0, where a boxed tableau
+starts; the dual simplex ignores the box, so a boxed tableau takes no
+equations and no added rows.
 
-`optimize(coeffs)` maximizes coeffs · x, by minimizing its negation with
-the primal simplex from the basis the last call ended on, and returns the
-optimum; `point` reads the vertex the tableau stands on.  A caller that
-asks many objectives over the same rows, as a distribution order's
-separation oracle does, pays pivots from the last optimum only, and the
-cutting-plane loop of `equilibrium.solve` keeps one tableau per call, so
-no row is read or made feasible twice.
+`optimize(coeffs)` maximizes coeffs · x with the primal simplex from the
+basis the last call ended on, and returns the optimum; `point` reads the
+vertex the tableau stands on.  A caller that asks many objectives over the
+same rows, as a distribution order's separation oracle does, pays pivots
+from the last optimum only, and the cutting-plane loop of
+`equilibrium.solve` keeps one tableau per call.
 
-The tableau is dense and exact: each row, with its right-hand side last,
-is a list of integer numerators over one positive row denominator, and the
-objective row being minimized is the tableau's last row while the primal
-or the dual simplex runs.  One integer pivot serves both loops, the `=`
-rows and the pricing, with one gcd reduction per row; ratios are compared
-by cross-multiplying.  Complementing a column negates its entry in every
-row, the objective row included, and subtracts the old entry from the
-row's right-hand side.  Fractions appear only where rows or an objective
-are read and where the optimum or the point is built.
+Each row, with its right-hand side last, is a list of integer numerators
+over one positive row denominator, and the objective row being minimized
+is the tableau's last row while either simplex runs.  One integer pivot
+serves both loops, the equations and the pricing, with one gcd reduction
+per row; ratios are compared by cross-multiplying.  Fractions appear only
+where rows or an objective are read and where the optimum or the point is
+built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -62,34 +59,11 @@ from .errors import MalformedLp
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-LE = "<="
-EQ = "="
-GE = ">="
-_RELATIONS = (LE, EQ, GE)
 
-
-@dataclass(frozen=True)
-class Constraint:
-    """coeffs · x  rel  rhs, every number an exact rational: a `Fraction`
-    or an `int`."""
-
-    coeffs: tuple[Fraction, ...]
-    rel: str
-    rhs: Fraction
-
-
-def constraint(coeffs: Sequence, rel: str, rhs) -> Constraint:
-    return Constraint(tuple(coeffs), rel, rhs)
-
-
-def _validate_rows(num_vars: int, constraints: Sequence[Constraint]) -> None:
-    if num_vars < 0:
-        raise MalformedLp("negative variable count")
-    for k, c in enumerate(constraints):
-        if len(c.coeffs) != num_vars:
-            raise MalformedLp(f"constraint {k}: {len(c.coeffs)} coefficients, expected {num_vars}")
-        if c.rel not in _RELATIONS:
-            raise MalformedLp(f"constraint {k}: bad relation {c.rel!r}")
+def _check_widths(num_vars: int, rows) -> None:
+    for k, coeffs in enumerate(rows):
+        if len(coeffs) != num_vars:
+            raise MalformedLp(f"row {k}: {len(coeffs)} coefficients, expected {num_vars}")
 
 
 def _int_row(values) -> tuple[list[int], int]:
@@ -250,27 +224,36 @@ def _eliminate(nums: list[int], den: int, T, basis) -> tuple[list[int], int]:
 
 
 class Tableau:
-    """The rows of an LP in standard form over a feasible basis: columns
-    are the structural variables, then one slack per `<=` or `>=` row in
-    the order the rows joined (`_join`, at construction and in `add_rows`).
-    `feasible` is False, for good, once a joining row makes the rows
-    infeasible; it is the only place infeasibility is reported.
+    """The rows of an LP over a feasible basis: columns are the structural
+    variables, then one slack per `>= 0` row in the order the rows joined.
+    `equations` are (coeffs, rhs) pairs and join first; `rows` are
+    coefficient sequences, each meaning coeffs · x >= 0, and join as
+    `add_rows` rows do (`_join`).  `feasible` is False, for good, once the
+    rows are found infeasible; it is the only place infeasibility is
+    reported.
 
     With `boxed`, every one of the num_vars variables lies in [0, 1]
-    without a row for it: the first num_vars columns are boxed, and
-    `flipped[j]` says whether column j stands for 1 - x_j (see
-    `_simplex_min`).  The primal simplex honours the box, and `optimize`
-    prices an objective through the flipped columns.  A boxed tableau
-    takes only rows that the point 0 satisfies, which is its first basis,
-    and no added rows, since the dual simplex does not honour the box.
+    without a row for it, and `flipped[j]` says whether column j stands
+    for 1 - x_j (see `_simplex_min`).  The primal simplex honours the box,
+    and `optimize` prices an objective through the flipped columns.  A
+    boxed tableau starts on the point 0, its slacks basic; it takes no
+    equations and no added rows, since the dual simplex does not honour
+    the box.
     """
 
-    def __init__(self, num_vars: int, constraints: Sequence[Constraint], boxed: bool = False):
-        _validate_rows(num_vars, constraints)
-        if boxed:
-            for k, c in enumerate(constraints):
-                if not (c.rhs >= 0 if c.rel == LE else c.rhs <= 0 if c.rel == GE else c.rhs == 0):
-                    raise MalformedLp(f"constraint {k}: a boxed tableau takes only rows that 0 satisfies")
+    def __init__(
+        self,
+        num_vars: int,
+        equations: Sequence[tuple[Sequence, Fraction]] = (),
+        rows: Sequence[Sequence] = (),
+        boxed: bool = False,
+    ):
+        if num_vars < 0:
+            raise MalformedLp("negative variable count")
+        if boxed and equations:
+            raise MalformedLp("a boxed tableau takes no equations")
+        _check_widths(num_vars, [coeffs for coeffs, _ in equations])
+        _check_widths(num_vars, rows)
         self.num_vars = num_vars
         self.boxed = boxed
         self.flipped = [False] * num_vars if boxed else []
@@ -280,47 +263,40 @@ class Tableau:
         self.feasible = True
         # The reduced costs of the last objective, right-hand side last.
         self.cost = ([0] * (num_vars + 1), 1)
-        self._join(constraints)
+        T, basis = self.rows, self.basis
+        for coeffs, rhs in equations:
+            row, den = _eliminate(*_int_row([*coeffs, rhs]), T, basis)
+            col = next((j for j, v in enumerate(row[:-1]) if v), None)
+            if col is None:
+                if row[-1]:
+                    self.feasible = False
+                    return
+                continue  # 0 = 0
+            T.append((row, den))
+            basis.append(col)
+            _pivot(T, basis, len(basis) - 1, col)
+        self._join(rows)
 
-    def _join(self, constraints: Sequence[Constraint]) -> None:
-        """Add the rows, in order, each eliminated against the current
-        basis, and restore feasibility by the dual simplex (see the module
-        docstring).  The objective row is last in T while rows join, so
-        every pivot keeps the reduced costs priced; an `=` row's pivot
-        keeps them nonnegative only while they are all zero, which they
-        are at construction, the only place such a row joins."""
+    def _join(self, rows: Sequence[Sequence]) -> None:
+        """Add the `>= 0` rows, in order, each on its slack column and
+        eliminated against the current basis, and restore feasibility by
+        the dual simplex (see the module docstring).  The objective row is
+        last in T meanwhile, so every pivot keeps the reduced costs
+        priced."""
         n, w = self.num_vars, self.width
         T, basis = self.rows, self.basis
-        new = [0] * sum(c.rel != EQ for c in constraints)
+        new = [0] * len(rows)
         for nums, _ in (*T, self.cost):
             nums[w:w] = new
         T.append(self.cost)
-        s = w
-        for c in constraints:
-            nums, den = _int_row([*c.coeffs, c.rhs])
-            if c.rel == GE:
-                nums = [-v for v in nums]
-            row = nums[:n] + [0] * (w - n) + new + nums[n:]
-            if c.rel != EQ:
-                row[s] = den
-            row, den = _eliminate(row, den, T, basis)
-            if c.rel != EQ:
-                col, s = s, s + 1
-            else:
-                col = next((j for j, v in enumerate(row[:-1]) if v), None)
-                if col is None:
-                    if row[-1]:
-                        self.feasible = False
-                        break
-                    continue  # 0 = 0
-            r = len(basis)
-            T.insert(r, (row, den))
-            basis.append(col)
-            if c.rel == EQ:
-                _pivot(T, basis, r, col)
-        self.width = w + len(new)
-        if self.feasible:
-            self.feasible = _dual_simplex(T, basis)
+        for s, coeffs in enumerate(rows, w):
+            nums, den = _int_row(coeffs)
+            row = [-v for v in nums] + [0] * (w - n) + new + [0]
+            row[s] = den
+            T.insert(len(basis), _eliminate(row, den, T, basis))
+            basis.append(s)
+        self.width = w + len(rows)
+        self.feasible = _dual_simplex(T, basis)
         self.cost = T.pop()
 
     def optimize(self, coeffs: Optional[Sequence]) -> Optional[Fraction]:
@@ -371,17 +347,12 @@ class Tableau:
                 x[bi] = Fraction(den - b if flipped and flipped[bi] else b, den)
         return tuple(x)
 
-    def add_rows(self, constraints: Sequence[Constraint]) -> None:
-        """Add rows c · x >= 0, each as -c · x <= 0 on a new slack column,
-        and restore feasibility by the dual simplex against the kept
-        reduced costs (`_join`).  A boxed tableau raises MalformedLp."""
+    def add_rows(self, rows: Sequence[Sequence]) -> None:
+        """Add rows c · x >= 0 and restore feasibility by the dual simplex
+        against the kept reduced costs (`_join`).  A boxed tableau raises
+        MalformedLp."""
         if self.boxed:
             raise MalformedLp("rows cannot be added to a boxed tableau")
-        n = self.num_vars
-        for k, c in enumerate(constraints):
-            if len(c.coeffs) != n:
-                raise MalformedLp(f"added row {k}: {len(c.coeffs)} coefficients, expected {n}")
-            if c.rel != GE or c.rhs != 0:
-                raise MalformedLp(f"added row {k}: not a `>= 0` row")
+        _check_widths(self.num_vars, rows)
         if self.feasible:
-            self._join(constraints)
+            self._join(rows)

@@ -3,6 +3,8 @@
 Every oracle here is deliberately independent of the implementation it
 checks: vertex enumeration for LPs, subset enumeration for closures and
 extreme types, and a direct type-by-type scan for equilibrium checking.
+The general `<=`/`>=`/`=` LP that the tests use as a reference lives here
+too; `linprog` itself takes only equations and `>= 0` rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Mapping, Optional
 
 import pytest
 
+from ordineq import equilibrium
 from ordineq.games import (
     DistributionOrder,
     FiniteTypes,
@@ -25,22 +28,19 @@ from ordineq.games import (
     TotalOrder,
     TypeSpaceSpec,
     opponents_profiles_of,
+    validate_space,
 )
 from ordineq.errors import UnknownOutcome, UnsupportedSpace
-from ordineq.linprog import (
-    EQ,
-    GE,
-    LE,
-    Constraint,
-    Tableau,
-    constraint as make_constraint,
-)
+from ordineq.linprog import Tableau
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: The statuses of a whole LP and the directions of its objective, as the
-#: helpers below report and take them.
+#: The relations of a general LP row, the statuses of a whole LP and the
+#: directions of its objective, as the helpers below take and report them.
+LE = "<="
+EQ = "="
+GE = ">="
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 MAX = "max"
@@ -75,6 +75,20 @@ def solve_square_system(rows, rhs):
 
 
 @dataclass(frozen=True)
+class Constraint:
+    """coeffs · x  rel  rhs, rel one of LE, EQ and GE, every number an
+    exact rational."""
+
+    coeffs: tuple[Fraction, ...]
+    rel: str
+    rhs: Fraction
+
+
+def constraint(coeffs, rel: str, rhs) -> Constraint:
+    return Constraint(tuple(coeffs), rel, rhs)
+
+
+@dataclass(frozen=True)
 class LinearProgram:
     """num_vars variables, each >= 0.
 
@@ -97,9 +111,50 @@ class LpSolution:
     objective_value: Optional[Fraction] = None
 
 
-def optimum(tableau: Tableau, objective) -> Optional[Fraction]:
+class StandardForm:
+    """A general LP over num_vars variables on a `Tableau` of equations:
+    each `<=` or `>=` row gets a slack column of its own, after the
+    structural ones, with coefficient +1 or -1.  Objectives and added
+    `>= 0` rows are padded with 0 on the slack columns, and a point is read
+    back as its first num_vars coordinates, a vertex of the general LP's
+    polyhedron."""
+
+    def __init__(self, num_vars: int, constraints):
+        self.num_vars = num_vars
+        self.slacks = sum(c.rel != EQ for c in constraints)
+        pad = [0] * self.slacks
+        equations = []
+        slack = -self.slacks  # the next slack column, from the end
+        for c in constraints:
+            coeffs = [*c.coeffs, *pad]
+            if c.rel != EQ:
+                coeffs[slack] = 1 if c.rel == LE else -1
+                slack += 1
+            equations.append((coeffs, c.rhs))
+        self.tableau = Tableau(num_vars + self.slacks, equations)
+
+    @property
+    def feasible(self) -> bool:
+        return self.tableau.feasible
+
+    def _padded(self, coeffs):
+        return (*coeffs, *[0] * self.slacks)
+
+    def optimize(self, coeffs) -> Optional[Fraction]:
+        return self.tableau.optimize(None if coeffs is None else self._padded(coeffs))
+
+    def point(self) -> Optional[tuple[Fraction, ...]]:
+        x = self.tableau.point()
+        return None if x is None else x[: self.num_vars]
+
+    def add_rows(self, rows) -> None:
+        self.tableau.add_rows([self._padded(r) for r in rows])
+
+
+def optimum(tableau, objective) -> Optional[Fraction]:
     """`tableau.optimize` of a (coefficients, "max" | "min") objective or
-    None: a minimum is minus the maximum of the negated coefficients."""
+    None, on a `Tableau` or a `StandardForm`: a minimum is minus the
+    maximum of the negated coefficients."""
     if objective is None:
         return tableau.optimize(None)
     coeffs, direction = objective
@@ -111,13 +166,13 @@ def optimum(tableau: Tableau, objective) -> Optional[Fraction]:
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve an exact LP: feasibility, or optimization when an objective is
-    set.  One `Tableau` of the rows, optimized once, and its point.  An
-    unbounded objective raises MalformedLp."""
-    tableau = Tableau(lp.num_vars, lp.constraints)
-    value = optimum(tableau, lp.objective)
-    if not tableau.feasible:
+    set.  Its `StandardForm`, optimized once, and its point.  An unbounded
+    objective raises MalformedLp."""
+    form = StandardForm(lp.num_vars, lp.constraints)
+    value = optimum(form, lp.objective)
+    if not form.feasible:
         return LpSolution(INFEASIBLE)
-    return LpSolution(FEASIBLE, tableau.point(), value)
+    return LpSolution(FEASIBLE, form.point(), value)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +239,10 @@ def random_boxed_lp(rng: random.Random, max_vars=3, max_rows=5) -> LinearProgram
     for _ in range(m):
         coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
         rel = rng.choice((LE, GE, EQ))
-        constraints.append(make_constraint(coeffs, rel, Fraction(rng.randint(-4, 4))))
+        constraints.append(constraint(coeffs, rel, Fraction(rng.randint(-4, 4))))
     for j in range(n):
         unit = tuple(ONE if k == j else ZERO for k in range(n))
-        constraints.append(make_constraint(unit, LE, rng.randint(0, 3)))
+        constraints.append(constraint(unit, LE, rng.randint(0, 3)))
     objective = None
     if rng.random() < 0.7:
         coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
@@ -266,6 +321,22 @@ def satisfies_space(u: UtilityVector, spec: TypeSpaceSpec, outcomes: tuple[str, 
     if isinstance(spec, PreferenceCnf):
         return all(any(u[a] >= u[b] for a, b in clause) for clause in spec.clauses)
     raise UnsupportedSpace(type(spec).__name__)
+
+
+def entails_preference(spec: TypeSpaceSpec, o: str, o2: str, outcomes: tuple[str, ...]) -> bool:
+    """True iff every utility vector consistent with the space has
+    u(o) >= u(o2), asked of the package's oracle: iff no witness gains from
+    the swap, gain e_o2 - e_o (`equilibrium._entails`, which
+    `find_pure_unmediated` uses).  The 0/1 witnesses suffice for orders,
+    whose polytope's vertices are the up-set indicator vectors (Stanley,
+    "Two poset polytopes", 1986), and for preference CNFs, because the gain
+    sums to zero (`equilibrium.best_cnf_model`).  The space is validated
+    first, and a one-shot oracle, built only when asked, answers."""
+    validate_space(spec, outcomes)
+    if o not in outcomes or o2 not in outcomes:
+        raise UnknownOutcome(f"unknown outcome in ({o!r}, {o2!r})")
+    oracle = lambda gain: equilibrium.make_oracle(spec, outcomes)(gain)
+    return equilibrium._entails(oracle, outcomes, o, o2)
 
 
 def _expected(r: Mapping[str, Fraction], u: UtilityVector) -> Fraction:

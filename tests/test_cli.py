@@ -584,9 +584,9 @@ def _mutated_docs(draw):
 )
 @given(docs=_mutated_docs())
 def test_mutated_documents_end_in_an_exit_code(tmp_path, capsys, docs):
-    """`solve` (EORE, AARE and OMIRE), `verify` and `pure` answer a bundled
-    game, profile, path or objective with one field mutated with an exit
-    code, never an exception."""
+    """`solve` (EORE, AARE and OMIRE), `verify`, `pure` and
+    `enumerate-types` answer a bundled game, profile, path or objective
+    with one field mutated with an exit code, never an exception."""
     files = {}
     for kind, doc in docs.items():
         files[kind] = str(tmp_path / f"mutated.{kind}")
@@ -597,9 +597,109 @@ def test_mutated_documents_end_in_an_exit_code(tmp_path, capsys, docs):
         solve + ["aare", "--path", files["path"]],
         solve + ["omire", "--objective", files["objective"], "--threshold", "1/2"],
         ["pure", "--game", files["game"]],
+        ["enumerate-types", "--game", files["game"], "--player", "0"],
     ]
     if "profile" in docs:
         commands.append(["verify", "--game", files["game"], "--profile", files["profile"]])
     for argv in commands:
         code, _, _ = run(capsys, argv)
         assert code in (EXIT_YES, EXIT_NO, EXIT_USAGE, EXIT_BAD_INPUT), argv
+
+
+# ---------------------------------------------------------------------------
+# arbitrary bytes through every file flag, and near-DIMACS text
+
+#: Every command that reads a file, once per file flag it reads: FILE is
+#: the generated file, and GAME and PROFILE are the bundled matching
+#: pennies documents.
+FILE, GAME, PROFILE = "{file}", "{game}", "{profile}"
+FILE_FLAG_COMMANDS = (
+    ["solve", "--game", FILE, "--problem", "eore"],
+    ["verify", "--game", FILE, "--profile", PROFILE],
+    ["pure", "--game", FILE],
+    ["enumerate-types", "--game", FILE, "--player", "0"],
+    ["verify", "--game", GAME, "--profile", FILE],
+    ["solve", "--game", GAME, "--problem", "aare", "--path", FILE],
+    ["solve", "--game", GAME, "--problem", "omire", "--objective", FILE, "--threshold", "1/2"],
+    ["reduce-sat", "--dimacs", FILE, "--out", "{out}"],
+)
+
+_JSON_TEXTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+).map(json.dumps)
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.binary(max_size=200) | st.text(max_size=200).map(str.encode) | _JSON_TEXTS.map(str.encode))
+def test_arbitrary_bytes_through_every_file_flag_end_in_an_exit_code(tmp_path, capsys, data):
+    """Bytes, text or a JSON document of any shape, given to each of
+    `--game`, `--profile`, `--path`, `--objective` and `--dimacs`, end in
+    exit 0, 3, 64 or 65, never an exception."""
+    path = tmp_path / "generated"
+    path.write_bytes(data)
+    names = {"file": str(path), "out": str(tmp_path / "out.game")}
+    for kind in ("game", "profile"):
+        names[kind] = str(tmp_path / f"bundled.{kind}")
+        Path(names[kind]).write_text(fixture_text(f"matching_pennies_symmetric{'' if kind == 'game' else '_eq'}.{kind}"))
+    for template in FILE_FLAG_COMMANDS:
+        argv = [arg.format(**names) for arg in template]
+        code, _, _ = run(capsys, argv)
+        assert code in (0, EXIT_YES, EXIT_NO, EXIT_USAGE, EXIT_BAD_INPUT), argv
+
+
+_DIMACS_LINES = st.one_of(
+    st.builds("p cnf {} {}".format, st.integers(-2, 50), st.integers(-2, 50)),
+    st.lists(st.integers(-60, 60), max_size=6).map(lambda lits: " ".join(map(str, lits))),
+    st.sampled_from(["c a comment", "", "0", "p", "p cnf", "p cnf 1 x", "p dnf 1 1", "1 - 2 0", "1 2", "%"]),
+)
+
+
+@st.composite
+def _near_dimacs(draw):
+    """A DIMACS formula over at most 50 variables, with literals up to one
+    past the variable count and a clause count that may be one off, then up
+    to two edits: a line from `_DIMACS_LINES` inserted, a line dropped, or
+    a line's last token cut."""
+    m = draw(st.integers(0, 8) | st.integers(0, 50))
+    literal = st.integers(-m - 1, m + 1).filter(bool)
+    clauses = draw(st.lists(st.lists(literal, max_size=4), max_size=8))
+    declared = len(clauses) + draw(st.sampled_from((0, 0, 0, 1, -1)))
+    lines = [f"p cnf {m} {declared}"] + [" ".join(map(str, [*c, 0])) for c in clauses]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(("insert", "drop", "cut")))
+        if edit == "insert":
+            lines.insert(k, draw(_DIMACS_LINES))
+        elif k < len(lines):
+            lines[k : k + 1] = [] if edit == "drop" else [lines[k].rpartition(" ")[0]]
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_near_dimacs())
+def test_near_dimacs_text_ends_in_an_exit_code(tmp_path, capsys, text):
+    """DIMACS text near the format (`_near_dimacs`), with headers missing,
+    repeated or malformed, clause counts off by one and clauses
+    unterminated or out of range, ends `reduce-sat` in exit 0, 64 or 65.
+    A formula it reduces, if it has at most 8 variables, is solved (exit 0
+    or 3)."""
+    dimacs = tmp_path / "near.cnf"
+    dimacs.write_text(text)
+    out = str(tmp_path / "reduced.game")
+    code, text, _ = run(capsys, ["reduce-sat", "--dimacs", str(dimacs), "--out", out])
+    assert code in (EXIT_YES, EXIT_USAGE, EXIT_BAD_INPUT)
+    if code == EXIT_YES and json.loads(text)["variables"] <= 8:
+        code, _, _ = run(capsys, ["solve", "--game", out, "--problem", "eore"])
+        assert code in (EXIT_YES, EXIT_NO)

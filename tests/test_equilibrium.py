@@ -5,11 +5,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    EQ,
     FEASIBLE,
+    GE,
+    LE,
     MAX,
     LinearProgram,
+    constraint,
     deviation_gain,
     distribution_shadow_partial,
+    entails_preference,
     gain_vector,
     lp_solve,
     lp_vertices,
@@ -36,7 +41,6 @@ from ordineq.games import (
     outcome_distribution,
     profiles_of,
 )
-from ordineq.linprog import EQ, GE, LE, constraint
 from ordineq.randgen import random_game, random_profile_point
 from ordineq.typespaces import enumerate_extreme_types
 
@@ -94,26 +98,27 @@ def _split_objective(game: GameForm, rng: random.Random) -> ObjectiveSpec:
 
 def _recorded_solve(monkeypatch, game, spaces, query) -> tuple[eq.SolveResult, list[LinearProgram]]:
     """`solve`'s result, and its master LP at each round, in order, as its
-    one master tableau was handed it: the rows the tableau was built of,
-    then every `add_rows` batch before that round's `optimize`, and the
-    coefficients that `optimize` was handed, as a maximization.  The master is the one tableau
-    built with the sum-to-one (`=`) rows; a distribution order's oracle
-    builds a boxed tableau of its own, of inequality rows, and adds no
-    rows.
+    one master tableau was handed it: the equations the tableau was built
+    of, as `=` rows, then every `add_rows` batch before that round's
+    `optimize`, as `>= 0` rows, and the coefficients that `optimize` was
+    handed, as a maximization.  The master is the one tableau built with
+    the sum-to-one equations; a distribution order's oracle builds a boxed
+    tableau of its own, of `>= 0` rows only, and adds no rows.
     Fails unless exactly one master tableau was built, and optimized at
     least once."""
     tableaux = []
 
     class Recording(linprog.Tableau):
-        def __init__(self, num_vars, constraints, boxed=False):
-            super().__init__(num_vars, constraints, boxed=boxed)
-            self.handed = list(constraints)
+        def __init__(self, num_vars, equations=(), rows=(), boxed=False):
+            super().__init__(num_vars, equations, rows, boxed=boxed)
+            self.handed = [constraint(c, EQ, rhs) for c, rhs in equations]
+            self.handed += (constraint(c, GE, 0) for c in rows)
             self.rounds = []
             tableaux.append(self)
 
-        def add_rows(self, constraints):
-            self.handed += constraints
-            super().add_rows(constraints)
+        def add_rows(self, rows):
+            self.handed += (constraint(c, GE, 0) for c in rows)
+            super().add_rows(rows)
 
         def optimize(self, coeffs):
             objective = None if coeffs is None else (coeffs, MAX)
@@ -170,11 +175,11 @@ def test_base_lp_is_always_feasible(monkeypatch):
 
 @pytest.mark.parametrize("query", [eq.Eore(), eq.Aare({("c1", "c1"): ONE})], ids=["eore", "aare"])
 def test_master_lp_rows_are_built_once(monkeypatch, query):
-    """The master tableau is built of the sum-to-one rows, then the AARE
-    path rows, one per profile.  From round to round it keeps every earlier
-    row as the same object at the same index and adds the new cuts, `>= 0`
-    rows, after them; the objective is the same.  Each row is read
-    into integers once (`linprog._int_row`), when it reaches the tableau."""
+    """The master tableau is built of the sum-to-one equations, then the
+    AARE path equations, one per profile.  From round to round it keeps
+    every earlier row at the same index and adds the new cuts, `>= 0` rows,
+    after them; the objective is the same.  Each row is read into integers
+    once (`linprog._int_row`), when it reaches the tableau."""
     game, spaces, _ = load_game("prisoners_dilemma_rich")
     fixed = len(list(profiles_of(game))) if isinstance(query, eq.Aare) else 0
     read = []
@@ -192,7 +197,7 @@ def test_master_lp_rows_are_built_once(monkeypatch, query):
     for before, after in zip(lps, lps[1:]):
         old, new = before.constraints, after.constraints
         assert len(new) > len(old)
-        assert all(x is y for x, y in zip(old, new))
+        assert new[: len(old)] == old
         assert all(c.rel == GE and c.rhs == 0 for c in new[len(old) :])
         assert after.objective == before.objective
     # Total-order oracles and a None objective read nothing else.
@@ -404,9 +409,9 @@ def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monk
     built = []
 
     class Counting(linprog.Tableau):
-        def __init__(self, num_vars, constraints, boxed=False):
+        def __init__(self, num_vars, equations=(), rows=(), boxed=False):
             before = pivots[0]
-            super().__init__(num_vars, constraints, boxed=boxed)
+            super().__init__(num_vars, equations, rows, boxed=boxed)
             built.append((self.boxed, pivots[0] - before, list(self.basis)))
 
     monkeypatch.setattr(linprog, "_pivot", counted)
@@ -867,7 +872,7 @@ def test_entailment_matches_closure_and_polytope_vertices():
                 else:
                     closure = partial_order_closure(spec.pairs, outcomes)
                 for o, o2 in itertools.product(outcomes, repeat=2):
-                    assert eq.entails_preference(spec, o, o2, outcomes) == ((o, o2) in closure)
+                    assert entails_preference(spec, o, o2, outcomes) == ((o, o2) in closure)
     for _ in range(15):
         game, spaces = random_game(rng.randint(0, 10**9), max_outcomes=4, kind="distribution_order")
         outcomes = game.outcomes
@@ -875,7 +880,7 @@ def test_entailment_matches_closure_and_polytope_vertices():
             vertices = _polytope_vertices(spec, outcomes)
             for (k, o), (k2, o2) in itertools.product(enumerate(outcomes), repeat=2):
                 expected = min(v[k] - v[k2] for v in vertices) >= 0
-                assert eq.entails_preference(spec, o, o2, outcomes) == expected
+                assert entails_preference(spec, o, o2, outcomes) == expected
 
 
 def _polytope_vertices(spec: DistributionOrder, outcomes) -> list[tuple[Fraction, ...]]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordineq.cli import EXIT_BAD_INPUT, run_cli
 from ordineq.errors import ParseError, ValidationError
 from ordineq.fixture_suite import fixture_text, load_game
 from ordineq.gamedoc import (
@@ -10,7 +11,7 @@ from ordineq.gamedoc import (
     parse_profile,
     serialize_profile,
 )
-from ordineq.games import MediatedProfile, TotalOrder
+from ordineq.games import GameForm, MediatedProfile, TotalOrder
 
 ONE = Fraction(1)
 
@@ -35,6 +36,23 @@ def test_missing_outcome_map_cell_is_validation_error():
     del doc["outcome_map"]["Top,Left"]
     with pytest.raises(ValidationError):
         parse_game(json.dumps(doc))
+
+
+def test_outcome_map_entry_outside_the_action_sets_is_validation_error(tmp_path):
+    """A key that is no profile of the action sets is rejected, not ignored,
+    by the parser, by the CLI (exit 65) and by `GameForm` itself."""
+    doc = json.loads(fixture_text("matching_pennies_symmetric.game"))
+    doc["outcome_map"]["Nope,Never"] = "no_such_outcome"
+    with pytest.raises(ValidationError, match="Nope"):
+        parse_game(json.dumps(doc))
+    path = tmp_path / "stray.game"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["solve", "--game", str(path), "--problem", "eore"]) == EXIT_BAD_INPUT
+    game, _, _ = load_game("matching_pennies_symmetric")
+    stray = dict(game.outcome_map)
+    stray["Top", "Never"] = game.outcomes[0]
+    with pytest.raises(ValidationError):
+        GameForm(game.action_sets, game.outcomes, stray)
 
 
 def test_distribution_not_summing_to_one_rejected():

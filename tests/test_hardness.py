@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FEASIBLE, MAX, LinearProgram, lp_solve, satisfies_space
+from conftest import FEASIBLE, GE, LE, MAX, LinearProgram, constraint, lp_solve, satisfies_space
 from ordineq import equilibrium, hardness
 from ordineq.cli import EXIT_BAD_INPUT, run_cli
 from ordineq.equilibrium import best_cnf_model
 from ordineq.errors import ParseError, ValidationError
 from ordineq.games import PreferenceCnf, TotalOrder
-from ordineq.linprog import GE, LE, constraint
 from ordineq.hardness import (
     CnfFormula,
     check_cnf_existence,
@@ -48,6 +47,15 @@ def test_parse_dimacs_rejects_out_of_range_literal():
 def test_parse_dimacs_rejects_clause_count_mismatch():
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 1 2\n1 0\n")
+
+
+def test_parse_dimacs_rejects_a_second_problem_line():
+    """A second header is an error that names its line and quotes it, not a
+    silent replacement of the first."""
+    with pytest.raises(ParseError, match=r"line 3: second problem line 'p cnf 2 1'"):
+        parse_dimacs("p cnf 1 1\n1 0\np cnf 2 1\n")
+    with pytest.raises(ParseError, match=r"line 2: second problem line 'p cnf 1 1'"):
+        parse_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,9 @@ def test_oracle_agreement_has_no_disagreements(capsys):
     on 200 random games of each kind, and the verifier accepts every yes
     profile of either route.  Every order answer the script asks for
     passes its flow certificate, and none fails.  The boxed
-    distribution-order oracle gives the amount of a row-form LP of the
-    same polytope on every answer the script checks."""
+    distribution-order oracle gives the amount of an unboxed LP of the same
+    polytope, with an explicit equation for each u(o) <= 1, on every answer
+    the script checks."""
     spec = importlib.util.spec_from_file_location(
         "oracle_agreement", SCRIPTS / "oracle_agreement.py"
     )

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import satisfies_space, upward_closed_vectors
+from conftest import entails_preference, satisfies_space, upward_closed_vectors
 from ordineq import equilibrium
-from ordineq.equilibrium import entails_preference
 from ordineq.errors import CapExceeded, UnknownOutcome, UnsupportedSpace
 from ordineq.fixture_suite import load_game
 from ordineq.games import (
