@@ -2,13 +2,15 @@
 """Cross-check the cutting-plane solver against explicit extreme-type LPs.
 
 For each random game, once each with total-order, partial-order and
-preference-CNF spaces, the existence question (and a robust
-social-welfare question) is answered twice: once with the lazy separation
-oracle over the space, and once with every 0/1 extreme type enumerated up
-front as a finite type list.  The two routes must agree on the answer and
-on the optimal value of every trial, and `verifier.verify` must accept
-every yes profile of either route as robust over the game's own spaces;
-any disagreement or rejection is printed and counted, per space kind.
+preference-CNF spaces, three questions are answered twice: existence
+(EORE), support of the first profile (SIRE) and attainability (AARE) of
+the lazy EORE answer's path, or else of a random point's.  One route asks
+the lazy separation oracle over the space, the other lists every 0/1
+extreme type up front as a finite type list.  The two routes must agree
+on the answer and on the optimal value of every trial, and
+`verifier.verify` must accept every yes profile of either route as robust
+over the game's own spaces; any disagreement or rejection is printed and
+counted, per space kind.
 Both routes build their oracles with `equilibrium.make_oracle`.
 For total and partial orders, the lazy oracle is also asked about every
 deviation's gain vector at each yes profile and at one random profile per
@@ -24,8 +26,8 @@ profile is verified.  At each yes profile and at one random profile per
 trial, its oracle, which keeps u <= 1 as column bounds of a boxed
 tableau, is asked about every deviation's gain; its amount must equal the
 optimum of a fresh unboxed LP of the same polytope, a plain
-`linprog.Tableau` with an explicit equation u(o) + s_o = 1 per outcome, or
-it counts as a disagreement.
+`linprog.Tableau` with a block (s_o, u(o)) per outcome, or it counts as a
+disagreement.
 
 Usage: python scripts/oracle_agreement.py [--trials N] [--seed S]
        [--max-actions A] [--max-outcomes O]
@@ -74,12 +76,11 @@ def _certify(game, spaces, finite, profile, label: str) -> tuple[int, int, int]:
 def _unboxed_max(spec, outcomes, gain) -> int:
     """The largest gain over a distribution order's polytope, at least 0
     (u = 0 is in it), from a fresh plain tableau over u and one slack s_o
-    per outcome: the equation u(o) + s_o = 1 per outcome and the `>= 0`
-    row r1·u - r2·u per pair."""
+    per outcome: the block (s_o, u(o)), so u(o) + s_o = 1, per outcome and
+    the `>= 0` row r1·u - r2·u per pair."""
     n = len(outcomes)
-    units = [[int(j in (k, n + k)) for j in range(2 * n)] for k in range(n)]
     rows = [[r1.get(o, 0) - r2.get(o, 0) for o in outcomes] + [0] * n for r1, r2 in spec.pairs]
-    tableau = linprog.Tableau(2 * n, [(u, 1) for u in units], rows)
+    tableau = linprog.Tableau(2 * n, [[n + k, k] for k in range(n)], rows)
     return tableau.optimize([gain[o] for o in outcomes] + [0] * n)
 
 
@@ -118,8 +119,12 @@ def _agreement(kind: str, args) -> tuple[int, int]:
             )
         target = tuple(acts[0] for acts in game.action_sets)
         profiles = [random_profile_point(random.Random(args.seed + trial), game)]
-        for query in (equilibrium.Eore(), equilibrium.Sire(target)):
+        queries = [equilibrium.Eore(), equilibrium.Sire(target)]
+        for query in queries:
             lazy = equilibrium.solve(game, spaces, query)
+            if isinstance(query, equilibrium.Eore):
+                # The AARE path is the lazy EORE answer's, or the random point's.
+                queries.append(equilibrium.Aare((lazy.profile or profiles[0]).p))
             routes = [("lazy", lazy)]
             if finite is not None:
                 explicit = equilibrium.solve(game, finite, query)
@@ -162,7 +167,7 @@ def _agreement(kind: str, args) -> tuple[int, int]:
                 disagreements += counts[1]
     dt = time.monotonic() - t0
     print(
-        f"{kind}: {args.trials} games x 2 queries: {disagreements} disagreements, "
+        f"{kind}: {args.trials} games x {len(queries)} queries: {disagreements} disagreements, "
         f"{verified} yes profiles verified, {checked} distribution answers checked, "
         f"{certified} order answers certified, {failures} certificate failures ({dt:.2f}s)"
     )

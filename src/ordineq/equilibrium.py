@@ -3,8 +3,10 @@ for the four decision problems (existence, support, attainability,
 objective maximization) over robust mediated equilibria.
 
 The master LP weighs on-path profiles p(a), grouped into classes of equal
-columns, and punishments q_{-i}(a_{-i}) (`VariableLayout`).  For a witness
-utility vector u, player i and deviation a_i', the incentive constraint is
+columns, and punishments q_{-i}(a_{-i}), each in a block that sums to 1; an
+AARE path fixes p, and its master has q columns only (`VariableLayout`).
+For a witness utility vector u, player i and deviation a_i', the incentive
+constraint is
 
     sum_a u(o(a)) p(a)  >=  sum_{a_{-i}} u(o(a_i', a_{-i})) q_{-i}(a_{-i})
 
@@ -99,50 +101,67 @@ class SolveResult:
 
 class VariableLayout:
     """The master LP's columns: p columns first, in profile order, then one
-    q_{-i} block per player, in opponent-profile order.
+    q_{-i} block per player, in opponent-profile order.  `p_index` and
+    each `q_index[i]` map profiles to their columns; each is one block of
+    the master, summing to 1.
 
     One p column stands for a class of profiles whose master columns are
     equal, the duplicate-column step of LP presolve (Andersen & Andersen,
     "Presolving in linear programming", Math. Programming 71, 1995).  A
-    profile a's column has 1 in the sum row, witness[o(a)] in every cut and
-    `weights[a]` in the objective, so a class is an (outcome, weight) pair:
-    the outcome alone for EORE (no weights), the outcome and whether a is
-    the target for SIRE (weight 1), the outcome and g(a) for OMIRE.  With
-    `weights` None, as for AARE, whose path rows tell profiles apart, each
-    profile is its own class.  A class's column is its first profile:
-    `p_index` maps these representatives to their columns, and `profiles`
-    lists every profile.
+    profile a's column has 1 in the p block's row, witness[o(a)] in every
+    cut and `weights[a]` in the objective, so a class is an (outcome,
+    weight) pair: the outcome alone for EORE (no weights), the outcome and
+    whether a is the target for SIRE (weight 1), the outcome and g(a) for
+    OMIRE.  A class's column is its first profile.
 
     Dropping the later profiles of a class changes no pivot and no vertex.
     Take equal columns j < j'.  Under a basis that holds neither, their
     tableau columns and reduced costs are equal, and every choice Bland's
     rule makes between them goes to j: the primal simplex enters the lowest
     column of negative reduced cost, the dual ratio test breaks ties to the
-    lowest column, and an equation joins on its first nonzero column.  Under
-    a basis that holds j, column j' is the unit column of j's row with
+    lowest column, and a block starts basic on its first column.  Under a
+    basis that holds j, column j' is the unit column of j's row with
     reduced cost 0, and a joining row, eliminated against that row, gets 0
     in it: j' neither prices negative nor has a negative entry in a
     leaving row.  So j' never enters, and its variable stays 0.  Without
     it the other columns keep their order, so Bland's rule makes the same
     choices, and a profile left out decodes to weight 0, as it did.
 
-    A cut's row (`cut_row`) is read from two tables built with the layout:
-    the outcome of each p column, and for each (player, deviation) the
-    outcome each q column of the player's block meets.
+    With a `path` d, as for AARE, p = d is fixed and has no columns.  The
+    on-path side of a cut is then the constant sum_a u(o(a)) d(a) = c_u,
+    c_u = sum_o mu_d(o) u(o) with mu_d = `outcome_distribution(game, d)`,
+    and player i's block sums to 1, so c_u = c_u * sum q_{-i}.  The cut
+    c_u >= sum_{a_{-i}} u(o(a_i', a_{-i})) q_{-i}(a_{-i}) thus reads
+    sum_{a_{-i}} (c_u - u(o(a_i', a_{-i}))) q_{-i}(a_{-i}) >= 0: right-hand
+    side 0, on player i's block alone.  On the q blocks these rows keep the
+    same points as the rows over (p, q) with p = d did, so every AARE
+    answer is the same, and `decode` returns p = d.
+
+    A cut's row (`cut_row`) is read from tables built with the layout: the
+    outcome of each p column, the path's outcome distribution, and for
+    each (player, deviation) the outcome each q column of the player's
+    block meets.
     """
 
-    def __init__(self, game: GameForm, weights: Optional[Mapping[Profile, Rational]]):
+    def __init__(
+        self,
+        game: GameForm,
+        weights: Mapping[Profile, Rational],
+        path: Optional[Mapping[Profile, Rational]] = None,
+    ):
         self.game = game
         self.weights = weights
-        self.profiles = tuple(profiles_of(game))
-        if weights is None:
-            representatives = self.profiles
-        else:
-            first: dict[tuple[str, Rational], Profile] = {}
-            for prof in self.profiles:
+        profiles = tuple(profiles_of(game))
+        first: dict[tuple[str, Rational], Profile] = {}
+        if path is None:
+            for prof in profiles:
                 first.setdefault((game.outcome_of(prof), weights.get(prof, 0)), prof)
-            representatives = first.values()
-        self.p_index = {prof: k for k, prof in enumerate(representatives)}
+            self.path = None
+            self.path_outcomes = []
+        else:
+            self.path = {prof: Fraction(path[prof]) for prof in profiles if path.get(prof, 0)}
+            self.path_outcomes = [(o, w) for o, w in outcome_distribution(game, path).items() if w]
+        self.p_index = {prof: k for k, prof in enumerate(first.values())}
         self.q_index = []
         base = len(self.p_index)
         for i in range(game.num_players):
@@ -158,21 +177,11 @@ class VariableLayout:
         }
 
     def decode(self, assignment: Sequence[Fraction]) -> MediatedProfile:
-        p = {
-            prof: assignment[k]
-            for prof, k in self.p_index.items()
-            if assignment[k] != 0
-        }
-        q = []
-        for i in range(self.game.num_players):
-            q.append(
-                {
-                    prof: assignment[k]
-                    for prof, k in self.q_index[i].items()
-                    if assignment[k] != 0
-                }
-            )
-        return MediatedProfile(p, tuple(q))
+        def support(index):
+            return {prof: assignment[k] for prof, k in index.items() if assignment[k] != 0}
+
+        p = support(self.p_index) if self.path is None else dict(self.path)
+        return MediatedProfile(p, tuple(support(q_i) for q_i in self.q_index))
 
     def p_objective(self) -> tuple[Rational, ...]:
         """The coefficients of sum_a weights[a] p(a): each column carries its
@@ -184,21 +193,14 @@ class VariableLayout:
 
     def cut_row(self, i: int, a: str, witness: Mapping[str, Rational]) -> list[Rational]:
         """The coefficients of the cut LHS - RHS >= 0 of the witness
-        against player i's deviation to a."""
+        against player i's deviation to a; c_u is 0 without a path."""
         row = [0] * self.num_vars
         for k, o in self.p_outcomes:
             row[k] = witness[o]
+        c_u = sum(w * witness[o] for o, w in self.path_outcomes)
         for k, o in self.deviation_outcomes[i, a]:
-            row[k] = -witness[o]
+            row[k] = c_u - witness[o]
         return row
-
-
-def _indicator(n: int, indices, rhs: Rational) -> tuple[list[int], Rational]:
-    """The equation: the variables at `indices` sum to rhs."""
-    row = [0] * n
-    for k in indices:
-        row[k] = 1
-    return row, rhs
 
 
 def gain_vectors(
@@ -499,20 +501,20 @@ def solve(
     """Answer one of the four decision problems.
 
     Every space and the query are first validated against the game.  One
-    master tableau serves the whole call: its layout, one p column per class
-    of equal profile columns (`VariableLayout`), and its objective are built
-    once, and it is built of the sum-to-one equations, then the AARE path
-    equations, with no cuts.  Each round optimizes the objective from the
-    basis the last round ended on, builds the gain vector of every player's
-    every deviation at the LP's point and asks the player's oracle for its
-    most violated constraint (`deviation_hits`); each player's oracle is built
-    once per call (`make_oracle`).  Each becomes its row once (`cut_row`);
-    the batch, sorted by (player, deviation) for reproducibility, is added
-    after the earlier cuts and feasibility restored
+    master tableau serves the whole call.  Its layout (`VariableLayout`)
+    and objective are built once, and its blocks are the layout's p block,
+    if it has one, and its q blocks, with no cuts.  Each round optimizes
+    the objective from the basis the last round ended on, builds the gain
+    vector of every player's every deviation at the LP's point and asks
+    the player's oracle, built once per call (`make_oracle`), for its most
+    violated constraint (`deviation_hits`).  Each becomes its row once
+    (`cut_row`); the batch, sorted by (player, deviation) for
+    reproducibility, joins after the earlier cuts
     (`linprog.Tableau.add_rows`).  The layout, the tableau and the oracles
     are dropped when the call returns.
     """
     validate_spaces(game, spaces)
+    path = None
     if isinstance(query, Eore):
         weights = {}
     elif isinstance(query, Sire):
@@ -521,21 +523,19 @@ def solve(
         weights = {query.target: 1}
     elif isinstance(query, Aare):
         check_distribution(query.dist, set(profiles_of(game)), "AARE path")
-        weights = None
+        weights, path = {}, query.dist
     elif isinstance(query, Omire):
         query.objective.validate(game)
         weights = query.objective.g
     else:
         raise ValidationError(f"unknown query {query!r}")
-    layout = VariableLayout(game, weights)
-    n = layout.num_vars
-    equations = [_indicator(n, layout.p_index.values(), 1)]
-    equations += (_indicator(n, q_i.values(), 1) for q_i in layout.q_index)
-    if isinstance(query, Aare):
-        equations += (_indicator(n, (k,), query.dist.get(prof, 0)) for prof, k in layout.p_index.items())
+    layout = VariableLayout(game, weights, path)
+    blocks = [list(q_i.values()) for q_i in layout.q_index]
+    if layout.p_index:
+        blocks.insert(0, list(layout.p_index.values()))
     objective = layout.p_objective() if isinstance(query, (Sire, Omire)) else None
 
-    tableau = linprog.Tableau(n, equations)
+    tableau = linprog.Tableau(layout.num_vars, blocks)
     seen: set[tuple[int, str, tuple[Rational, ...]]] = set()
     oracles = [make_oracle(spec, game.outcomes) for spec in spaces]
 

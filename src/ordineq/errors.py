@@ -15,8 +15,9 @@ class ValidationError(OrdineqError):
 
 class MalformedLp(OrdineqError):
     """An LP that `linprog` cannot answer: a row or objective of the wrong
-    width, an equation or an added row on a boxed tableau, or an unbounded
-    objective.  A caller bug: the package only builds bounded LPs."""
+    width, a block that is empty, out of range or overlaps another, a block
+    or an added row on a boxed tableau, or an unbounded objective.  A
+    caller bug: the package only builds bounded LPs."""
 
 
 class UnknownOutcome(OrdineqError):

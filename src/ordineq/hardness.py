@@ -35,6 +35,11 @@ from .games import (
 
 SAT_BRUTE_CAP = 20
 
+#: The most variables `reduce_sat` takes.  Its game has a row, an outcome
+#: and a type-space atom per variable, about 1.5 KB each, so a DIMACS
+#: header alone could otherwise ask for any amount of memory.
+REDUCE_SAT_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class CnfFormula:
@@ -151,9 +156,13 @@ def reduce_sat(f: CnfFormula) -> tuple[GameForm, tuple[TypeSpaceSpec, ...]]:
     Row player: m+2 actions; column player: 2 actions.  Row 1 yields o0 in
     both columns, row 2 yields o1 in both, and row 2+i yields o1 in column 1
     and o_xi in column 2.  The column player's space is an arbitrary fixed
-    total order; the construction works regardless of it.
+    total order; the construction works regardless of it.  A formula over
+    more than `REDUCE_SAT_CAP` variables raises CapExceeded before anything
+    is built.
     """
     m = f.num_vars
+    if m > REDUCE_SAT_CAP:
+        raise CapExceeded(f"{m} variables exceed the reduction cap {REDUCE_SAT_CAP}")
     rows = ["row_o0", "row_o1"] + [f"row_x{i}" for i in range(1, m + 1)]
     cols = ["col_1", "col_2"]
     outcomes = ["o0", "o1"] + [outcome_for_var(i) for i in range(1, m + 1)]

@@ -1,36 +1,34 @@
-"""Exact linear programming over rationals, on the two row shapes the
-package builds: equations coeffs · x = rhs, and homogeneous rows
-coeffs · x >= 0.
+"""Exact linear programming over rationals, on the LPs the package builds:
+nonnegative variables, some of them in disjoint blocks that each sum to
+1, cut by homogeneous rows coeffs · x >= 0.
 
-Every variable is nonnegative.  On a boxed tableau (`Tableau(...,
-boxed=True)`) every structural variable also lies at most at 1, and that
-bound is kept on the column instead of a row (Dantzig's upper-bounding
-technique, 1955): a column whose variable x_j sits at its bound is
-complemented, i.e. it stands for x'_j = 1 - x_j.  A dense simplex, primal
-for an objective and dual for rows that join, with Bland's rule in both,
-so termination is unconditional (no cycling) and no epsilon appears
-anywhere.  Every feasible answer is a basic (vertex) solution of the
-feasible polyhedron; the cutting-plane loop in `equilibrium` relies on
-that to bound the number of distinct witnesses.
+On a boxed tableau (`Tableau(..., boxed=True)`) every structural variable
+also lies at most at 1, and that bound is kept on the column instead of a
+row (Dantzig's upper-bounding technique, 1955): a column whose variable
+x_j sits at its bound is complemented, i.e. it stands for x'_j = 1 - x_j.
+A dense simplex, primal for an objective and dual for rows that join,
+with Bland's rule in both, so termination is unconditional (no cycling)
+and no epsilon appears anywhere.  Every feasible answer is a basic
+(vertex) solution of the feasible polyhedron; the cutting-plane loop in
+`equilibrium` relies on that to bound the number of distinct witnesses.
 
-Equations join only at construction, first, each eliminated against the
-current basis and pivoted on its first nonzero column; one that is all
-zero is dropped when it reads 0 = 0 and makes the tableau infeasible
-otherwise.  A `>= 0` row c · x >= 0 joins as -c · x + s = 0 on a new
-slack column s that is basic in it, at construction and by `add_rows`
-alike (`_join`).  Eliminated against the current basis, it starts at
-s = c · x, negative where the point violates the row.  The reduced costs
-of the last objective are nonnegative (all zero before any objective), so
-a dual simplex (Lemke 1954) restores feasibility: Bland's rule on the
-dual takes the leaving row of lowest basic index among the rows with a
-negative right-hand side, and the entering column of minimum ratio
-cost_j / -a_rj over a_rj < 0, ties to the lowest column.  A negative row
-with no negative entry proves the rows infeasible, and `Tableau.feasible`
-turns False for good.  While the costs are all zero, as they are at
-construction, every ratio is 0, and the same loop finds a first feasible
-basis.  Every `>= 0` row holds at the point 0, where a boxed tableau
-starts; the dual simplex ignores the box, so a boxed tableau takes no
-equations and no added rows.
+A block's row, 1 on the block and right-hand side 1, is basic on the
+block's first column from the start: the blocks are disjoint, so no other
+row has an entry there, and the first basis needs no pivot.  A `>= 0` row
+c · x >= 0 joins as -c · x + s = 0 on a new slack column s that is basic
+in it, at construction and by `add_rows` alike (`_join`).  Eliminated
+against the current basis, it starts at s = c · x, negative where the
+point violates the row.  The reduced costs of the last objective are
+nonnegative (all zero before any objective), so a dual simplex (Lemke
+1954) restores feasibility: Bland's rule on the dual takes the leaving
+row of lowest basic index among the rows with a negative right-hand side,
+and the entering column of minimum ratio cost_j / -a_rj over a_rj < 0,
+ties to the lowest column.  A negative row with no negative entry proves
+the rows infeasible, and `Tableau.feasible` turns False for good.  While
+the costs are all zero, every ratio is 0, and the same loop finds a
+feasible basis with no objective.  Every `>= 0` row holds at the point
+0, where a boxed tableau starts; the dual simplex ignores the box, so a
+boxed tableau takes no blocks and no added rows.
 
 `optimize(coeffs)` maximizes coeffs · x with the primal simplex from the
 basis the last call ended on, and returns the optimum; `point` reads the
@@ -42,10 +40,9 @@ from the last optimum only, and the cutting-plane loop of
 Each row, with its right-hand side last, is a list of integer numerators
 over one positive row denominator, and the objective row being minimized
 is the tableau's last row while either simplex runs.  One integer pivot
-serves both loops, the equations and the pricing, with one gcd reduction
-per row; ratios are compared by cross-multiplying.  Fractions appear only
-where rows or an objective are read and where the optimum or the point is
-built.
+serves both loops and the pricing, with one gcd reduction per row; ratios
+are compared by cross-multiplying.  Fractions appear only where rows or
+an objective are read and where the optimum or the point is built.
 """
 
 from __future__ import annotations
@@ -226,33 +223,33 @@ def _eliminate(nums: list[int], den: int, T, basis) -> tuple[list[int], int]:
 class Tableau:
     """The rows of an LP over a feasible basis: columns are the structural
     variables, then one slack per `>= 0` row in the order the rows joined.
-    `equations` are (coeffs, rhs) pairs and join first; `rows` are
-    coefficient sequences, each meaning coeffs · x >= 0, and join as
-    `add_rows` rows do (`_join`).  `feasible` is False, for good, once the
-    rows are found infeasible; it is the only place infeasibility is
-    reported.
+    `blocks` are disjoint, nonempty sequences of column indices, each
+    meaning that its variables sum to 1, and join first, each as one row
+    basic on its first column; `rows` are coefficient sequences, each
+    meaning coeffs · x >= 0, and join as `add_rows` rows do (`_join`).
+    `feasible` is False, for good, once the rows are found infeasible; it
+    is the only place infeasibility is reported.
 
     With `boxed`, every one of the num_vars variables lies in [0, 1]
     without a row for it, and `flipped[j]` says whether column j stands
     for 1 - x_j (see `_simplex_min`).  The primal simplex honours the box,
     and `optimize` prices an objective through the flipped columns.  A
     boxed tableau starts on the point 0, its slacks basic; it takes no
-    equations and no added rows, since the dual simplex does not honour
-    the box.
+    blocks and no added rows, since the dual simplex does not honour the
+    box.
     """
 
     def __init__(
         self,
         num_vars: int,
-        equations: Sequence[tuple[Sequence, Fraction]] = (),
+        blocks: Sequence[Sequence[int]] = (),
         rows: Sequence[Sequence] = (),
         boxed: bool = False,
     ):
         if num_vars < 0:
             raise MalformedLp("negative variable count")
-        if boxed and equations:
-            raise MalformedLp("a boxed tableau takes no equations")
-        _check_widths(num_vars, [coeffs for coeffs, _ in equations])
+        if boxed and blocks:
+            raise MalformedLp("a boxed tableau takes no blocks")
         _check_widths(num_vars, rows)
         self.num_vars = num_vars
         self.boxed = boxed
@@ -263,18 +260,18 @@ class Tableau:
         self.feasible = True
         # The reduced costs of the last objective, right-hand side last.
         self.cost = ([0] * (num_vars + 1), 1)
-        T, basis = self.rows, self.basis
-        for coeffs, rhs in equations:
-            row, den = _eliminate(*_int_row([*coeffs, rhs]), T, basis)
-            col = next((j for j, v in enumerate(row[:-1]) if v), None)
-            if col is None:
-                if row[-1]:
-                    self.feasible = False
-                    return
-                continue  # 0 = 0
-            T.append((row, den))
-            basis.append(col)
-            _pivot(T, basis, len(basis) - 1, col)
+        taken: set[int] = set()
+        for k, block in enumerate(blocks):
+            if not block:
+                raise MalformedLp(f"block {k} is empty")
+            row = [0] * num_vars + [1]
+            for j in block:
+                if not 0 <= j < num_vars or j in taken:
+                    raise MalformedLp(f"block {k}: column {j} is out of range or repeated")
+                taken.add(j)
+                row[j] = 1
+            self.rows.append((row, 1))
+            self.basis.append(block[0])
         self._join(rows)
 
     def _join(self, rows: Sequence[Sequence]) -> None:

@@ -4,7 +4,7 @@ Every oracle here is deliberately independent of the implementation it
 checks: vertex enumeration for LPs, subset enumeration for closures and
 extreme types, and a direct type-by-type scan for equilibrium checking.
 The general `<=`/`>=`/`=` LP that the tests use as a reference lives here
-too; `linprog` itself takes only equations and `>= 0` rows.
+too; `linprog` itself takes only sum-to-one blocks and `>= 0` rows.
 """
 
 from __future__ import annotations
@@ -112,33 +112,30 @@ class LpSolution:
 
 
 class StandardForm:
-    """A general LP over num_vars variables on a `Tableau` of equations:
-    each `<=` or `>=` row gets a slack column of its own, after the
-    structural ones, with coefficient +1 or -1.  Objectives and added
-    `>= 0` rows are padded with 0 on the slack columns, and a point is read
-    back as its first num_vars coordinates, a vertex of the general LP's
-    polyhedron."""
+    """A general LP over num_vars variables on a `Tableau` of `>= 0` rows,
+    homogenized: a last column t, alone in a block, so t = 1.  A `>=` row
+    c · x >= b becomes c · x - b t >= 0, a `<=` row its negation, and an
+    `=` row both.  Objectives and added `>= 0` rows are padded with 0 on
+    t, and a point is read back as its first num_vars coordinates, a
+    vertex of the general LP's polyhedron."""
 
     def __init__(self, num_vars: int, constraints):
         self.num_vars = num_vars
-        self.slacks = sum(c.rel != EQ for c in constraints)
-        pad = [0] * self.slacks
-        equations = []
-        slack = -self.slacks  # the next slack column, from the end
+        rows = []
         for c in constraints:
-            coeffs = [*c.coeffs, *pad]
-            if c.rel != EQ:
-                coeffs[slack] = 1 if c.rel == LE else -1
-                slack += 1
-            equations.append((coeffs, c.rhs))
-        self.tableau = Tableau(num_vars + self.slacks, equations)
+            row = [*c.coeffs, -c.rhs]
+            if c.rel != LE:
+                rows.append(row)
+            if c.rel != GE:
+                rows.append([-v for v in row])
+        self.tableau = Tableau(num_vars + 1, [[num_vars]], rows)
 
     @property
     def feasible(self) -> bool:
         return self.tableau.feasible
 
     def _padded(self, coeffs):
-        return (*coeffs, *[0] * self.slacks)
+        return (*coeffs, 0)
 
     def optimize(self, coeffs) -> Optional[Fraction]:
         return self.tableau.optimize(None if coeffs is None else self._padded(coeffs))

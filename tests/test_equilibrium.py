@@ -49,26 +49,26 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-def _weights(query):
-    """The objective weights `solve` hands its layout for the query: none for
-    EORE, 1 on the SIRE target, g for OMIRE, and None for AARE, whose path
-    rows keep one column per profile."""
+def _layout(game: GameForm, query) -> eq.VariableLayout:
+    """The layout `solve` builds for the query: no weights for EORE, 1 on
+    the SIRE target, g for OMIRE, and the path for AARE."""
     if isinstance(query, eq.Sire):
-        return {query.target: ONE}
+        return eq.VariableLayout(game, {query.target: ONE})
     if isinstance(query, eq.Omire):
-        return query.objective.g
-    return None if isinstance(query, eq.Aare) else {}
+        return eq.VariableLayout(game, query.objective.g)
+    return eq.VariableLayout(game, {}, query.dist if isinstance(query, eq.Aare) else None)
 
 
 def _master_width(game: GameForm, query) -> int:
-    """One p column per class of profiles, the profile itself for AARE and
-    its (outcome, objective weight) otherwise, then one q column per
-    opponent profile of each player."""
-    weights = _weights(query)
-    if weights is None:
-        classes = set(profiles_of(game))
-    else:
-        classes = {(game.outcome_of(prof), weights.get(prof, ZERO)) for prof in profiles_of(game)}
+    """One p column per class of profiles, its (outcome, objective weight),
+    and none for AARE, whose path fixes p; then one q column per opponent
+    profile of each player."""
+    weights = {query.target: ONE} if isinstance(query, eq.Sire) else {}
+    if isinstance(query, eq.Omire):
+        weights = query.objective.g
+    classes = {(game.outcome_of(prof), weights.get(prof, ZERO)) for prof in profiles_of(game)}
+    if isinstance(query, eq.Aare):
+        classes = set()
     return len(classes) + sum(
         len(list(opponents_profiles_of(game, i)))
         for i in range(game.num_players)
@@ -98,20 +98,20 @@ def _split_objective(game: GameForm, rng: random.Random) -> ObjectiveSpec:
 
 def _recorded_solve(monkeypatch, game, spaces, query) -> tuple[eq.SolveResult, list[LinearProgram]]:
     """`solve`'s result, and its master LP at each round, in order, as its
-    one master tableau was handed it: the equations the tableau was built
-    of, as `=` rows, then every `add_rows` batch before that round's
-    `optimize`, as `>= 0` rows, and the coefficients that `optimize` was
-    handed, as a maximization.  The master is the one tableau built with
-    the sum-to-one equations; a distribution order's oracle builds a boxed
-    tableau of its own, of `>= 0` rows only, and adds no rows.
+    one master tableau was handed it: the blocks the tableau was built of,
+    as `=` rows summing to 1, then every `add_rows` batch before that
+    round's `optimize`, as `>= 0` rows, and the coefficients that
+    `optimize` was handed, as a maximization.  The master is the one
+    tableau built with blocks; a distribution order's oracle builds a
+    boxed tableau of its own, of `>= 0` rows only, and adds no rows.
     Fails unless exactly one master tableau was built, and optimized at
     least once."""
     tableaux = []
 
     class Recording(linprog.Tableau):
-        def __init__(self, num_vars, equations=(), rows=(), boxed=False):
-            super().__init__(num_vars, equations, rows, boxed=boxed)
-            self.handed = [constraint(c, EQ, rhs) for c, rhs in equations]
+        def __init__(self, num_vars, blocks=(), rows=(), boxed=False):
+            super().__init__(num_vars, blocks, rows, boxed=boxed)
+            self.handed = [constraint([int(j in b) for j in range(num_vars)], EQ, 1) for b in blocks]
             self.handed += (constraint(c, GE, 0) for c in rows)
             self.rounds = []
             tableaux.append(self)
@@ -142,12 +142,12 @@ def test_variable_count_matches_contract(monkeypatch):
     """The master has one p column per class of equal profile columns and
     one q column per opponent profile, for each kind of query, in every
     round.  On these games, where outcomes repeat, EORE and SIRE get fewer
-    p columns than profiles; AARE, whose path rows tell profiles apart,
-    gets one per profile."""
+    p columns than profiles; AARE, whose path fixes p, gets none."""
     rng = random.Random(5)
     for name in ("matching_pennies_symmetric", "prisoners_dilemma_rich"):
         game, spaces, _ = load_game(name)
-        per_profile = _master_width(game, eq.Aare({}))
+        q_columns = _master_width(game, eq.Aare({}))
+        per_profile = q_columns + len(list(profiles_of(game)))
         queries = (
             eq.Eore(),
             eq.Sire(_later_profile(game, rng)),
@@ -156,11 +156,11 @@ def test_variable_count_matches_contract(monkeypatch):
         )
         for query in queries:
             width = _master_width(game, query)
-            assert eq.VariableLayout(game, _weights(query)).num_vars == width
+            assert _layout(game, query).num_vars == width
             lps = _master_lps(monkeypatch, game, spaces, query)
             assert {lp.num_vars for lp in lps} == {width}
             if isinstance(query, eq.Aare):
-                assert width == per_profile
+                assert width == q_columns
             elif not isinstance(query, eq.Omire):
                 assert width < per_profile
 
@@ -175,13 +175,14 @@ def test_base_lp_is_always_feasible(monkeypatch):
 
 @pytest.mark.parametrize("query", [eq.Eore(), eq.Aare({("c1", "c1"): ONE})], ids=["eore", "aare"])
 def test_master_lp_rows_are_built_once(monkeypatch, query):
-    """The master tableau is built of the sum-to-one equations, then the
-    AARE path equations, one per profile.  From round to round it keeps
-    every earlier row at the same index and adds the new cuts, `>= 0` rows,
-    after them; the objective is the same.  Each row is read into integers
-    once (`linprog._int_row`), when it reaches the tableau."""
+    """The master tableau is built of the sum-to-one blocks, the p block
+    and one per player, or for AARE the players' blocks alone.  From round
+    to round it keeps every earlier row at the same index and adds the new
+    cuts, `>= 0` rows, after them; the objective is the same.  Each cut is
+    read into integers once (`linprog._int_row`), when it reaches the
+    tableau, and a block is never read."""
     game, spaces, _ = load_game("prisoners_dilemma_rich")
-    fixed = len(list(profiles_of(game))) if isinstance(query, eq.Aare) else 0
+    blocks = game.num_players + (not isinstance(query, eq.Aare))
     read = []
     int_row = linprog._int_row
 
@@ -192,7 +193,7 @@ def test_master_lp_rows_are_built_once(monkeypatch, query):
     monkeypatch.setattr(linprog, "_int_row", record)
     lps = _master_lps(monkeypatch, game, spaces, query)
     assert len(lps) >= 3
-    assert len(lps[0].constraints) == 1 + game.num_players + fixed
+    assert len(lps[0].constraints) == blocks
     assert all(c.rel == EQ for c in lps[0].constraints)
     for before, after in zip(lps, lps[1:]):
         old, new = before.constraints, after.constraints
@@ -201,7 +202,7 @@ def test_master_lp_rows_are_built_once(monkeypatch, query):
         assert all(c.rel == GE and c.rhs == 0 for c in new[len(old) :])
         assert after.objective == before.objective
     # Total-order oracles and a None objective read nothing else.
-    assert len(read) == len(lps[-1].constraints)
+    assert len(read) == len(lps[-1].constraints) - blocks
 
 
 def test_finite_separation_none_iff_no_type_gains():
@@ -395,9 +396,9 @@ def test_distribution_polytope_has_a_row_per_pair_and_a_miss_reads_no_vertex(mon
 
 def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monkeypatch):
     """An EORE `solve` on a 2-player game builds its master tableau, one p
-    column per outcome, with one pivot per sum-to-one row, onto the first
-    variable of each block, the first basis its answers rest on; each
-    distribution order's boxed tableau starts on its slacks, with no
+    column per outcome, with no pivot: each sum-to-one block starts basic
+    on its first column, the first basis its answers rest on.  Each
+    distribution order's boxed tableau starts on its slacks, also with no
     pivot."""
     pivots = [0]
     pivot = linprog._pivot
@@ -409,9 +410,9 @@ def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monk
     built = []
 
     class Counting(linprog.Tableau):
-        def __init__(self, num_vars, equations=(), rows=(), boxed=False):
+        def __init__(self, num_vars, blocks=(), rows=(), boxed=False):
             before = pivots[0]
-            super().__init__(num_vars, equations, rows, boxed=boxed)
+            super().__init__(num_vars, blocks, rows, boxed=boxed)
             built.append((self.boxed, pivots[0] - before, list(self.basis)))
 
     monkeypatch.setattr(linprog, "_pivot", counted)
@@ -426,7 +427,7 @@ def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monk
         (boxed, count, basis), *polytopes = built
         layout = eq.VariableLayout(game, {})
         blocks = [layout.p_index, *layout.q_index]
-        assert not boxed and count == len(blocks) == 3
+        assert not boxed and count == 0 and len(blocks) == 3
         assert basis == [min(block.values()) for block in blocks]
         distribution = [s for s in spaces if isinstance(s, DistributionOrder)]
         assert len(polytopes) == len(distribution) >= 1
@@ -437,11 +438,22 @@ def test_master_and_distribution_polytopes_are_built_with_the_fewest_pivots(monk
 
 class _PerProfileLayout(eq.VariableLayout):
     """The layout with one p column per profile whatever the weights, as it
-    was before profiles were grouped into classes."""
+    was before profiles were grouped into classes: every later column
+    shifts right by the profiles the classes left out."""
 
-    def __init__(self, game, weights):
-        super().__init__(game, None)
-        self.weights = weights
+    def __init__(self, game, weights, path=None):
+        super().__init__(game, weights, path)
+        if path is not None:
+            return
+        profiles = list(profiles_of(game))
+        shift = len(profiles) - len(self.p_index)
+        self.p_index = {prof: k for k, prof in enumerate(profiles)}
+        self.q_index = [{opp: k + shift for opp, k in q_i.items()} for q_i in self.q_index]
+        self.num_vars += shift
+        self.p_outcomes = [(k, game.outcome_of(prof)) for prof, k in self.p_index.items()]
+        self.deviation_outcomes = {
+            key: [(k + shift, o) for k, o in cols] for key, cols in self.deviation_outcomes.items()
+        }
 
 
 def _solved_with_pivots(monkeypatch, game, spaces, query, per_profile=False):
@@ -466,13 +478,13 @@ def _solved_with_pivots(monkeypatch, game, spaces, query, per_profile=False):
 
 def test_outcome_classes_change_no_answer_and_no_pivot(monkeypatch):
     """Grouping equal p columns is exact: on every bundled game and on 30
-    random games of 2 and 3 players with more cells than outcomes, each of
-    the four queries gets the same `SolveResult`, byte for byte the same
+    random games of 2 and 3 players with more cells than outcomes, EORE,
+    SIRE and OMIRE get the same `SolveResult`, byte for byte the same
     serialized profile and the same number of pivots as with one p column
     per profile.  The SIRE target is a profile that is not the first of its
-    outcome where there is one, the OMIRE objective weighs two cells of one
-    outcome 0 and 1, and the AARE path is the EORE answer's, if it has
-    one."""
+    outcome where there is one, and the OMIRE objective weighs two cells of
+    one outcome 0 and 1.  AARE has no p columns to group
+    (`test_aare_answers_as_the_lp_with_path_rows`)."""
     rng = random.Random(23)
     games = [load_game(name)[:2] for name in GAME_NAMES]
     kinds = ("total_order", "partial_order", "distribution_order", "preference_cnf", "finite")
@@ -482,13 +494,74 @@ def test_outcome_classes_change_no_answer_and_no_pivot(monkeypatch):
         if len(list(profiles_of(game))) > len(game.outcomes):
             games.append((game, spaces))
     for game, spaces in games:
-        eore = eq.solve(game, spaces, eq.Eore())
-        path = eore.profile.p if eore.answer else random_profile_point(rng, game).p
         target = _later_profile(game, rng) or rng.choice(list(profiles_of(game)))
-        queries = (eq.Eore(), eq.Sire(target), eq.Aare(path), eq.Omire(_split_objective(game, rng)))
+        queries = (eq.Eore(), eq.Sire(target), eq.Omire(_split_objective(game, rng)))
         for query in queries:
             got = _solved_with_pivots(monkeypatch, game, spaces, query)
             assert got == _solved_with_pivots(monkeypatch, game, spaces, query, per_profile=True)
+
+
+def _lp_with_path_rows(game: GameForm, listed, path) -> LinearProgram:
+    """The AARE master over (p, q) with the path written as rows: one p
+    column per profile, then each player's q block; each block sums to 1,
+    p(a) = d(a) for every profile, and one cut per listed type and
+    deviation, sum_a u(o(a)) p(a) >= sum_{a_-i} u(o(a_i', a_-i)) q_-i(a_-i)."""
+    profiles = list(profiles_of(game))
+    blocks = [list(range(len(profiles)))]
+    opponents = []
+    for i in range(game.num_players):
+        opponents.append(list(opponents_profiles_of(game, i)))
+        start = blocks[-1][-1] + 1
+        blocks.append(list(range(start, start + len(opponents[i]))))
+    n = blocks[-1][-1] + 1
+    rows = [constraint([int(j in b) for j in range(n)], EQ, 1) for b in blocks]
+    rows += (constraint([int(j == k) for j in range(n)], EQ, path.get(prof, ZERO)) for k, prof in enumerate(profiles))
+    for i, spec in enumerate(listed):
+        for u in spec.types:
+            for a in game.action_sets[i]:
+                row = [u[game.outcome_of(prof)] for prof in profiles] + [ZERO] * (n - len(profiles))
+                for k, opp in zip(blocks[i + 1], opponents[i]):
+                    row[k] = -u[game.outcome_of(game.insert(i, a, opp))]
+                rows.append(constraint(row, GE, 0))
+    return LinearProgram(n, tuple(rows))
+
+
+def test_aare_answers_as_the_lp_with_path_rows():
+    """The AARE master has no p columns: over q alone, each cut is
+    homogenized against the player's own block.  On random 2- and 3-player
+    games with listed types, or with order and CNF spaces and their
+    enumerated 0/1 types, `solve` over the spaces and over the listed
+    types answers as `lp_solve` does on the LP with p columns and path rows
+    (`_lp_with_path_rows`).  The path is the EORE answer's, or else a
+    random point's.  A yes follows the path and passes `verify`."""
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    kinds = ("finite", "total_order", "partial_order", "preference_cnf")
+    for trial in range(120):
+        players = 3 if trial % 3 == 0 else 2
+        game, spaces = random_game(
+            rng.randint(0, 10**9),
+            num_players=players,
+            max_actions=2 if players == 3 else 3,
+            max_outcomes=5,
+            kind=kinds[trial % len(kinds)],
+        )
+        listed = tuple(
+            spec if isinstance(spec, FiniteTypes) else FiniteTypes(tuple(enumerate_extreme_types(spec, game.outcomes)))
+            for spec in spaces
+        )
+        eore = eq.solve(game, spaces, eq.Eore())
+        path = eore.profile.p if eore.answer and rng.random() < 0.5 else random_profile_point(rng, game).p
+        want = lp_solve(_lp_with_path_rows(game, listed, path)).status == FEASIBLE
+        where = f"trial {trial}"
+        for over in (spaces, listed):
+            got = eq.solve(game, over, eq.Aare(path))
+            assert got.answer == want, where
+            if got.answer:
+                assert got.profile.p == {prof: w for prof, w in path.items() if w}, where
+                assert verifier.verify(game, spaces, got.profile).is_equilibrium, where
+        seen[want] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_a_sire_target_gets_a_column_of_its_own():

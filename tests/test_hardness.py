@@ -90,6 +90,23 @@ def test_parse_dimacs_reports_a_too_long_number(monkeypatch, tmp_path, capsys, t
     assert message in capsys.readouterr().err
 
 
+def test_reduce_sat_refuses_a_formula_over_its_cap(monkeypatch, tmp_path, capsys):
+    """A header that declares more variables than `REDUCE_SAT_CAP`, at most
+    100,000, ends `reduce-sat` in exit 65 before any game is built, and
+    writes no --out file."""
+    cap = hardness.REDUCE_SAT_CAP
+    assert cap <= 100_000
+    built = []
+    monkeypatch.setattr(hardness, "GameForm", lambda *args, **kwargs: built.append(args))
+    dimacs = tmp_path / "huge.cnf"
+    out = tmp_path / "out.game"
+    for m in (200_000_000, cap + 1):
+        dimacs.write_text(f"p cnf {m} 0\n")
+        assert run_cli(["reduce-sat", "--dimacs", str(dimacs), "--out", str(out)]) == EXIT_BAD_INPUT
+        assert built == [] and not out.exists()
+        assert f"{m} variables exceed the reduction cap" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # brute-force SAT
 

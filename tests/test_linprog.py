@@ -12,6 +12,7 @@ from conftest import (
     MAX,
     MIN,
     LinearProgram,
+    LpSolution,
     StandardForm,
     constraint,
     lp_brute_force,
@@ -61,8 +62,7 @@ def test_unbounded_detected():
 def test_equality_constraint():
     cases = [
         ((constraint([1, 1], EQ, 1),), (ONE, -ONE)),
-        # the second row repeats the first: eliminated against the basis
-        # the first one pivoted to, it is all zero, 0 = 0, and is dropped
+        # the second row repeats the first, scaled
         (
             (
                 constraint([1, 1], EQ, 1),
@@ -92,10 +92,9 @@ def test_dimension_mismatch_rejected():
                 num_vars=1, constraints=(), objective=((ONE, ONE), MAX)
             )
         )
-    cases = [([([1], 1)], []), ([], [[1, 0, 0]]), ([([1, 1], 1)], [[1]])]
-    for equations, rows in cases:
+    for blocks, rows in (([], [[1, 0, 0]]), ([[0, 1]], [[1]])):
         with pytest.raises(MalformedLp):
-            Tableau(2, equations, rows)
+            Tableau(2, blocks, rows)
 
 
 def _check_assignment(lp, x):
@@ -229,10 +228,10 @@ def test_add_rows_in_batches_matches_a_fresh_solve():
 
 
 def test_an_infeasible_batch_answers_infeasible_for_good():
-    """x1 + x2 = 1 with x1 <= 0 and x2 <= 0 added as `>= 0` rows has no
-    point; the tableau stays infeasible, and every later call returns
-    None."""
-    tableau = Tableau(2, [([1, 1], 1)])
+    """The block x1 + x2 = 1 with x1 <= 0 and x2 <= 0 added as `>= 0` rows
+    has no point; the tableau stays infeasible, and every later call
+    returns None."""
+    tableau = Tableau(2, [[0, 1]])
     tableau.optimize((ONE, ZERO))
     assert tableau.point() == (ONE, ZERO)
     tableau.add_rows(([-1, 0],))
@@ -249,9 +248,10 @@ def test_an_infeasible_batch_answers_infeasible_for_good():
 @pytest.mark.parametrize("row", [[1], [1, 0, 0]], ids=["short", "long"])
 def test_add_rows_takes_only_ge_zero_rows_of_the_right_length(row):
     """A row of the wrong width is rejected, by a feasible tableau and by
-    one whose equations are infeasible."""
-    for equations in ((([1, 1], 1),), (([1, 1], 3), ([1, 1], 1))):
-        tableau = Tableau(2, equations)
+    one whose rows are infeasible."""
+    for rows in ((), ([-1, 0], [0, -1])):
+        tableau = Tableau(2, [[0, 1]], rows)
+        assert tableau.feasible == (not rows)
         with pytest.raises(MalformedLp):
             tableau.add_rows(([1, -1], row))
 
@@ -263,13 +263,10 @@ def test_rows_at_construction_join_as_added_rows_do():
     rng = random.Random(20261103)
     for trial in range(200):
         n = rng.randint(1, 4)
-        equations = [
-            ([rng.randint(-2, 2) for _ in range(n)], Fraction(rng.randint(-2, 4), rng.randint(1, 2)))
-            for _ in range(rng.randint(0, 2))
-        ]
+        blocks = _random_blocks(rng, n)
         rows = [_random_cut(rng, n) for _ in range(rng.randint(0, 4))]
-        built = Tableau(n, equations, rows)
-        added = Tableau(n, equations)
+        built = Tableau(n, blocks, rows)
+        added = Tableau(n, blocks)
         added.add_rows(rows)
         assert built.feasible == added.feasible, f"trial {trial}"
         if built.feasible:
@@ -356,14 +353,14 @@ def test_boxed_tableau_matches_explicit_unit_rows(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
-@pytest.mark.parametrize("equation", [([1, -1], 1), ([1, -1], -1)], ids=["eq-positive", "eq-negative"])
-def test_a_boxed_tableau_takes_only_rows_that_zero_satisfies(equation):
-    """A boxed tableau starts on the point 0, where every `>= 0` row holds;
-    it takes no equation, whatever its right-hand side."""
-    with pytest.raises(MalformedLp):
-        Tableau(2, (equation,), ([1, 0],), boxed=True)
-    with pytest.raises(MalformedLp):
-        Tableau(2, ((equation[0], 0),), boxed=True)
+@pytest.mark.parametrize("blocks", [[[0, 1]], [[0], [1]]], ids=["one-block", "two-blocks"])
+def test_a_boxed_tableau_takes_only_rows_that_zero_satisfies(blocks):
+    """A boxed tableau starts on the point 0, where every `>= 0` row holds
+    and no block sums to 1; it takes no block."""
+    with pytest.raises(MalformedLp, match="boxed"):
+        Tableau(2, blocks, ([1, 0],), boxed=True)
+    with pytest.raises(MalformedLp, match="boxed"):
+        Tableau(2, blocks, boxed=True)
 
 
 def test_a_boxed_tableau_takes_no_added_rows():
@@ -377,26 +374,77 @@ def test_a_boxed_tableau_takes_no_added_rows():
 
 
 def test_inconsistent_repeated_equations_are_infeasible():
-    """x + y = 1 and 2x + 2y = 3: the second equation, eliminated against
-    the first, is 0 = 1."""
-    tableau = Tableau(2, (([1, 1], 1), ([2, 2], 3)))
-    assert not tableau.feasible
-    assert tableau.optimize((ONE, ZERO)) is None
-    assert tableau.point() is None
+    """x + y = 1 and 2x + 2y = 3 have no common point, whatever the
+    objective."""
+    for objective in (None, ((ONE, ZERO), MAX)):
+        lp = LinearProgram(2, (constraint([1, 1], EQ, 1), constraint([2, 2], EQ, 3)), objective)
+        assert lp_solve(lp) == LpSolution(INFEASIBLE)
 
 
 def test_a_zero_equals_zero_row_is_dropped():
-    tableau = Tableau(2, (([0, 0], 0), ([1, 1], 1), ([0, 0], 0)))
-    assert tableau.feasible
-    assert len(tableau.rows) == len(tableau.basis) == 1
-    assert tableau.width == 2
-    assert tableau.optimize((ZERO, ONE)) == ONE
-    assert tableau.feasible and tableau.point() == (ZERO, ONE)
+    """A 0 = 0 row, before and after x + y = 1, holds at every point: the
+    LP answers as x + y = 1 alone does."""
+    zero = constraint([0, 0], EQ, 0)
+    lp = LinearProgram(2, (zero, constraint([1, 1], EQ, 1), zero), ((ZERO, ONE), MAX))
+    assert lp_solve(lp) == LpSolution(FEASIBLE, (ZERO, ONE), ONE)
 
 
 def test_an_all_zero_row_with_a_negative_bound_is_infeasible():
-    """0 <= -1, in standard form 0 + s = -1, pivots its slack to -1: the
-    dual simplex finds a negative row with no negative entry."""
+    """0 <= -1, homogenized to -t >= 0 on the block t = 1, joins with its
+    slack at -1: the dual simplex finds a negative row with no negative
+    entry."""
     tableau = StandardForm(2, (constraint([1, 1], LE, 1), constraint([0, 0], LE, -1)))
     assert not tableau.feasible
     assert tableau.optimize(None) is None
+
+
+def _random_blocks(rng, n):
+    """Disjoint blocks over a random part of range(n), in random order."""
+    cols = rng.sample(range(n), rng.randint(0, n))
+    blocks = []
+    while cols:
+        k = rng.randint(1, len(cols))
+        blocks.append(cols[:k])
+        cols = cols[k:]
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[[]], [[0, 0]], [[0], [1, 0]], [[2]], [[-1]]],
+    ids=["empty", "repeated", "in-two-blocks", "past-the-end", "negative"],
+)
+def test_a_block_is_a_nonempty_set_of_columns_no_other_block_has(blocks):
+    with pytest.raises(MalformedLp, match="block"):
+        Tableau(2, blocks)
+
+
+def test_blocks_start_basic_on_their_first_columns_with_no_pivot(monkeypatch):
+    """Each block's row, 1 on the block and right-hand side 1, is basic on
+    the block's first column with no pivot, and the tableau stands on the
+    point that puts 1 there.  An objective then reaches the optimum that
+    `lp_solve` finds with the blocks written as `=` rows, at a vertex."""
+    pivots = []
+    pivot = linprog._pivot
+    monkeypatch.setattr(linprog, "_pivot", lambda *args: (pivots.append(args), pivot(*args)))
+    rng = random.Random(20261104)
+    for trial in range(100):
+        n = rng.randint(1, 5)
+        blocks = _random_blocks(rng, n)
+        pivots.clear()
+        tableau = Tableau(n, blocks)
+        where = f"trial {trial}"
+        assert tableau.feasible and not pivots, where
+        assert tableau.rows == [([int(j in b) for j in range(n)] + [1], 1) for b in blocks], where
+        assert tableau.basis == [b[0] for b in blocks], where
+        first = {b[0] for b in blocks}
+        assert tableau.point() == tuple(ONE if j in first else ZERO for j in range(n)), where
+        # A column in no block is bounded by the objective alone: weigh it
+        # at most 0, and bound it by 1 for the vertex enumeration.
+        free = [j for j in range(n) if not any(j in b for b in blocks)]
+        coeffs = tuple(Fraction(rng.randint(-3, 0 if j in free else 3)) for j in range(n))
+        rows = tuple(constraint([int(j in b) for j in range(n)], EQ, 1) for b in blocks)
+        rows += tuple(constraint([int(j == k) for j in range(n)], LE, 1) for k in free)
+        fresh = lp_solve(LinearProgram(n, rows, (coeffs, MAX)))
+        assert tableau.optimize(coeffs) == fresh.objective_value, where
+        assert tableau.point() in lp_vertices(LinearProgram(n, rows)), where
