@@ -116,16 +116,18 @@ class VariableLayout:
 
     Dropping the later profiles of a class changes no pivot and no vertex.
     Take equal columns j < j'.  Under a basis that holds neither, their
-    tableau columns and reduced costs are equal, and every choice Bland's
-    rule makes between them goes to j: the primal simplex enters the lowest
-    column of negative reduced cost, the dual ratio test breaks ties to the
-    lowest column, and a block starts basic on its first column.  Under a
-    basis that holds j, column j' is the unit column of j's row with
-    reduced cost 0, and a joining row, eliminated against that row, gets 0
-    in it: j' neither prices negative nor has a negative entry in a
-    leaving row.  So j' never enters, and its variable stays 0.  Without
-    it the other columns keep their order, so Bland's rule makes the same
-    choices, and a profile left out decodes to weight 0, as it did.
+    dictionary columns (`linprog.Tableau`) and reduced costs are equal, and
+    every choice Bland's rule makes between them goes to j: the primal
+    simplex enters the lowest label of negative reduced cost, the dual
+    ratio test breaks ties to the lowest label, and a block starts basic on
+    its first column.  Under a basis that holds j, the dictionary column of
+    j' is the unit column of j's row: the row's denominator there, 0 in
+    every other row, and reduced cost 0.  A joining row, rewritten over
+    the nonbasic columns, gets 0 in it.  So j' neither prices negative nor
+    has a negative entry in a leaving row; it never enters, and its
+    variable stays 0.  Without it the other labels keep their order, so
+    Bland's rule makes the same choices, and a profile left out decodes to
+    weight 0, as it did.
 
     With a `path` d, as for AARE, p = d is fixed and has no columns.  The
     on-path side of a cut is then the constant sum_a u(o(a)) d(a) = c_u,
@@ -300,17 +302,18 @@ def distribution_polytope(spec: DistributionOrder, outcomes: tuple[str, ...]) ->
 
 
 def separation_oracle_dist(
-    polytope: linprog.Tableau, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
+    polytope: linprog.Tableau, outcomes: tuple[str, ...], gain: Sequence[Rational]
 ) -> Hit:
     """Best witness in a distribution order's polytope
     (`distribution_polytope`): the maximum gain over it, by
     `linprog.Tableau.optimize` from the basis the last gain ended on, and a
-    vertex attaining it.  The polytope holds 0 and lies in the unit box, so
-    the maximum exists and is at least 0.  The vertex is read
-    (`linprog.Tableau.point`) only when the maximum is positive, so a miss,
-    which every call is in `verify` of a robust profile, builds no
+    vertex attaining it.  `gain` lists each outcome's gain in the order of
+    `outcomes`, as `make_oracle` keys it.  The polytope holds 0 and lies in
+    the unit box, so the maximum exists and is at least 0.  The vertex is
+    read (`linprog.Tableau.point`) only when the maximum is positive, so a
+    miss, which every call is in `verify` of a robust profile, builds no
     `Fraction` of it."""
-    value = polytope.optimize(tuple(gain[o] for o in outcomes))
+    value = polytope.optimize(gain)
     if value > 0:
         return value, dict(zip(outcomes, polytope.point()))
     return None
@@ -452,22 +455,23 @@ def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
     satisfies.  A stored flow certifies the stored hit, as it did when it
     was found.  A distribution order's oracle keeps one boxed tableau of
     its polytope (`distribution_polytope`), and each new gain starts from
-    the basis, and the flipped columns, the last one ended on.  So
+    the basis, and the flipped columns, the last one ended on; it is
+    handed the key, already in outcome order, as its objective.  So
     `solve`, `verify` and `find_pure_unmediated` build one oracle per
     space per call, and the dict and the tableau go with it when the call
     returns.  Every new gain looks its kind's function up on this
     module."""
     if isinstance(spec, FiniteTypes):
-        search = lambda gain: (finite_scan_oracle(spec, outcomes, gain), None)
+        search = lambda gain, key: (finite_scan_oracle(spec, outcomes, gain), None)
     elif isinstance(spec, TotalOrder):
-        search = lambda gain: separation_oracle_total(spec, outcomes, gain)
+        search = lambda gain, key: separation_oracle_total(spec, outcomes, gain)
     elif isinstance(spec, PartialOrder):
-        search = lambda gain: separation_oracle_partial(spec, outcomes, gain)
+        search = lambda gain, key: separation_oracle_partial(spec, outcomes, gain)
     elif isinstance(spec, DistributionOrder):
         polytope = distribution_polytope(spec, outcomes)
-        search = lambda gain: (separation_oracle_dist(polytope, outcomes, gain), None)
+        search = lambda gain, key: (separation_oracle_dist(polytope, outcomes, key), None)
     elif isinstance(spec, PreferenceCnf):
-        search = lambda gain: (best_cnf_model(spec, outcomes, gain), None)
+        search = lambda gain, key: (best_cnf_model(spec, outcomes, gain), None)
     else:
         raise UnsupportedSpace(f"no separation oracle for {type(spec).__name__}")
     answers: dict[tuple[Rational, ...], tuple[Hit, Optional[Flow]]] = {}
@@ -475,7 +479,7 @@ def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
     def oracle(gain: Mapping[str, Rational]) -> tuple[Hit, Optional[Flow]]:
         key = tuple(gain[o] for o in outcomes)
         if key not in answers:
-            answers[key] = search(gain)
+            answers[key] = search(gain, key)
         return answers[key]
 
     return oracle

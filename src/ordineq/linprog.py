@@ -3,27 +3,30 @@ nonnegative variables, some of them in disjoint blocks that each sum to
 1, cut by homogeneous rows coeffs · x >= 0.
 
 On a boxed tableau (`Tableau(..., boxed=True)`) every structural variable
-also lies at most at 1, and that bound is kept on the column instead of a
-row (Dantzig's upper-bounding technique, 1955): a column whose variable
-x_j sits at its bound is complemented, i.e. it stands for x'_j = 1 - x_j.
-A dense simplex, primal for an objective and dual for rows that join,
-with Bland's rule in both, so termination is unconditional (no cycling)
-and no epsilon appears anywhere.  Every feasible answer is a basic
-(vertex) solution of the feasible polyhedron; the cutting-plane loop in
-`equilibrium` relies on that to bound the number of distinct witnesses.
+also lies at most at 1, and that bound is kept on the variable instead of
+a row (Dantzig's upper-bounding technique, 1955): a variable x_j that sits
+at its bound is complemented, i.e. its column stands for x'_j = 1 - x_j.
+A simplex in dictionary form, primal for an objective and dual for rows
+that join, with Bland's rule in both, so termination is unconditional (no
+cycling) and no epsilon appears anywhere.  Every feasible answer is a
+basic (vertex) solution of the feasible polyhedron; the cutting-plane loop
+in `equilibrium` relies on that to bound the number of distinct witnesses.
 
-A block's row, 1 on the block and right-hand side 1, is basic on the
-block's first column from the start: the blocks are disjoint, so no other
-row has an entry there, and the first basis needs no pivot.  A `>= 0` row
-c · x >= 0 joins as -c · x + s = 0 on a new slack column s that is basic
-in it, at construction and by `add_rows` alike (`_join`).  Eliminated
-against the current basis, it starts at s = c · x, negative where the
+The tableau keeps the dictionary of its basis (Chvátal, *Linear
+Programming*, 1983, ch. 2; Tucker's condensed tableau): row i expresses
+its basic variable in the nonbasic ones, and holds no entry for any basic
+variable.  A block's row, 1 on the block and right-hand side 1, is basic
+on the block's first variable from the start: the blocks are disjoint, so
+the first basis needs no pivot.  A `>= 0` row c · x >= 0 joins as
+s = c · x on a new slack s that is basic in it, at construction and by
+`add_rows` alike (`_join`): c · x is rewritten over the nonbasic
+variables, so the row adds no column, and s starts negative where the
 point violates the row.  The reduced costs of the last objective are
 nonnegative (all zero before any objective), so a dual simplex (Lemke
 1954) restores feasibility: Bland's rule on the dual takes the leaving
-row of lowest basic index among the rows with a negative right-hand side,
-and the entering column of minimum ratio cost_j / -a_rj over a_rj < 0,
-ties to the lowest column.  A negative row with no negative entry proves
+row of lowest basic label among the rows with a negative right-hand side,
+and the entering variable of minimum ratio cost_j / -a_rj over a_rj < 0,
+ties to the lowest label.  A negative row with no negative entry proves
 the rows infeasible, and `Tableau.feasible` turns False for good.  While
 the costs are all zero, every ratio is 0, and the same loop finds a
 feasible basis with no objective.  Every `>= 0` row holds at the point
@@ -38,11 +41,13 @@ from the last optimum only, and the cutting-plane loop of
 `equilibrium.solve` keeps one tableau per call.
 
 Each row, with its right-hand side last, is a list of integer numerators
-over one positive row denominator, and the objective row being minimized
-is the tableau's last row while either simplex runs.  One integer pivot
-serves both loops and the pricing, with one gcd reduction per row; ratios
-are compared by cross-multiplying.  Fractions appear only where rows or
-an objective are read and where the optimum or the point is built.
+over one positive row denominator, its basic variable's implicit
+coefficient, and the objective row being minimized is the tableau's last
+row while either simplex runs.  One integer pivot serves both loops, with
+one gcd reduction per row touched; every choice compares labels, signs,
+or ratios cross-multiplied against positive denominators.  Fractions
+appear only where rows or an objective are read and where the optimum or
+the point is built.
 """
 
 from __future__ import annotations
@@ -65,31 +70,27 @@ def _check_widths(num_vars: int, rows) -> None:
 
 def _int_row(values) -> tuple[list[int], int]:
     """A list of rationals as (numerators, shared positive denominator)."""
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _reduce_row(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = den
-    for v in nums:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                return nums, den
+    g = math.gcd(den, *nums)
     if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
+        return [v // g for v in nums], den // g
     return nums, den
 
 
-def _pivot(T, basis, r, c) -> None:
-    """Make column c basic in row r: scale row r so its entry there is one
-    and eliminate the column from every other row of T, objective rows
-    included."""
+def _pivot(T, basis, nonbasic, r, c) -> None:
+    """Swap row r's basic variable with the nonbasic one at position c: solve
+    row r for the entering variable, whose position the leaving one takes
+    at the row's old denominator, and substitute it into every other row of
+    T, objective rows included."""
     nums, den = T[r]
     pn = nums[c]
+    nums[c] = den
     if pn > 0:
         sr, sd = _reduce_row(nums, pn)
     else:
@@ -100,37 +101,39 @@ def _pivot(T, basis, r, c) -> None:
             continue
         f = row[c]
         if f:
+            row[c] = 0
             T[i] = _reduce_row([v * sd - f * s for v, s in zip(row, sr)], d * sd)
-    basis[r] = c
+    basis[r], nonbasic[c] = nonbasic[c], basis[r]
 
 
-def _flip(T, flipped, c) -> None:
-    """Complement boxed column c, x_c = 1 - x'_c: negate its entry in every
-    row of T, objective rows included, and subtract the old entry from
-    the row's right-hand side."""
+def _flip(T, flipped, nonbasic, c) -> None:
+    """Complement the boxed variable at nonbasic position c, x = 1 - x':
+    negate its entry in every row of T, objective rows included, and
+    subtract the old entry from the row's right-hand side."""
     for nums, _ in T:
         f = nums[c]
         if f:
             nums[c] = -f
             nums[-1] -= f
-    flipped[c] = not flipped[c]
+    flipped[nonbasic[c]] = not flipped[nonbasic[c]]
 
 
-def _simplex_min(T, basis, flipped) -> bool:
+def _simplex_min(T, basis, nonbasic, flipped) -> bool:
     """Minimize the objective in the last row of T; False if unbounded.
 
     The other rows are the constraint rows, one per entry of the basis.
     The objective row holds reduced costs and, last, minus the current
-    value.  The first len(flipped) columns are boxed in [0, 1]; flipped[j]
-    says whether column j is complemented.  Bland's rule: entering =
-    lowest-index column with negative reduced cost.  It rises until a
-    basic variable reaches 0 (a positive entry) or, if boxed, 1 (a
-    negative entry), or until it reaches its own bound 1 if it is boxed.
-    The smallest of these steps wins; a tie goes to the entering bound,
-    then to the row of lowest basis index.  A stop at the entering bound
-    flips the column (`_flip`) and changes no basis.  A stop at a basic
-    variable's 1 flips that column, where only its own row is nonzero, and
-    pivots.
+    value.  The variables below len(flipped) are boxed in [0, 1];
+    flipped[j] says whether variable j is complemented.  Bland's rule:
+    entering = the nonbasic variable of lowest label with a negative
+    reduced cost.  It rises until a basic variable reaches 0 (a positive
+    entry) or, if boxed, 1 (a negative entry), or until it reaches its own
+    bound 1 if it is boxed.  The smallest of these steps wins; a tie goes
+    to the entering bound, then to the row of lowest basic label.  A stop
+    at the entering bound flips it (`_flip`) and changes no basis.  A stop
+    at a basic variable's 1 complements that variable in its own row,
+    negating the row and taking den - rhs for its right-hand side, which
+    keeps the implicit basic entry den, and pivots.
 
     Termination: a flip is a step of length 1 at a negative reduced cost,
     so it strictly lowers the objective, as a nondegenerate pivot does.
@@ -139,21 +142,20 @@ def _simplex_min(T, basis, flipped) -> bool:
     complement pattern repeats.
     """
     m = len(basis)
-    w = len(T[-1][0]) - 1
+    w = len(nonbasic)
     nb = len(flipped)
     while True:
         on = T[-1][0]
         c = None
-        for j in range(w):
-            if on[j] < 0:
-                c = j
-                break
+        for k in range(w):
+            if on[k] < 0 and (c is None or nonbasic[k] < nonbasic[c]):
+                c = k
         if c is None:
             return True
         # The step is sn/sd, sd > 0: the entering bound 1/1, or b_i/a_ic
         # (to 0) or (1 - b_i)/-a_ic (to 1), whose row denominators cancel.
         r = None
-        sn, sd = (1, 1) if c < nb else (None, None)
+        sn, sd = (1, 1) if nonbasic[c] < nb else (None, None)
         for i in range(m):
             row, den = T[i]
             a = row[c]
@@ -173,23 +175,27 @@ def _simplex_min(T, basis, flipped) -> bool:
         if sn is None:
             return False
         if r is None:
-            _flip(T, flipped, c)
+            _flip(T, flipped, nonbasic, c)
             continue
-        if T[r][0][c] < 0:
-            _flip(T, flipped, basis[r])
-        _pivot(T, basis, r, c)
+        row, den = T[r]
+        if row[c] < 0:
+            row = [-v for v in row]
+            row[w] += den
+            T[r] = (row, den)
+            flipped[basis[r]] = not flipped[basis[r]]
+        _pivot(T, basis, nonbasic, r, c)
 
 
-def _dual_simplex(T, basis) -> bool:
+def _dual_simplex(T, basis, nonbasic) -> bool:
     """Make the right-hand sides nonnegative while the reduced costs in the
     last row of T stay nonnegative; False if the rows are infeasible.
 
-    Bland's rule on the dual: leaving = lowest basis index among rows with
+    Bland's rule on the dual: leaving = lowest basic label among rows with
     a negative right-hand side; entering = minimum ratio cost_j / -a_rj over
-    a_rj < 0, ties to the lowest column.
+    a_rj < 0, ties to the lowest label.
     """
     m = len(basis)
-    w = len(T[-1][0]) - 1
+    w = len(nonbasic)
     while True:
         r = None
         for i in range(m):
@@ -201,39 +207,58 @@ def _dual_simplex(T, basis) -> bool:
         cost = T[-1][0]
         c = None
         for j in range(w):
-            # cost_j/-a_rj < cost_c/-a_rc; denominators cancel
-            if row[j] < 0 and (c is None or cost[j] * row[c] > cost[c] * row[j]):
-                c = j
+            if row[j] < 0:
+                if c is None:
+                    c = j
+                    continue
+                # cost_j/-a_rj against cost_c/-a_rc; denominators cancel
+                lhs = cost[j] * row[c]
+                rhs = cost[c] * row[j]
+                if lhs > rhs or (lhs == rhs and nonbasic[j] < nonbasic[c]):
+                    c = j
         if c is None:
             return False
-        _pivot(T, basis, r, c)
+        _pivot(T, basis, nonbasic, r, c)
 
 
-def _eliminate(nums: list[int], den: int, T, basis) -> tuple[list[int], int]:
-    """The row nums/den less each basic row of T (its basic entry is one)
-    times the row's entry in that row's basic column: a zero in every basic
-    column."""
-    for (row, d), bi in zip(T, basis):
-        f = nums[bi]
-        if f:
-            nums, den = _reduce_row([v * d - f * s for v, s in zip(nums, row)], den * d)
-    return nums, den
+def _eliminate(nums: list[int], den: int, T, basis, nonbasic) -> tuple[list[int], int]:
+    """The row nums/den over the structural variables, right-hand side last,
+    over the nonbasic positions of T instead: each basic structural
+    variable with a nonzero entry is replaced by its row, all at once over
+    the lcm of those rows' denominators.  A row read by `_int_row` is
+    already reduced, so one with nothing to replace is only moved."""
+    n = len(nums) - 1
+    used = [(T[i], nums[b]) for i, b in enumerate(basis) if b < n and nums[b]]
+    if not used:
+        return [nums[j] if j < n else 0 for j in nonbasic] + [nums[n]], den
+    lcm = math.lcm(*[d for (_, d), _ in used])
+    out = [nums[j] * lcm if j < n else 0 for j in nonbasic]
+    out.append(nums[n] * lcm)
+    for (row, d), f in used:
+        f *= lcm // d
+        out = [o - f * v for o, v in zip(out, row)]
+    return _reduce_row(out, den * lcm) if used else (out, den)
 
 
 class Tableau:
-    """The rows of an LP over a feasible basis: columns are the structural
-    variables, then one slack per `>= 0` row in the order the rows joined.
-    `blocks` are disjoint, nonempty sequences of column indices, each
-    meaning that its variables sum to 1, and join first, each as one row
-    basic on its first column; `rows` are coefficient sequences, each
-    meaning coeffs · x >= 0, and join as `add_rows` rows do (`_join`).
-    `feasible` is False, for good, once the rows are found infeasible; it
-    is the only place infeasibility is reported.
+    """The rows of an LP over a feasible basis, in dictionary form.  The
+    variables are labelled by index: the structural ones, then one slack
+    per `>= 0` row in the order the rows joined; `width` counts them.
+    `basis[i]` is row i's variable and `nonbasic[k]` the variable at
+    position k, together every label once.  Row i, `(nums, den)`, reads
+    den x_basis[i] + sum_k nums[k] x_nonbasic[k] = nums[-1], so every row
+    has len(nonbasic) + 1 entries, for the tableau's whole life.
+    `blocks` are disjoint, nonempty sequences of labels, each meaning that
+    its variables sum to 1, and join first, each as one row basic on its
+    first label; `rows` are coefficient sequences, each meaning
+    coeffs · x >= 0, and join as `add_rows` rows do (`_join`).  `feasible`
+    is False, for good, once the rows are found infeasible; it is the only
+    place infeasibility is reported.
 
     With `boxed`, every one of the num_vars variables lies in [0, 1]
-    without a row for it, and `flipped[j]` says whether column j stands
+    without a row for it, and `flipped[j]` says whether variable j stands
     for 1 - x_j (see `_simplex_min`).  The primal simplex honours the box,
-    and `optimize` prices an objective through the flipped columns.  A
+    and `optimize` prices an objective through the flipped variables.  A
     boxed tableau starts on the point 0, its slacks basic; it takes no
     blocks and no added rows, since the dual simplex does not honour the
     box.
@@ -255,45 +280,38 @@ class Tableau:
         self.boxed = boxed
         self.flipped = [False] * num_vars if boxed else []
         self.width = num_vars
-        self.rows: list[tuple[list[int], int]] = []
         self.basis: list[int] = []
         self.feasible = True
-        # The reduced costs of the last objective, right-hand side last.
-        self.cost = ([0] * (num_vars + 1), 1)
-        taken: set[int] = set()
+        owner: dict[int, int] = {}
         for k, block in enumerate(blocks):
             if not block:
                 raise MalformedLp(f"block {k} is empty")
-            row = [0] * num_vars + [1]
             for j in block:
-                if not 0 <= j < num_vars or j in taken:
+                if not 0 <= j < num_vars or j in owner:
                     raise MalformedLp(f"block {k}: column {j} is out of range or repeated")
-                taken.add(j)
-                row[j] = 1
-            self.rows.append((row, 1))
+                owner[j] = k
             self.basis.append(block[0])
+        first = set(self.basis)
+        self.nonbasic = [j for j in range(num_vars) if j not in first]
+        self.rows = [([int(owner.get(j) == k) for j in self.nonbasic] + [1], 1) for k in range(len(blocks))]
+        # The reduced costs of the last objective, right-hand side last.
+        self.cost = ([0] * (len(self.nonbasic) + 1), 1)
         self._join(rows)
 
     def _join(self, rows: Sequence[Sequence]) -> None:
-        """Add the `>= 0` rows, in order, each on its slack column and
-        eliminated against the current basis, and restore feasibility by
-        the dual simplex (see the module docstring).  The objective row is
-        last in T meanwhile, so every pivot keeps the reduced costs
-        priced."""
-        n, w = self.num_vars, self.width
-        T, basis = self.rows, self.basis
-        new = [0] * len(rows)
-        for nums, _ in (*T, self.cost):
-            nums[w:w] = new
-        T.append(self.cost)
-        for s, coeffs in enumerate(rows, w):
+        """Add the `>= 0` rows, in order, each basic on its new slack and
+        rewritten over the nonbasic positions (`_eliminate`), and restore
+        feasibility by the dual simplex (see the module docstring).  The
+        objective row is last in T meanwhile, so every pivot keeps the
+        reduced costs priced."""
+        T, basis, nonbasic = self.rows, self.basis, self.nonbasic
+        for coeffs in rows:
             nums, den = _int_row(coeffs)
-            row = [-v for v in nums] + [0] * (w - n) + new + [0]
-            row[s] = den
-            T.insert(len(basis), _eliminate(row, den, T, basis))
-            basis.append(s)
-        self.width = w + len(rows)
-        self.feasible = _dual_simplex(T, basis)
+            T.append(_eliminate([-v for v in nums] + [0], den, T, basis, nonbasic))
+            basis.append(self.width)
+            self.width += 1
+        T.append(self.cost)
+        self.feasible = _dual_simplex(T, basis, nonbasic)
         self.cost = T.pop()
 
     def optimize(self, coeffs: Optional[Sequence]) -> Optional[Fraction]:
@@ -302,26 +320,25 @@ class Tableau:
         tableau.  An unbounded objective raises MalformedLp and leaves the
         tableau on a feasible basis.  The basis is kept for the next call,
         and so are the reduced costs of an optimum (all zero otherwise) for
-        `add_rows`.  A flipped column j prices c_j x_j as c_j - c_j x'_j."""
+        `add_rows`.  A flipped variable j prices c_j x_j as c_j - c_j x'_j."""
         n = self.num_vars
         if coeffs is not None and len(coeffs) != n:
             raise MalformedLp("objective length mismatch")
         if not self.feasible:
             return None
-        T, basis = self.rows, self.basis
-        self.cost = ([0] * (self.width + 1), 1)
+        T, basis, nonbasic = self.rows, self.basis, self.nonbasic
+        self.cost = ([0] * (len(nonbasic) + 1), 1)
         if coeffs is None:
             return None
-        # Minimize -coeffs · x; pricing gives every basic column a zero
-        # reduced cost.
+        # Minimize -coeffs · x, priced over the nonbasic positions.
         nums, den = _int_row(coeffs)
-        on = [-v for v in nums] + [0] * (self.width - n + 1)
+        on = [-v for v in nums] + [0]
         for j, f in enumerate(self.flipped):
             if f and on[j]:
                 on[-1] -= on[j]
                 on[j] = -on[j]
-        T.append(_eliminate(on, den, T, basis))
-        bounded = _simplex_min(T, basis, self.flipped)
+        T.append(_eliminate(on, den, T, basis, nonbasic))
+        bounded = _simplex_min(T, basis, nonbasic, self.flipped)
         on, den = T.pop()
         if not bounded:
             raise MalformedLp("unbounded objective")

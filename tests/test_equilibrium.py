@@ -379,7 +379,7 @@ def test_distribution_polytope_has_a_row_per_pair_and_a_miss_reads_no_vertex(mon
             assert len(polytope.rows) == len(spec.pairs)
             assert polytope.width == len(outcomes) + len(spec.pairs)
             for _ in range(20):
-                gain = {o: rng.randint(-4, 4) for o in outcomes}
+                gain = tuple(rng.randint(-4, 4) for _ in outcomes)
                 reads.clear()
                 hit = eq.separation_oracle_dist(polytope, outcomes, gain)
                 assert reads == ([] if hit is None else [polytope])

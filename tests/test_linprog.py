@@ -258,8 +258,8 @@ def test_add_rows_takes_only_ge_zero_rows_of_the_right_length(row):
 
 def test_rows_at_construction_join_as_added_rows_do():
     """`>= 0` rows handed to the constructor give the tableau that the
-    same rows added by `add_rows` give: the same rows, basis and
-    feasibility."""
+    same rows added by `add_rows` give: the same rows, basis, nonbasic
+    columns and feasibility."""
     rng = random.Random(20261103)
     for trial in range(200):
         n = rng.randint(1, 4)
@@ -270,7 +270,47 @@ def test_rows_at_construction_join_as_added_rows_do():
         added.add_rows(rows)
         assert built.feasible == added.feasible, f"trial {trial}"
         if built.feasible:
-            assert (built.rows, built.basis, built.width) == (added.rows, added.basis, added.width), f"trial {trial}"
+            layout = lambda t: (t.rows, t.basis, t.nonbasic, t.width)
+            assert layout(built) == layout(added), f"trial {trial}"
+
+
+def _assert_dictionary_form(tableau, width, where):
+    """Every row, and the reduced costs, span the nonbasic columns and the
+    right-hand side; basis and nonbasic hold each variable once."""
+    assert len(tableau.nonbasic) == width, where
+    assert all(len(nums) == width + 1 for nums, _ in (*tableau.rows, tableau.cost)), where
+    assert sorted(tableau.basis + tableau.nonbasic) == list(range(tableau.width)), where
+    assert len(tableau.rows) == len(tableau.basis), where
+
+
+def test_no_row_is_ever_widened():
+    """Across random `add_rows` batches and `optimize` calls, every row of
+    a tableau stays num_vars - len(blocks) + 1 entries long, or
+    num_vars + 1 when boxed: a joining row brings its own basic slack and
+    no column."""
+    rng = random.Random(20261105)
+    for trial in range(150):
+        n = rng.randint(1, 5)
+        where = f"trial {trial}"
+        if trial % 3 == 0:
+            tableau = Tableau(n, rows=_random_box_rows(rng, n), boxed=True)
+            width = n
+        else:
+            blocks = _random_blocks(rng, n)
+            tableau = Tableau(n, blocks, [_random_cut(rng, n) for _ in range(rng.randint(0, 3))])
+            width = n - len(blocks)
+        # An unboxed column in no block weighs at most 0: no objective is
+        # unbounded.
+        free = set() if tableau.boxed else set(range(n)).difference(*blocks)
+        _assert_dictionary_form(tableau, width, where)
+        for step in range(8):
+            if tableau.boxed or step % 2:
+                tableau.optimize([Fraction(rng.randint(-3, 0 if j in free else 3), 2) for j in range(n)])
+            else:
+                tableau.add_rows([_random_cut(rng, n) for _ in range(rng.randint(1, 3))])
+            if not tableau.feasible:
+                break
+            _assert_dictionary_form(tableau, width, f"{where}, step {step}")
 
 
 def _random_box_rows(rng, n):
@@ -420,10 +460,11 @@ def test_a_block_is_a_nonempty_set_of_columns_no_other_block_has(blocks):
 
 
 def test_blocks_start_basic_on_their_first_columns_with_no_pivot(monkeypatch):
-    """Each block's row, 1 on the block and right-hand side 1, is basic on
-    the block's first column with no pivot, and the tableau stands on the
-    point that puts 1 there.  An objective then reaches the optimum that
-    `lp_solve` finds with the blocks written as `=` rows, at a vertex."""
+    """Each block's row is basic on the block's first column with no pivot:
+    over the nonbasic columns, 1 on the block's other columns, right-hand
+    side 1 and denominator 1.  The tableau stands on the point that puts 1
+    there.  An objective then reaches the optimum that `lp_solve` finds
+    with the blocks written as `=` rows, at a vertex."""
     pivots = []
     pivot = linprog._pivot
     monkeypatch.setattr(linprog, "_pivot", lambda *args: (pivots.append(args), pivot(*args)))
@@ -435,9 +476,10 @@ def test_blocks_start_basic_on_their_first_columns_with_no_pivot(monkeypatch):
         tableau = Tableau(n, blocks)
         where = f"trial {trial}"
         assert tableau.feasible and not pivots, where
-        assert tableau.rows == [([int(j in b) for j in range(n)] + [1], 1) for b in blocks], where
-        assert tableau.basis == [b[0] for b in blocks], where
         first = {b[0] for b in blocks}
+        assert tableau.basis == [b[0] for b in blocks], where
+        assert tableau.nonbasic == [j for j in range(n) if j not in first], where
+        assert tableau.rows == [([int(j in b) for j in tableau.nonbasic] + [1], 1) for b in blocks], where
         assert tableau.point() == tuple(ONE if j in first else ZERO for j in range(n)), where
         # A column in no block is bounded by the objective alone: weigh it
         # at most 0, and bound it by 1 for the vertex enumeration.
