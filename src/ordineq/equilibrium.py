@@ -20,7 +20,8 @@ witness attaining it.  `solve` adds the violated constraints as cuts to one
 master tableau per call; a cut can never be strictly violated again, so
 the loop terminates.  The verifier walks the same `deviation_hits`, and a
 preference entailment is one oracle call on the gain e_o2 - e_o
-(`_entails`).  No oracle, tableau or table outlives the call that built it.
+(`_entails`).  No oracle, network, tableau or table outlives the call that
+built it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import linprog
 from .errors import UnsupportedSpace, ValidationError
-from .flow import closure_solve
+from .flow import ClosureNetwork
 from .games import (
     DistributionOrder,
     FiniteTypes,
@@ -262,19 +263,20 @@ def separation_oracle_total(
 
 
 def separation_oracle_partial(
-    spec: PartialOrder, outcomes: tuple[str, ...], gain: Mapping[str, Rational]
+    network: ClosureNetwork, outcomes: tuple[str, ...], gain: Sequence[Rational]
 ) -> tuple[Hit, Flow]:
-    """Best 0/1 upward-closed witness, via maximum-weight closure, and its
-    flow certificate.
+    """Best 0/1 upward-closed witness of a partial order, and its flow
+    certificate, from the order's closure network (`make_oracle`).
 
-    Item values are the gain weights; accepting the item for o' forces
-    accepting the item for o whenever o >= o', so the accepted set is
-    exactly the 1-set of a consistent 0/1 vector.  The certificate is the
-    closure's flow on those implication arcs, each keyed by its pair
-    (o, o').
+    The network's items are the outcomes, and each pair (o, o') of the
+    order is the implication (o', o): accepting o' forces accepting o, so
+    an accepted set is exactly the 1-set of a consistent 0/1 vector.  The
+    witness is the minimal best one (`flow.ClosureNetwork.solve`), and the
+    certificate the closure's flow on the implication arcs, each keyed by
+    its pair (o, o').  `gain` lists each outcome's gain in the order of
+    `outcomes`, as `make_oracle` keys it.
     """
-    implications = tuple((b, a) for a, b in spec.pairs if a != b)
-    accepted, best, y = closure_solve(outcomes, gain, implications)
+    accepted, best, y = network.solve(gain)
     flow = {(a, b): f for (b, a), f in y.items()}
     if best > 0:
         return (best, {o: int(o in accepted) for o in outcomes}), flow
@@ -453,20 +455,23 @@ def make_oracle(spec: TypeSpaceSpec, outcomes: tuple[str, ...]) -> Oracle:
     stored answer repeat a cut in `solve`: a stored hit that gains at the
     current point would mean the point violates a cut it already
     satisfies.  A stored flow certifies the stored hit, as it did when it
-    was found.  A distribution order's oracle keeps one boxed tableau of
-    its polytope (`distribution_polytope`), and each new gain starts from
-    the basis, and the flipped columns, the last one ended on; it is
-    handed the key, already in outcome order, as its objective.  So
-    `solve`, `verify` and `find_pure_unmediated` build one oracle per
-    space per call, and the dict and the tableau go with it when the call
-    returns.  Every new gain looks its kind's function up on this
-    module."""
+    was found.  A partial order's oracle keeps one closure network of the
+    order (`flow.ClosureNetwork`), and a distribution order's one boxed
+    tableau of its polytope (`distribution_polytope`), both built with the
+    oracle.  Each is handed a new gain's key, already in outcome order: the
+    network takes it as item values, new capacities on the same arcs, and
+    the tableau as its objective, optimized from the basis, and the
+    flipped columns, the last gain ended on.  So `solve`, `verify` and
+    `find_pure_unmediated` build one oracle per space per call, and the
+    dict, the network and the tableau go with it when the call returns.
+    Every new gain looks its kind's function up on this module."""
     if isinstance(spec, FiniteTypes):
         search = lambda gain, key: (finite_scan_oracle(spec, outcomes, gain), None)
     elif isinstance(spec, TotalOrder):
         search = lambda gain, key: separation_oracle_total(spec, outcomes, gain)
     elif isinstance(spec, PartialOrder):
-        search = lambda gain, key: separation_oracle_partial(spec, outcomes, gain)
+        network = ClosureNetwork(outcomes, tuple((b, a) for a, b in spec.pairs))
+        search = lambda gain, key: separation_oracle_partial(network, outcomes, key)
     elif isinstance(spec, DistributionOrder):
         polytope = distribution_polytope(spec, outcomes)
         search = lambda gain, key: (separation_oracle_dist(polytope, outcomes, key), None)

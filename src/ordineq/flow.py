@@ -1,143 +1,151 @@
-"""Max-flow / min-cut and maximum-weight closure on small networks.
-
-Edmonds-Karp (BFS shortest augmenting path) with exact rational
-capacities.  Networks here have a handful of nodes, so asymptotics are
-irrelevant; exactness and the certificates are what matter: the minimum
-cut, and the flow itself, whose values on a closure network's
-implication arcs are the dual certificate of the closure's weight
-(`closure_solve`), which the verifier checks for order spaces.
+"""Exact max-flow / min-cut, and maximum-weight closure for the
+partial-order oracle: `max_flow`, Edmonds-Karp on a `FlowNetwork` compiled
+once, and a `ClosureNetwork`, Picard's network of one closure problem
+(1976), solved for each new set of item values on the same arcs.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter
 from numbers import Rational
+from typing import Optional, Sequence
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
 class FlowNetwork:
-    num_nodes: int
-    source: int
-    sink: int
-    edges: tuple[tuple[int, int, Rational], ...]  # (from, to, capacity)
+    """Nodes 0..num_nodes-1 and `edges` (from, to, capacity), validated and
+    compiled once.  Residual arcs 2k and 2k + 1 join the k-th node pair in
+    order of first appearance, 2k in its first direction, so arc a's
+    reverse is a ^ 1: parallel edges merge, and antiparallel ones share a
+    pair.  `arcs[a]` is arc a's (from, to), `capacity[a]` its summed
+    capacity, and `adj[u]` lists (to, arc) for the arcs out of u."""
 
-
-def _validate(net: FlowNetwork) -> None:
-    if net.source == net.sink:
-        raise ValidationError("source equals sink")
-    for u, v, cap in net.edges:
-        if not (0 <= u < net.num_nodes and 0 <= v < net.num_nodes):
-            raise ValidationError(f"edge ({u},{v}) out of range")
-        if cap < 0:
-            raise ValidationError(f"negative capacity on ({u},{v})")
+    def __init__(self, num_nodes: int, source: int, sink: int, edges: Sequence[tuple[int, int, Rational]]):
+        if source == sink:
+            raise ValidationError("source equals sink")
+        self.num_nodes, self.source, self.sink, self.edges = num_nodes, source, sink, tuple(edges)
+        self.arcs: list[tuple[int, int]] = []
+        self.arc_of: dict[tuple[int, int], int] = {}
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+        self.capacity: list[Rational] = []
+        for u, v, cap in self.edges:
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise ValidationError(f"edge ({u},{v}) out of range")
+            if cap < 0:
+                raise ValidationError(f"negative capacity on ({u},{v})")
+            if (u, v) not in self.arc_of:
+                for arc in ((u, v), (v, u)):
+                    self.arc_of[arc] = len(self.arcs)
+                    self.adj[arc[0]].append((arc[1], len(self.arcs)))
+                    self.arcs.append(arc)
+                    self.capacity.append(0)
+            self.capacity[self.arc_of[u, v]] += cap
 
 
 def max_flow(
-    net: FlowNetwork,
+    net: FlowNetwork, capacity: Optional[Sequence[Rational]] = None
 ) -> tuple[Rational, frozenset[int], dict[tuple[int, int], Rational]]:
-    """Return (flow value, source side of a minimum cut, flow).
-
-    The returned cut's capacity equals the flow value (max-flow = min-cut
-    certificate).  The flow maps each node pair (u, v) to the positive net
-    flow from u to v: parallel edges merge, and antiparallel ones net out,
-    so at most one of (u, v) and (v, u) carries flow, and never more than
-    the capacities of the edges from u to v together.
-    """
-    _validate(net)
-    # Residual capacities; parallel edges merge.
-    residual: dict[tuple[int, int], Rational] = {}
-    adj: dict[int, list[int]] = {u: [] for u in range(net.num_nodes)}
-    for u, v, cap in net.edges:
-        if (u, v) not in residual:
-            adj[u].append(v)
-            residual[(u, v)] = 0
-        if (v, u) not in residual:
-            adj[v].append(u)
-            residual[(v, u)] = 0
-        residual[(u, v)] += cap
-    capacity = dict(residual)
-
+    """(flow value, source side of a minimum cut, flow) under `capacity`,
+    one per residual arc, by default the network's own.  The source side is
+    what the final residual network reaches from the source, the smallest
+    of any minimum cut whatever the augmenting order.  The flow maps each
+    arc (u, v) to its net flow where positive, so at most one of (u, v) and
+    (v, u) carries flow."""
+    capacity = net.capacity if capacity is None else capacity
+    residual = list(capacity)
+    source, sink, adj, arcs = net.source, net.sink, net.adj, net.arcs
     value = 0
     while True:
-        parent: dict[int, int] = {net.source: net.source}
-        queue = deque([net.source])
-        while queue and net.sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and residual[(u, v)] > 0:
-                    parent[v] = u
+        into: list[Optional[int]] = [None] * net.num_nodes  # the arc each node was reached by
+        into[source] = -1  # reached, by no arc
+        queue = [source]
+        for u in queue:  # the loop also takes the nodes appended to the queue
+            if into[sink] is not None:
+                break
+            for v, a in adj[u]:
+                if into[v] is None and residual[a] > 0:
+                    into[v] = a
                     queue.append(v)
-        if net.sink not in parent:
+        if into[sink] is None:
             break
-        bottleneck = None
-        v = net.sink
-        while v != net.source:
-            u = parent[v]
-            c = residual[(u, v)]
-            if bottleneck is None or c < bottleneck:
-                bottleneck = c
-            v = u
-        v = net.sink
-        while v != net.source:
-            u = parent[v]
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] += bottleneck
-            v = u
+        path = []
+        v = sink
+        while v != source:
+            path.append(into[v])
+            v = arcs[into[v]][0]
+        bottleneck = min(residual[a] for a in path)
+        for a in path:
+            residual[a] -= bottleneck
+            residual[a ^ 1] += bottleneck
         value += bottleneck
-
-    # The residual of (u, v) is its capacity minus the net flow from u to v.
-    # Augmenting only updates values, so both dicts list the arcs in one order.
-    flow = {arc: c - r for (arc, c), r in zip(capacity.items(), residual.values()) if c > r}
-    return value, frozenset(parent), flow
+    flow = {arc: c - r for arc, c, r in zip(arcs, capacity, residual) if c > r}
+    return value, frozenset(v for v, a in enumerate(into) if a is not None), flow
 
 
-def closure_solve(
-    items: tuple[str, ...], values: dict[str, Rational], implications: tuple[tuple[str, str], ...]
-) -> tuple[frozenset[str], Rational, dict[tuple[str, str], Rational]]:
-    """Maximum-weight subset of `items` closed under the implications (a, b),
-    accepting a forces accepting b, via Picard's min-cut reduction (1976),
-    with its weight and the flow y > 0 on the implication arcs (a, b).
+class ClosureNetwork:
+    """Maximum-weight subsets of `items` closed under the `implications`
+    (a, b), accepting a forces accepting b, by Picard's min-cut reduction,
+    built once for any number of item values (`solve`).  Of n items, item k
+    is node k, the source node n and the sink n + 1.  Item k's arc from the
+    source is residual arc 4k and its arc to the sink 4k + 2; an arc per
+    implication a != b follows.  A positive value is its item's source
+    capacity, a negative one's negation its sink capacity, and an
+    implication arc carries one above the positive values' sum per time it
+    is listed, more than every source arc together, so no minimum cut
+    crosses it."""
 
-    An implication arc outweighs every source arc together, so no minimum
-    cut crosses it.  The empty set is closed, so the optimum is always >= 0.
-    The flow proves the weight an upper bound over every x in [0,1]^items
-    with x_a <= x_b for each implication (a, b).  Adding y_ab (x_b - x_a),
-    which is >= 0, for each arc turns sum_v values[v] x_v into
-    sum_v c_v x_v with c_v = values[v] + (y into v) - (y out of v), at
-    most the sum of the positive c_v.  Flow conservation at v makes c_v
-    the unused capacity of v's source arc, or minus that of its sink arc,
-    so that sum is the positive values minus the flow value: the weight.
-    """
-    index = {item: i for i, item in enumerate(items)}
-    if len(index) != len(items):
-        raise ValidationError("duplicate items")
-    for a, b in implications:
-        if a not in index or b not in index:
-            raise ValidationError(f"implication ({a},{b}) references unknown item")
+    def __init__(self, items: Sequence[str], implications: Sequence[tuple[str, str]]):
+        index = {item: k for k, item in enumerate(items)}
+        if len(index) != len(items):
+            raise ValidationError("duplicate items")
+        for a, b in implications:
+            if a not in index or b not in index:
+                raise ValidationError(f"implication ({a},{b}) references unknown item")
+        n = len(items)
+        self.items = tuple(items)
+        pairs = [(index[a], index[b]) for a, b in implications if a != b]
+        edges = [e for k in range(n) for e in ((n, k, 0), (k, n + 1, 0))]
+        self.net = FlowNetwork(n + 2, n, n + 1, edges + [(u, v, 0) for u, v in pairs])
+        self.multiplicity = Counter(self.net.arc_of[pair] for pair in pairs)
 
-    source = len(items)
-    sink = source + 1
-    edges = []
-    positive_total = 0
-    for item in items:
-        v = values.get(item, 0)
-        if v > 0:
-            edges.append((source, index[item], v))
-            positive_total += v
-        elif v < 0:
-            edges.append((index[item], sink, -v))
-    implication_cap = positive_total + 1
-    edges += ((index[a], index[b], implication_cap) for a, b in implications if a != b)
+    def solve(
+        self, values: Sequence[Rational]
+    ) -> tuple[frozenset[str], Rational, dict[tuple[str, str], Rational]]:
+        """(accepted, total, y) for the values, in item order: the minimal
+        maximum-weight closure, its weight, and the flow y > 0 on the
+        implication arcs (a, b).
 
-    net = FlowNetwork(len(items) + 2, source, sink, tuple(edges))
-    cut_value, source_side, flow = max_flow(net)
-    accepted = frozenset(item for item in items if index[item] in source_side)
-    total = sum(values.get(item, 0) for item in accepted)
-    if total != positive_total - cut_value:
-        raise AssertionError(f"closure weight {total} disagrees with the min cut")
-    # Every arc between two items is an implication arc.
-    y = {(items[u], items[v]): f for (u, v), f in flow.items() if u < source and v < source}
-    return accepted, total, y
+        A minimum cut's source side is the source and a closure S, of
+        capacity the positive values' sum less S's weight.  `max_flow`'s is
+        the smallest, so S is the minimal maximum-weight closure, which is
+        unique.  The empty set is closed, so total >= 0.  y proves total an
+        upper bound over every x in [0,1]^items with x_a <= x_b for each
+        implication: adding y_ab (x_b - x_a) >= 0 for each arc turns
+        sum_v values[v] x_v into sum_v c_v x_v, c_v = values[v] + (y into v)
+        - (y out of v), at most the sum of the positive c_v.  Flow
+        conservation makes c_v the unused capacity of v's source arc, or
+        minus that of its sink arc, so that sum is the positive values less
+        the flow value: total.
+        """
+        items, n = self.items, len(self.items)
+        if len(values) != n:
+            raise ValidationError(f"{len(values)} values for {n} items")
+        capacity = [0] * len(self.net.arcs)
+        positive_total = 0
+        for k, v in enumerate(values):
+            if v > 0:
+                capacity[4 * k] = v
+                positive_total += v
+            elif v < 0:
+                capacity[4 * k + 2] = -v
+        for a, times in self.multiplicity.items():
+            capacity[a] = times * (positive_total + 1)
+        cut, source_side, flow = max_flow(self.net, capacity)
+        accepted = [k for k in range(n) if k in source_side]
+        total = sum([values[k] for k in accepted])
+        if total != positive_total - cut:
+            raise AssertionError(f"closure weight {total} disagrees with the min cut")
+        # Every arc between two items is an implication arc.
+        y = {(items[u], items[v]): f for (u, v), f in flow.items() if u < n and v < n}
+        return frozenset([items[k] for k in accepted]), total, y

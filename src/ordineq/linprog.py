@@ -237,7 +237,7 @@ def _eliminate(nums: list[int], den: int, T, basis, nonbasic) -> tuple[list[int]
     for (row, d), f in used:
         f *= lcm // d
         out = [o - f * v for o, v in zip(out, row)]
-    return _reduce_row(out, den * lcm) if used else (out, den)
+    return _reduce_row(out, den * lcm)
 
 
 class Tableau:

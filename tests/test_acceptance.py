@@ -21,7 +21,7 @@ from conftest import (
 from ordineq import equilibrium as eq
 from ordineq import verifier
 from ordineq.fixture_suite import GAME_NAMES, load_game, load_profile
-from ordineq.flow import FlowNetwork, closure_solve, max_flow
+from ordineq.flow import ClosureNetwork, FlowNetwork, max_flow
 from ordineq.games import (
     FiniteTypes,
     TotalOrder,
@@ -124,7 +124,7 @@ def test_criterion_4_oracle_separation():
     q1 = {("Center",): HALF, ("Right",): HALF}
     gain = gain_vector(game, 0, "Down", p, q1)
     shadow = distribution_shadow_partial(spaces[0])
-    zero_one, _ = eq.separation_oracle_partial(shadow, game.outcomes, gain)
+    zero_one, _ = eq.make_oracle(shadow, game.outcomes)(gain)
     lp, _ = eq.make_oracle(spaces[0], game.outcomes)(gain)
     ok = zero_one is None and lp is not None and lp[0] >= Fraction(1, 20)
     if ok:
@@ -234,7 +234,7 @@ def test_criterion_8_flow_and_closure():
             tuple(rng.sample(items, 2))
             for _ in range(rng.randint(0, 2 * n) if n >= 2 else 0)
         )
-        accepted, total, _ = closure_solve(items, values, implications)
+        _, total, _ = ClosureNetwork(items, implications).solve([values[it] for it in items])
         _, best = closure_brute_force(items, values, implications)
         ok = ok and total == best
         # certificate: on the reduction network, flow value = cut capacity
@@ -254,7 +254,7 @@ def test_criterion_8_flow_and_closure():
 
 
 def _closure_network(items, values, implications):
-    """The standard source/sink reduction used by closure_solve, rebuilt
+    """The standard source/sink reduction that ClosureNetwork solves, rebuilt
     here so the certificate check is independent."""
     index = {it: k + 1 for k, it in enumerate(items)}
     n = len(items)

@@ -312,7 +312,7 @@ def test_partial_oracle_silent_on_zero_one_shadow():
     shadow = distribution_shadow_partial(spaces[0])
     assert set(shadow.pairs) == {("o11", "o22"), ("o11", "o23")}
     gain = gain_vector(game, 0, "Down", p, q1)
-    assert eq.separation_oracle_partial(shadow, game.outcomes, gain)[0] is None
+    assert eq.make_oracle(shadow, game.outcomes)(gain)[0] is None
 
 
 def test_dist_oracle_finds_the_gap():
@@ -605,7 +605,7 @@ def test_oracle_silent_when_deviation_changes_nothing():
     p = {("Top", "Left"): ONE}
     q1 = {("Left",): ONE}
     gain = gain_vector(game, 0, "Top", p, q1)
-    assert eq.separation_oracle_partial(PartialOrder(()), game.outcomes, gain) == (None, {})
+    assert eq.make_oracle(PartialOrder(()), game.outcomes)(gain) == (None, {})
 
 
 def test_partial_oracle_reproduces_nonexistence_witness():
@@ -616,7 +616,7 @@ def test_partial_oracle_reproduces_nonexistence_witness():
     spec = PartialOrder(
         (("o12", "o11"), ("o21", "o11"), ("o22", "o11"))
     )
-    v, _ = eq.separation_oracle_partial(spec, game.outcomes, gain_vector(game, 1, "Right", p, q2))
+    v, _ = eq.make_oracle(spec, game.outcomes)(gain_vector(game, 1, "Right", p, q2))
     assert v is not None
     amount, witness = v
     # the maximizing up-set avoids o11 and contains the escape outcome o12;
@@ -641,7 +641,7 @@ def test_constant_utility_constraints_mean_no_violation():
         q[("Right",)] = ONE - q[("Left",)]
         for a in game.action_sets[0]:
             gain = gain_vector(game, 0, a, p, q)
-            assert eq.separation_oracle_partial(spec, game.outcomes, gain)[0] is None
+            assert eq.make_oracle(spec, game.outcomes)(gain)[0] is None
 
 
 def test_partial_oracle_matches_up_set_brute_force():
@@ -659,7 +659,7 @@ def test_partial_oracle_matches_up_set_brute_force():
             q_i = _random_point(rng, list(opponents_profiles_of(game, i)))
             deviation = rng.choice(game.action_sets[i])
             gain = gain_vector(game, i, deviation, p, q_i)
-            v, _ = eq.separation_oracle_partial(spec, game.outcomes, gain)
+            v, _ = eq.make_oracle(spec, game.outcomes)(gain)
             best = max(
                 deviation_gain(game, i, deviation, u, p, q_i)
                 for u in upward_closed_vectors(game.outcomes, spec.pairs)
@@ -690,7 +690,7 @@ def test_total_oracle_matches_closure_and_enumeration():
             chain = PartialOrder(tuple(zip(spec.order, spec.order[1:])))
             gain = gain_vector(game, i, deviation, p, q_i)
             v, flow = eq.separation_oracle_total(spec, game.outcomes, gain)
-            chain_v, chain_flow = eq.separation_oracle_partial(chain, game.outcomes, gain)
+            chain_v, chain_flow = eq.make_oracle(chain, game.outcomes)(gain)
             assert v == chain_v
             verifier.check_flow(spec, game.outcomes, gain, v, flow)
             verifier.check_flow(chain, game.outcomes, gain, v, chain_flow)

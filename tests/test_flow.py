@@ -1,11 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import closure_brute_force
-from ordineq.flow import FlowNetwork, closure_solve, max_flow
+from ordineq.errors import ValidationError
+from ordineq.flow import ClosureNetwork, FlowNetwork, max_flow
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _solve(items, values, implications):
+    """A fresh closure network's (accepted, total, flow) for the values,
+    given by item."""
+    return ClosureNetwork(items, implications).solve([values[it] for it in items])
 
 
 def _cut_capacity(net: FlowNetwork, source_side) -> Fraction:
@@ -55,7 +64,7 @@ def test_bottleneck_path():
 
 
 def test_closure_forced_loss():
-    accepted, total, flow = closure_solve(
+    accepted, total, flow = _solve(
         ("e1", "e2"),
         {"e1": Fraction(1), "e2": Fraction(-2)},
         (("e1", "e2"),),
@@ -66,7 +75,7 @@ def test_closure_forced_loss():
 
 
 def test_closure_worthwhile_loss():
-    accepted, total, flow = closure_solve(
+    accepted, total, flow = _solve(
         ("e1", "e2"),
         {"e1": Fraction(1), "e2": Fraction(-1, 2)},
         (("e1", "e2"),),
@@ -77,7 +86,7 @@ def test_closure_worthwhile_loss():
 
 
 def test_closure_all_positive():
-    accepted, total, flow = closure_solve(
+    accepted, total, flow = _solve(
         ("e1", "e2"),
         {"e1": Fraction(3), "e2": Fraction(1)},
         (),
@@ -90,7 +99,7 @@ def test_closure_all_positive():
 def test_closure_tolerates_cycles_and_duplicates():
     """The duplicate implication merges and the antiparallel one nets out:
     one flow entry, in the direction the flow goes."""
-    accepted, total, flow = closure_solve(
+    accepted, total, flow = _solve(
         ("a", "b"),
         {"a": Fraction(2), "b": Fraction(-1)},
         (("a", "b"), ("b", "a"), ("a", "b")),
@@ -138,7 +147,7 @@ def test_closure_agrees_with_subset_enumeration():
     rng = random.Random(11)
     for trial in range(200):
         items, values, implications = _random_closure(rng)
-        accepted, total, flow = closure_solve(items, values, implications)
+        accepted, total, flow = _solve(items, values, implications)
         # accepted must itself be implication-closed and have the right value
         for a, b in implications:
             assert not (a in accepted and b not in accepted)
@@ -146,10 +155,62 @@ def test_closure_agrees_with_subset_enumeration():
         _, best = closure_brute_force(items, values, implications)
         assert total == best, f"trial {trial}"
         assert total >= ZERO
-        # the flow on the implication arcs bounds the weight by `total`
-        net = dict(values)
-        for (a, b), y in flow.items():
-            assert y > 0 and (a, b) in implications and a != b
-            net[a] -= y
-            net[b] += y
-        assert sum(v for v in net.values() if v > 0) == total
+        _check_certificate(values, implications, total, flow)
+
+
+def _check_certificate(values, implications, total, flow) -> None:
+    """The flow on the implication arcs bounds the weight by `total`."""
+    net = dict(values)
+    for (a, b), y in flow.items():
+        assert y > 0 and (a, b) in implications and a != b
+        net[a] -= y
+        net[b] += y
+    assert sum(v for v in net.values() if v > 0) == total
+
+
+def _values(rng: random.Random, n: int) -> list:
+    """Random item values, a mix of ints and `Fraction`s; some vectors are
+    all zero, all positive or all negative."""
+    shape = rng.choice(("mixed", "mixed", "mixed", "zero", "positive", "negative"))
+    low, high = {"mixed": (-6, 6), "zero": (0, 0), "positive": (1, 6), "negative": (-6, -1)}[shape]
+    draws = (rng.randint(low, high) for _ in range(n))
+    return [v if rng.random() < 0.5 else Fraction(v, rng.randint(1, 4)) for v in draws]
+
+
+def test_a_reused_network_answers_as_a_fresh_one():
+    """One network per item set answers 300 value vectors in a row, each
+    exactly as a network built for it alone: the same accepted set, total
+    and flow.  The accepted set is the minimal maximum-weight closure, the
+    first maximum of the subset enumeration, and the flow certifies the
+    total.  The implications hold a cycle, a pair listed twice and a
+    self-pair."""
+    rng = random.Random(27)
+    for n in (3, 5, 7):
+        items = tuple(f"e{k}" for k in range(n))
+        implications = [tuple(rng.sample(items, 2)) for _ in range(n)]
+        implications += [(items[0], items[1]), (items[1], items[2]), (items[2], items[0])]
+        implications += [implications[0], (items[1], items[1])]
+        network = ClosureNetwork(items, implications)
+        for trial in range(300):
+            values = _values(rng, n)
+            answer = network.solve(values)
+            assert answer == ClosureNetwork(items, implications).solve(values), f"n={n}, trial {trial}"
+            accepted, total, flow = answer
+            by_item = dict(zip(items, values))
+            assert (accepted, total) == closure_brute_force(items, by_item, implications)
+            _check_certificate(by_item, implications, total, flow)
+
+
+def test_networks_are_validated_when_built():
+    with pytest.raises(ValidationError, match="negative capacity"):
+        FlowNetwork(2, 0, 1, ((0, 1, Fraction(-1)),))
+    with pytest.raises(ValidationError, match="out of range"):
+        FlowNetwork(2, 0, 1, ((0, 2, ONE),))
+    with pytest.raises(ValidationError, match="source equals sink"):
+        FlowNetwork(2, 1, 1, ((0, 1, ONE),))
+    with pytest.raises(ValidationError, match="duplicate items"):
+        ClosureNetwork(("a", "b", "a"), ())
+    with pytest.raises(ValidationError, match="unknown item"):
+        ClosureNetwork(("a", "b"), (("a", "c"),))
+    with pytest.raises(ValidationError, match="3 values for 2 items"):
+        ClosureNetwork(("a", "b"), (("a", "b"),)).solve([ONE, ONE, -ONE])
